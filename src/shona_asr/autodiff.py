@@ -208,24 +208,6 @@ def relu(a: Tensor) -> Tensor:
     return _node(a.data * mask, (a,), bwd)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    y = 1.0 / (1.0 + np.exp(-a.data))
-
-    def bwd(g):
-        _accumulate(a, g * y * (1.0 - y))
-
-    return _node(y, (a,), bwd)
-
-
-def tanh(a: Tensor) -> Tensor:
-    y = np.tanh(a.data)
-
-    def bwd(g):
-        _accumulate(a, g * (1.0 - y * y))
-
-    return _node(y, (a,), bwd)
-
-
 def tsum(a: Tensor) -> Tensor:
     def bwd(g):
         _accumulate(a, np.full_like(a.data, float(g)))
@@ -432,26 +414,35 @@ def channels_to_rows(x: Tensor) -> Tensor:
     return _node(out_data, (x,), bwd)
 
 
-def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w_ih: Tensor, w_hh: Tensor,
-              b: Tensor) -> tuple[Tensor, Tensor]:
-    """One LSTM step with fused gates.
+def lstm_gates(x: np.ndarray, h: np.ndarray, c: np.ndarray, w_ih: np.ndarray,
+               w_hh: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Plain-array LSTM step: returns (i, f, g, o, c', tanh(c')).
 
     Gate layout along the 4k axis is [input, forget, candidate, output]:
-    i, f, o = sigmoid(W x + U h + b); g = tanh(.); c' = f*c + i*g;
-    h' = o * tanh(c').
+    i, f, o = sigmoid(W x + U h + b); g = tanh(.); c' = f*c + i*g. The new
+    hidden state is o * tanh(c'). `lstm_cell` and the LM's scoring path
+    both step through this function.
     """
+    k = h.shape[0]
+    pre = w_ih @ x + w_hh @ h + b
+    i_g = 1.0 / (1.0 + np.exp(-pre[:k]))
+    f_g = 1.0 / (1.0 + np.exp(-pre[k:2 * k]))
+    g_g = np.tanh(pre[2 * k:3 * k])
+    o_g = 1.0 / (1.0 + np.exp(-pre[3 * k:]))
+    c_new = f_g * c + i_g * g_g
+    return i_g, f_g, g_g, o_g, c_new, np.tanh(c_new)
+
+
+def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w_ih: Tensor, w_hh: Tensor,
+              b: Tensor) -> tuple[Tensor, Tensor]:
+    """One differentiable LSTM step with fused gates (see `lstm_gates`)."""
     k = h.data.shape[0]
     if w_ih.data.shape[0] != 4 * k or w_hh.data.shape != (4 * k, k) or b.data.shape != (4 * k,):
         raise ValueError(f"gate parameter shapes inconsistent with hidden size {k}")
     if w_ih.data.shape[1] != x.data.shape[0]:
         raise ValueError(f"W_ih expects input dim {w_ih.data.shape[1]}, got {x.data.shape[0]}")
-    pre = w_ih.data @ x.data + w_hh.data @ h.data + b.data
-    i_g = 1.0 / (1.0 + np.exp(-pre[:k]))
-    f_g = 1.0 / (1.0 + np.exp(-pre[k:2 * k]))
-    g_g = np.tanh(pre[2 * k:3 * k])
-    o_g = 1.0 / (1.0 + np.exp(-pre[3 * k:]))
-    c_new = f_g * c.data + i_g * g_g
-    tanh_c = np.tanh(c_new)
+    i_g, f_g, g_g, o_g, c_new, tanh_c = lstm_gates(x.data, h.data, c.data,
+                                                   w_ih.data, w_hh.data, b.data)
     h_new = o_g * tanh_c
 
     # One internal node carries both outputs stacked as [h'; c'] so the

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -22,6 +23,9 @@ from .errors import ChecksumError, DataError
 
 MAGIC = b"ASRCKPT1"
 FORMAT_VERSION = 1
+# Header keys required besides "version", and the JSON type of each value.
+_HEADER_TYPES = {"config": dict, "inventory": list, "vocab": list,
+                 "best_metric": object, "epoch": object, "tensors": list}
 
 
 @dataclass
@@ -37,17 +41,6 @@ class Checkpoint:
         self.tensors = {name: np.ascontiguousarray(arr, dtype=np.float32)
                         for name, arr in self.tensors.items()}
 
-    def tensor_bytes(self) -> bytes:
-        """Stable byte serialization of all tensors, for hashing."""
-        h = b""
-        for name in sorted(self.tensors):
-            arr = self.tensors[name]
-            h += name.encode() + str(arr.shape).encode() + arr.astype("<f4").tobytes()
-        return h
-
-    def params_hash(self) -> str:
-        return hashlib.sha256(self.tensor_bytes()).hexdigest()
-
 
 def params_hash(tensors: dict[str, np.ndarray]) -> str:
     """sha256 over name/shape/float32-payload of a tensor map."""
@@ -58,6 +51,11 @@ def params_hash(tensors: dict[str, np.ndarray]) -> str:
         h.update(str(arr.shape).encode())
         h.update(arr.tobytes())
     return h.hexdigest()
+
+
+def _is_count(value) -> bool:
+    """A non-negative JSON integer (bool is excluded)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -108,20 +106,30 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(blob[header_start:header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"{path}: unreadable header ({exc})") from exc
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: header is not a JSON object")
     version = header.get("version")
     if version != FORMAT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version!r} "
                         f"(this build reads version {FORMAT_VERSION})")
+    bad = [key for key, kind in _HEADER_TYPES.items()
+           if key not in header or not isinstance(header[key], kind)]
+    if bad:
+        raise DataError(f"{path}: header keys missing or mistyped: {bad}")
+    if not all(isinstance(line, str) for line in header["inventory"] + header["vocab"]):
+        raise DataError(f"{path}: header inventory and vocab must hold strings")
     payload = blob[header_end:-4]
     tensors: dict[str, np.ndarray] = {}
     for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        end = start + 4 * count
+        fields = entry if isinstance(entry, dict) else {}
+        name, shape, start = fields.get("name"), fields.get("shape"), fields.get("offset")
+        if not (isinstance(name, str) and isinstance(shape, list)
+                and all(map(_is_count, shape)) and _is_count(start)):
+            raise DataError(f"{path}: malformed tensor entry {entry!r}")
+        end = start + 4 * math.prod(shape)
         if end > len(payload):
-            raise ChecksumError(f"{path}: tensor {entry['name']!r} extends past payload")
-        tensors[entry["name"]] = np.frombuffer(payload[start:end], dtype="<f4").reshape(shape)
+            raise DataError(f"{path}: tensor {name!r} extends past payload")
+        tensors[name] = np.frombuffer(payload[start:end], dtype="<f4").reshape(shape)
     return Checkpoint(
         config=header["config"],
         inventory_lines=header["inventory"],

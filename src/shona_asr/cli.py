@@ -114,9 +114,15 @@ def _cmd_train(args) -> int:
     cfg = TrainConfig.from_dict(obj)
     manifest = load_manifest(args.manifest)
     result = train(cfg, manifest)
-    save_checkpoint(result.checkpoint, args.out)
+    log_text = None
     if args.log:
-        Path(args.log).write_text(json.dumps(result.epoch_log, indent=2) + "\n")
+        try:
+            log_text = json.dumps(result.epoch_log, indent=2, allow_nan=False) + "\n"
+        except ValueError as exc:
+            raise VerificationError(f"epoch log holds a non-finite value ({exc})") from exc
+    save_checkpoint(result.checkpoint, args.out)
+    if log_text is not None:
+        Path(args.log).write_text(log_text)
     last = result.epoch_log[-1] if result.epoch_log else {}
     print(f"trained {len(result.epoch_log)} epochs "
           f"(best epoch {result.best_epoch}, val PER {result.checkpoint.best_metric}); "

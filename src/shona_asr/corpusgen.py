@@ -10,7 +10,6 @@ per-utterance derived seeds.
 
 from __future__ import annotations
 
-import json
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +19,7 @@ import numpy as np
 from .audio import AudioBuffer, save_wav
 from .errors import DataError, VerificationError
 from .lexicon import Lexicon
-from .manifest import CorpusManifest, load_manifest
+from .manifest import CorpusManifest, load_manifest, save_manifest
 from .phones import PhoneInventory, default_inventory, VOWELS
 
 # Two-formant targets per vowel, Hz.
@@ -189,9 +188,7 @@ def generate_corpus(cfg: GenConfig, out_dir) -> CorpusManifest:
         })
 
     manifest_path = out_dir / "manifest.jsonl"
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+    save_manifest(manifest_path, records)
     lexicon = Lexicon({w: tuple(p) for w, p in vocab.items()}, inventory)
     lexicon.save(out_dir / "lexicon.txt")
     inventory.save(out_dir / "phones.txt")

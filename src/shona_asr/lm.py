@@ -3,7 +3,9 @@
 A sentence is scored as <s> t1 ... tn </s>; in phone mode every word
 contributes its phones followed by the <wb> boundary token, so the model
 learns both phonotactics and word transitions. Training uses the autodiff
-graph; scoring and decoding use a matched numpy-only fast path.
+graph (`autodiff.lstm_cell`); scoring and decoding run on plain arrays
+without a graph. Both paths step through one gate function,
+`autodiff.lstm_gates`.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ def _hidden_sizes(params: Parameters) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# numpy fast path (scoring / decoding)
+# graph-free path (scoring / decoding)
 # ---------------------------------------------------------------------------
 
 class LmState:
@@ -116,24 +118,15 @@ def lm_initial_state(params: Parameters) -> LmState:
     return LmState(np.zeros(k1), np.zeros(k1), np.zeros(k2), np.zeros(k2))
 
 
-def _cell_np(x, h, c, w_ih, w_hh, b):
-    k = h.shape[0]
-    pre = w_ih @ x + w_hh @ h + b
-    i = 1.0 / (1.0 + np.exp(-pre[:k]))
-    f = 1.0 / (1.0 + np.exp(-pre[k:2 * k]))
-    g = np.tanh(pre[2 * k:3 * k])
-    o = 1.0 / (1.0 + np.exp(-pre[3 * k:]))
-    c_new = f * c + i * g
-    return o * np.tanh(c_new), c_new
-
-
 def lm_step(params: Parameters, state: LmState, token_index: int) -> tuple[LmState, np.ndarray]:
     """Advance one token; returns the new state and next-token log-probs."""
     x = params["embed.W"].data[token_index]
-    h1, c1 = _cell_np(x, state.h1, state.c1,
-                      params["lstm1.W_ih"].data, params["lstm1.W_hh"].data, params["lstm1.b"].data)
-    h2, c2 = _cell_np(h1, state.h2, state.c2,
-                      params["lstm2.W_ih"].data, params["lstm2.W_hh"].data, params["lstm2.b"].data)
+    _, _, _, o1, c1, tanh_c1 = ad.lstm_gates(x, state.h1, state.c1, params["lstm1.W_ih"].data,
+                                             params["lstm1.W_hh"].data, params["lstm1.b"].data)
+    h1 = o1 * tanh_c1
+    _, _, _, o2, c2, tanh_c2 = ad.lstm_gates(h1, state.h2, state.c2, params["lstm2.W_ih"].data,
+                                             params["lstm2.W_hh"].data, params["lstm2.b"].data)
+    h2 = o2 * tanh_c2
     logits = params["out.W"].data @ h2 + params["out.b"].data
     shifted = logits - logits.max()
     log_probs = shifted - np.log(np.exp(shifted).sum())

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,9 +25,9 @@ from .decoder import Transcript, beam_decode
 from .errors import DataError
 from .features import extract_features
 from .lexicon import Lexicon, build_lexicon
-from .lm import LmConfig, TokenVocab, build_lm, corpus_loss, sentence_loss, word_tokens
+from .lm import LmConfig, TokenVocab, build_lm, corpus_loss, lm_train, word_tokens
 from .manifest import CorpusManifest, split_corpus
-from .metrics import MetricsReport, align, normalize_text, per, report, wer
+from .metrics import MetricsReport, normalize_text, per, report, wer
 from .optim import OptimizerState, optimizer_step
 from .phones import PhoneInventory, default_inventory
 
@@ -101,24 +102,23 @@ def _config_to_dict(cfg) -> dict:
 
 
 def _config_from_dict(cls, obj, path: str):
+    """Build a config dataclass from JSON, led by its field annotations.
+
+    A field whose type is a dataclass is decoded recursively; a JSON list
+    given for a `tuple[...]` field becomes a tuple.
+    """
     if not isinstance(obj, dict):
         raise DataError(f"{path}: expected an object")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(obj) - set(fields)
+    hints = typing.get_type_hints(cls)
+    unknown = set(obj) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise DataError(f"{path}: unknown keys {sorted(unknown)}")
-    tuple_fields = ("split_ratios", "freeze", "gain_db_range",
-                    "words_per_sentence", "syllables_per_word")
     kwargs = {}
     for name, value in obj.items():
-        nested = {
-            "optimizer": OptimizerConfig, "lm_optimizer": OptimizerConfig,
-            "augment": AugmentPolicy, "acoustic": AcousticConfig,
-            "lm": LmConfig, "decode": DecodeConfig,
-        }.get(name)
-        if nested is not None:
-            kwargs[name] = _config_from_dict(nested, value, f"{path}.{name}")
-        elif isinstance(value, list) and name in tuple_fields:
+        hint = hints[name]
+        if dataclasses.is_dataclass(hint):
+            kwargs[name] = _config_from_dict(hint, value, f"{path}.{name}")
+        elif isinstance(value, list) and typing.get_origin(hint) is tuple:
             kwargs[name] = tuple(value)
         else:
             kwargs[name] = value
@@ -253,16 +253,6 @@ def _collect_tensors(acoustic_params: ad.Parameters, lm_params: ad.Parameters) -
     return tensors
 
 
-def _greedy_per(utts: list[Utterance], feats_cache: dict[str, np.ndarray],
-                acoustic_params: ad.Parameters, cfg: AcousticConfig) -> float:
-    pairs = []
-    for utt in utts:
-        grid = acoustic_forward(acoustic_params, feats_cache[utt.utt_id], cfg).data
-        pairs.append((utt.phones, ctc_greedy_decode(grid)))
-    total_ref = sum(len(r) for r, _ in pairs)
-    return sum(align(r, h).cost for r, h in pairs) / total_ref
-
-
 def _lm_sentences(utts: list[Utterance], lexicon: Lexicon, granularity: str) -> list[list[str]]:
     return [[tok for w in utt.words
              for tok in word_tokens(w, lexicon.phone_symbols(w), granularity)]
@@ -350,15 +340,7 @@ def train(cfg: TrainConfig, manifest: CorpusManifest) -> TrainResult:
             raise DataError(f"epoch {epoch}: {n_failed}/{len(train_utts)} utterances failed")
 
         # -- language model pass ---------------------------------------------
-        lm_total, lm_tokens = 0.0, 0
-        for sent in lm_train_sents:
-            indices = [vocab.index(t) for t in sent]
-            loss = sentence_loss(lm_params, indices, vocab)
-            lm_total += float(loss.data) * (len(indices) + 1)
-            lm_tokens += len(indices) + 1
-            lm_params.zero_grad()
-            ad.backward(loss)
-            optimizer_step(lm_opt, lm_params)
+        train_lm_ce = lm_train(lm_params, lm_train_sents, vocab, epochs=1, optimizer=lm_opt)[0]
 
         # -- validation --------------------------------------------------------
         val_ctc, n_val = 0.0, 0
@@ -370,37 +352,38 @@ def train(cfg: TrainConfig, manifest: CorpusManifest) -> TrainResult:
                 val_ctc += float(ctc_loss(grid, utt.phones).data)
                 n_val += 1
             val_pairs.append((utt.phones, ctc_greedy_decode(grid.data)))
-        val_per = (sum(align(r, h).cost for r, h in val_pairs)
-                   / sum(len(r) for r, _ in val_pairs))
+        val_per = per(val_pairs)
         val_lm = corpus_loss(lm_params, lm_val_sents, vocab)
 
         entry = {
             "epoch": epoch,
             "train_ctc": epoch_ctc / max(n_scored, 1),
-            "train_lm_ce": lm_total / max(lm_tokens, 1),
+            "train_lm_ce": train_lm_ce,
             "val_ctc": val_ctc / max(n_val, 1),
             "val_lm_ce": val_lm,
             "val_per": val_per,
             "skipped": n_failed,
         }
 
-        if stopper.update(val_per, epoch):
-            best.update(acoustic=acoustic_params.copy_values(), lm=lm_params.copy_values())
-            best["hash"] = params_hash(_collect_tensors(acoustic_params, lm_params))
-
+        improved = stopper.update(val_per, epoch)
+        reached_target = False
         if cfg.target_train_per is not None:
-            train_per = _greedy_per(train_utts, base_feats, acoustic_params, cfg.acoustic)
-            entry["train_per"] = train_per
-            if train_per <= cfg.target_train_per:
+            train_pairs = [(utt.phones, ctc_greedy_decode(
+                acoustic_forward(acoustic_params, base_feats[utt.utt_id], cfg.acoustic).data))
+                for utt in train_utts]
+            entry["train_per"] = train_per = per(train_pairs)
+            reached_target = train_per <= cfg.target_train_per
+            if reached_target:
                 stopper.best_value = val_per
                 stopper.best_epoch = epoch
-                best.update(acoustic=acoustic_params.copy_values(), lm=lm_params.copy_values())
-                best["hash"] = params_hash(_collect_tensors(acoustic_params, lm_params))
-                epoch_log.append(entry)
-                log.info("epoch %d: train PER %.4f reached target, stopping", epoch, train_per)
-                break
 
+        if improved or reached_target:
+            best.update(acoustic=acoustic_params.copy_values(), lm=lm_params.copy_values(),
+                        hash=params_hash(_collect_tensors(acoustic_params, lm_params)))
         epoch_log.append(entry)
+        if reached_target:
+            log.info("epoch %d: train PER %.4f reached target, stopping", epoch, train_per)
+            break
         log.info("epoch %d: train_ctc=%.4f val_ctc=%.4f val_per=%.4f lm_ce=%.4f",
                  epoch, entry["train_ctc"], entry["val_ctc"], val_per, entry["train_lm_ce"])
 

@@ -1,8 +1,14 @@
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
+from shona_asr.audio import AudioBuffer, save_wav
 from shona_asr.checkpoint import (Checkpoint, FORMAT_VERSION, load_checkpoint, params_hash,
                                   save_checkpoint)
+from shona_asr.cli import main
 from shona_asr.errors import ChecksumError, DataError
 
 
@@ -18,6 +24,16 @@ def sample_ckpt(rng):
         best_metric=0.25,
         epoch=7,
     )
+
+
+def rewrite_header(path, edit):
+    """Replace the JSON header with edit(header), recomputing the CRC so it still passes."""
+    blob = path.read_bytes()
+    header_len = struct.unpack("<I", blob[8:12])[0]
+    header = edit(json.loads(blob[12:12 + header_len]))
+    new_header = json.dumps(header, ensure_ascii=False, separators=(",", ":")).encode()
+    body = blob[:8] + struct.pack("<I", len(new_header)) + new_header + blob[12 + header_len:-4]
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
 
 
 def test_round_trip_bit_exact(tmp_path, rng):
@@ -64,16 +80,34 @@ def test_version_mismatch_is_explicit_error(tmp_path, rng):
     path = tmp_path / "model.ckpt"
     ckpt = sample_ckpt(rng)
     save_checkpoint(ckpt, path)
-    import json, struct, zlib
-    blob = path.read_bytes()
-    header_len = struct.unpack("<I", blob[8:12])[0]
-    header = json.loads(blob[12:12 + header_len])
-    header["version"] = FORMAT_VERSION + 1
-    new_header = json.dumps(header, ensure_ascii=False, separators=(",", ":")).encode()
-    body = blob[:8] + struct.pack("<I", len(new_header)) + new_header + blob[12 + header_len:-4]
-    path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+    rewrite_header(path, lambda h: {**h, "version": FORMAT_VERSION + 1})
     with pytest.raises(DataError, match="version"):
         load_checkpoint(path)
+
+
+def _with_first_offset(header, offset):
+    return {**header, "tensors": [{**header["tensors"][0], "offset": offset}]
+            + header["tensors"][1:]}
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: {k: v for k, v in h.items() if k != "tensors"}, "missing or mistyped"),
+    (lambda h: [h], "not a JSON object"),
+    (lambda h: {**h, "config": 5}, "missing or mistyped"),
+    (lambda h: {**h, "inventory": [5]}, "must hold strings"),
+    (lambda h: _with_first_offset(h, -4), "malformed tensor entry"),
+    (lambda h: _with_first_offset(h, 10**6), "extends past payload"),
+], ids=["no-tensors-key", "header-is-list", "config-not-object", "inventory-not-strings",
+        "negative-offset", "offset-past-payload"])
+def test_forged_header_is_data_error(tmp_path, rng, edit, message):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(sample_ckpt(rng), path)
+    rewrite_header(path, edit)
+    with pytest.raises(DataError, match=message):
+        load_checkpoint(path)
+    wav = tmp_path / "tone.wav"
+    save_wav(wav, AudioBuffer(0.1 * np.ones(8000), 16000))
+    assert main(["decode", "--ckpt", str(path), "--wav", str(wav)]) == 2
 
 
 def test_truncated_file_detected(tmp_path, rng):
@@ -105,8 +139,3 @@ def test_params_hash_stable_and_sensitive(rng):
     assert h1 == h2  # order-insensitive
     tensors["a"] = tensors["a"] + 1e-3
     assert params_hash(tensors) != h1
-
-
-def test_checkpoint_hash_matches_helper(rng):
-    ckpt = sample_ckpt(rng)
-    assert ckpt.params_hash() == params_hash(ckpt.tensors)

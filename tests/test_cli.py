@@ -1,9 +1,10 @@
+import importlib
 import json
 
 import numpy as np
 import pytest
 
-from shona_asr.checkpoint import load_checkpoint
+from shona_asr.checkpoint import Checkpoint, load_checkpoint
 from shona_asr.cli import main
 from shona_asr.corpusgen import GenConfig, generate_corpus
 
@@ -80,6 +81,21 @@ def test_train_writes_checkpoint_and_log(trained_ckpt):
     assert ckpt.epoch is not None
     log = json.loads((trained_ckpt.parent / "log.json").read_text())
     assert len(log) == 2
+
+
+def test_train_log_with_non_finite_value_exits_3(corpus_dir, tmp_path, monkeypatch):
+    train_mod = importlib.import_module("shona_asr.train")
+    ckpt = Checkpoint(config={}, inventory_lines=[], vocab=[], tensors={})
+    log = [{"epoch": 1, "train_ctc": float("inf"), "val_per": 1.0}]
+    monkeypatch.setattr(train_mod, "train",
+                        lambda cfg, manifest: train_mod.TrainResult(ckpt, log, 1, False, ""))
+    cfg_path = tmp_path / "train.json"
+    cfg_path.write_text(json.dumps(TINY_TRAIN))
+    code = main(["train", "--config", str(cfg_path),
+                 "--manifest", str(corpus_dir / "manifest.jsonl"),
+                 "--out", str(tmp_path / "model.ckpt"), "--log", str(tmp_path / "log.json")])
+    assert code == 3
+    assert not any(b"Infinity" in p.read_bytes() for p in tmp_path.iterdir())
 
 
 def test_decode_prints_words(trained_ckpt, corpus_dir, capsys):

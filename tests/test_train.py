@@ -5,14 +5,15 @@ import pytest
 
 from shona_asr.acoustic import AcousticConfig
 from shona_asr.augment import AugmentPolicy
-from shona_asr.checkpoint import load_checkpoint, save_checkpoint
+from shona_asr.checkpoint import load_checkpoint, params_hash, save_checkpoint
 from shona_asr.corpusgen import GenConfig, generate_corpus
 from shona_asr.errors import DataError
 from shona_asr.lm import LmConfig, TokenVocab
 from shona_asr.manifest import split_corpus
 from shona_asr.optim import OptimizerState, optimizer_step
 from shona_asr.phones import default_inventory
-from shona_asr.train import (EarlyStopper, TrainConfig, evaluate, train, warm_start)
+from shona_asr.train import (EarlyStopper, TrainConfig, _config_from_dict, _config_to_dict,
+                             evaluate, train, warm_start)
 
 QUIET_AUGMENT = dict(speed_factors=[1.0], gain_db_range=(0.0, 0.0),
                      n_freq_masks=0, n_time_masks=0)
@@ -60,6 +61,9 @@ def test_config_json_round_trip():
                       acoustic=AcousticConfig(conv1_filters=4))
     back = TrainConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
     assert back == cfg
+    gen = GenConfig(seed=4, words_per_sentence=(3, 5), syllables_per_word=(2, 3))
+    back = _config_from_dict(GenConfig, json.loads(json.dumps(_config_to_dict(gen))), "config")
+    assert back == gen
 
 
 def test_config_rejects_unknown_keys():
@@ -87,7 +91,7 @@ def test_train_produces_checkpoint_and_log(tiny_result):
     assert any(name.startswith("acoustic.") for name in ckpt.tensors)
     assert any(name.startswith("lm.") for name in ckpt.tensors)
     assert ckpt.config["lexicon_words"]
-    assert result.best_hash == ckpt.params_hash()
+    assert result.best_hash == params_hash(ckpt.tensors)
 
 
 def test_train_restores_best_epoch_parameters(tiny_result):
