@@ -3,8 +3,9 @@
 A Tensor wraps a float64 ndarray plus an optional gradient; ops build a
 graph of backward closures and backward() replays them in reverse
 topological order. The op set is exactly what the two models here need:
-2-D convolution, max pooling, dense layers, a fused LSTM cell, softmax
-family, and single-head scaled dot-product attention.
+2-D convolution, max pooling, dense layers, a fused LSTM cell and a
+sequence-level LSTM layer, softmax family, and single-head scaled
+dot-product attention.
 
 Values are float64 throughout; a graph must stay on one thread from
 forward through backward, but separate graphs are independent.
@@ -227,17 +228,6 @@ def row(a: Tensor, i: int) -> Tensor:
     return _node(a.data[i], (a,), bwd)
 
 
-def stack_rows(rows: list[Tensor]) -> Tensor:
-    """Stack 1-D tensors into a [len(rows), d] tensor."""
-    out_data = np.stack([r.data for r in rows])
-
-    def bwd(g):
-        for i, r in enumerate(rows):
-            _accumulate(r, g[i])
-
-    return _node(out_data, tuple(rows), bwd)
-
-
 def gather_rows(a: Tensor, indices: np.ndarray) -> Tensor:
     """Row lookup (embedding): out[i] = a[indices[i]]."""
     indices = np.asarray(indices, dtype=np.int64)
@@ -414,35 +404,37 @@ def channels_to_rows(x: Tensor) -> Tensor:
     return _node(out_data, (x,), bwd)
 
 
-def lstm_gates(x: np.ndarray, h: np.ndarray, c: np.ndarray, w_ih: np.ndarray,
-               w_hh: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Plain-array LSTM step: returns (i, f, g, o, c', tanh(c')).
+def lstm_gates(pre: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Plain-array LSTM gates from the pre-activation: (i, f, g, o, c', tanh(c')).
 
-    Gate layout along the 4k axis is [input, forget, candidate, output]:
-    i, f, o = sigmoid(W x + U h + b); g = tanh(.); c' = f*c + i*g. The new
-    hidden state is o * tanh(c'). `lstm_cell` and the LM's scoring path
-    both step through this function.
+    `pre` is W x + U h + b, with the 4k axis laid out as [input, forget,
+    candidate, output]: i, f, o = sigmoid(.); g = tanh(.); c' = f*c + i*g.
+    The new hidden state is o * tanh(c'). `lstm_cell`, `lstm_layer` and the
+    LM's scoring path all step through this function.
     """
-    k = h.shape[0]
-    pre = w_ih @ x + w_hh @ h + b
-    i_g = 1.0 / (1.0 + np.exp(-pre[:k]))
-    f_g = 1.0 / (1.0 + np.exp(-pre[k:2 * k]))
+    k = c.shape[0]
+    # One sigmoid pass over all four blocks (the candidate block's values
+    # go unused): elementwise, so each gate equals its own block's sigmoid.
+    sig = 1.0 / (1.0 + np.exp(-pre))
+    i_g, f_g, o_g = sig[:k], sig[k:2 * k], sig[3 * k:]
     g_g = np.tanh(pre[2 * k:3 * k])
-    o_g = 1.0 / (1.0 + np.exp(-pre[3 * k:]))
     c_new = f_g * c + i_g * g_g
     return i_g, f_g, g_g, o_g, c_new, np.tanh(c_new)
+
+
+def _check_lstm_shapes(w_ih: Tensor, w_hh: Tensor, b: Tensor, k: int, d: int) -> None:
+    if w_ih.data.shape[0] != 4 * k or w_hh.data.shape != (4 * k, k) or b.data.shape != (4 * k,):
+        raise ValueError(f"gate parameter shapes inconsistent with hidden size {k}")
+    if w_ih.data.shape[1] != d:
+        raise ValueError(f"W_ih expects input dim {w_ih.data.shape[1]}, got {d}")
 
 
 def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w_ih: Tensor, w_hh: Tensor,
               b: Tensor) -> tuple[Tensor, Tensor]:
     """One differentiable LSTM step with fused gates (see `lstm_gates`)."""
-    k = h.data.shape[0]
-    if w_ih.data.shape[0] != 4 * k or w_hh.data.shape != (4 * k, k) or b.data.shape != (4 * k,):
-        raise ValueError(f"gate parameter shapes inconsistent with hidden size {k}")
-    if w_ih.data.shape[1] != x.data.shape[0]:
-        raise ValueError(f"W_ih expects input dim {w_ih.data.shape[1]}, got {x.data.shape[0]}")
-    i_g, f_g, g_g, o_g, c_new, tanh_c = lstm_gates(x.data, h.data, c.data,
-                                                   w_ih.data, w_hh.data, b.data)
+    _check_lstm_shapes(w_ih, w_hh, b, h.data.shape[0], x.data.shape[0])
+    pre = w_ih.data @ x.data + w_hh.data @ h.data + b.data
+    i_g, f_g, g_g, o_g, c_new, tanh_c = lstm_gates(pre, c.data)
     h_new = o_g * tanh_c
 
     # One internal node carries both outputs stacked as [h'; c'] so the
@@ -470,6 +462,55 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w_ih: Tensor, w_hh: Tensor,
 
     pair = _node(np.stack([h_new, c_new]), (x, h, c, w_ih, w_hh, b), bwd)
     return row(pair, 0), row(pair, 1)
+
+
+def lstm_layer(xs: Tensor, w_ih: Tensor, w_hh: Tensor, b: Tensor) -> Tensor:
+    """A whole LSTM sequence from a zero state as one node: [T, d] -> hidden states [T, k].
+
+    The input projection X W_ih^T + b is one GEMM for all timesteps; only
+    the recurrent product U h runs per step. The backward pass fills the
+    gate-gradient matrix dA [T, 4k] in one reverse loop, then forms the
+    weight gradients as two GEMMs, dW_ih = dA^T X and dW_hh = dA[1:]^T H[:-1]
+    (Appleyard, Kocisky & Blunsom 2016, arXiv:1604.01946).
+    """
+    if xs.data.ndim != 2 or xs.data.shape[0] == 0:
+        raise ValueError(f"lstm_layer expects a non-empty [T, d] input, got {xs.data.shape}")
+    n_steps, k = xs.data.shape[0], w_hh.data.shape[1]
+    _check_lstm_shapes(w_ih, w_hh, b, k, xs.data.shape[1])
+    u = w_hh.data
+    proj = xs.data @ w_ih.data.T + b.data
+    h, c = np.zeros(k), np.zeros(k)
+    steps = []
+    for t in range(n_steps):
+        i_g, f_g, g_g, o_g, c, tanh_c = lstm_gates(proj[t] + u @ h, c)
+        h = o_g * tanh_c
+        steps.append((i_g, f_g, g_g, o_g, c, tanh_c, h))
+    i_s, f_s, g_s, o_s, c_s, tanh_cs, h_s = (np.array(a) for a in zip(*steps))
+
+    def bwd(grad):
+        c_prev = np.vstack([np.zeros(k), c_s[:-1]])
+        # dA[:, :3k] = dc * [g i (1-i), c_prev f (1-f), i (1-g^2)] and
+        # dA[:, 3k:] = dh * tanh(c) o (1-o); dc gains dh * o (1 - tanh(c)^2).
+        via_dc = np.stack([g_s * i_s * (1.0 - i_s), c_prev * f_s * (1.0 - f_s),
+                           i_s * (1.0 - g_s * g_s)], axis=1)
+        via_dh = tanh_cs * o_s * (1.0 - o_s)
+        dh_to_dc = o_s * (1.0 - tanh_cs * tanh_cs)
+        d_a = np.empty((n_steps, 4 * k))
+        d_a3 = d_a[:, :3 * k].reshape(n_steps, 3, k)
+        dh_next, dc_next = np.zeros(k), np.zeros(k)
+        for t in range(n_steps - 1, -1, -1):
+            dh = grad[t] + dh_next
+            dc = dc_next + dh * dh_to_dc[t]
+            np.multiply(via_dc[t], dc, out=d_a3[t])
+            np.multiply(dh, via_dh[t], out=d_a[t, 3 * k:])
+            dh_next = d_a[t] @ u
+            dc_next = dc * f_s[t]
+        _accumulate(w_ih, d_a.T @ xs.data)
+        _accumulate(w_hh, d_a[1:].T @ h_s[:-1])
+        _accumulate(b, d_a.sum(axis=0))
+        _accumulate(xs, d_a @ w_ih.data)
+
+    return _node(h_s, (xs, w_ih, w_hh, b), bwd)
 
 
 def attention_layer(seq: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor) -> Tensor:

@@ -126,6 +126,8 @@ def load_checkpoint(path) -> Checkpoint:
         if not (isinstance(name, str) and isinstance(shape, list)
                 and all(map(_is_count, shape)) and _is_count(start)):
             raise DataError(f"{path}: malformed tensor entry {entry!r}")
+        if name in tensors:
+            raise DataError(f"{path}: tensor {name!r} listed twice")
         end = start + 4 * math.prod(shape)
         if end > len(payload):
             raise DataError(f"{path}: tensor {name!r} extends past payload")

@@ -2,10 +2,10 @@
 
 A sentence is scored as <s> t1 ... tn </s>; in phone mode every word
 contributes its phones followed by the <wb> boundary token, so the model
-learns both phonotactics and word transitions. Training uses the autodiff
-graph (`autodiff.lstm_cell`); scoring and decoding run on plain arrays
-without a graph. Both paths step through one gate function,
-`autodiff.lstm_gates`.
+learns both phonotactics and word transitions. Training runs each layer
+over the whole sentence as one autodiff node (`autodiff.lstm_layer`);
+scoring and decoding run on plain arrays without a graph. Both paths step
+through one gate function, `autodiff.lstm_gates`.
 """
 
 from __future__ import annotations
@@ -96,10 +96,6 @@ def build_lm(vocab: TokenVocab, cfg: LmConfig, seed: int) -> Parameters:
     return params
 
 
-def _hidden_sizes(params: Parameters) -> tuple[int, int]:
-    return params["lstm1.W_hh"].data.shape[1], params["lstm2.W_hh"].data.shape[1]
-
-
 # ---------------------------------------------------------------------------
 # graph-free path (scoring / decoding)
 # ---------------------------------------------------------------------------
@@ -114,18 +110,20 @@ class LmState:
 
 
 def lm_initial_state(params: Parameters) -> LmState:
-    k1, k2 = _hidden_sizes(params)
+    k1, k2 = params["lstm1.W_hh"].data.shape[1], params["lstm2.W_hh"].data.shape[1]
     return LmState(np.zeros(k1), np.zeros(k1), np.zeros(k2), np.zeros(k2))
 
 
 def lm_step(params: Parameters, state: LmState, token_index: int) -> tuple[LmState, np.ndarray]:
     """Advance one token; returns the new state and next-token log-probs."""
     x = params["embed.W"].data[token_index]
-    _, _, _, o1, c1, tanh_c1 = ad.lstm_gates(x, state.h1, state.c1, params["lstm1.W_ih"].data,
-                                             params["lstm1.W_hh"].data, params["lstm1.b"].data)
+    pre1 = (params["lstm1.W_ih"].data @ x + params["lstm1.W_hh"].data @ state.h1
+            + params["lstm1.b"].data)
+    _, _, _, o1, c1, tanh_c1 = ad.lstm_gates(pre1, state.c1)
     h1 = o1 * tanh_c1
-    _, _, _, o2, c2, tanh_c2 = ad.lstm_gates(h1, state.h2, state.c2, params["lstm2.W_ih"].data,
-                                             params["lstm2.W_hh"].data, params["lstm2.b"].data)
+    pre2 = (params["lstm2.W_ih"].data @ h1 + params["lstm2.W_hh"].data @ state.h2
+            + params["lstm2.b"].data)
+    _, _, _, o2, c2, tanh_c2 = ad.lstm_gates(pre2, state.c2)
     h2 = o2 * tanh_c2
     logits = params["out.W"].data @ h2 + params["out.b"].data
     shifted = logits - logits.max()
@@ -169,18 +167,10 @@ def sentence_loss(params: Parameters, token_indices: list[int], vocab: TokenVoca
     """Teacher-forced mean next-token cross-entropy for one sentence."""
     inputs = np.array([vocab.bos] + token_indices, dtype=np.int64)
     targets = np.array(token_indices + [vocab.eos], dtype=np.int64)
-    k1, k2 = _hidden_sizes(params)
     embedded = ad.gather_rows(params["embed.W"], inputs)
-    h1 = c1 = Tensor(np.zeros(k1))
-    h2 = c2 = Tensor(np.zeros(k2))
-    outputs = []
-    for t in range(len(inputs)):
-        x = ad.row(embedded, t)
-        h1, c1 = ad.lstm_cell(x, h1, c1, params["lstm1.W_ih"], params["lstm1.W_hh"], params["lstm1.b"])
-        h2, c2 = ad.lstm_cell(h1, h2, c2, params["lstm2.W_ih"], params["lstm2.W_hh"], params["lstm2.b"])
-        outputs.append(h2)
-    hidden = ad.stack_rows(outputs)
-    logits = ad.dense(hidden, params["out.W"], params["out.b"])
+    h1 = ad.lstm_layer(embedded, params["lstm1.W_ih"], params["lstm1.W_hh"], params["lstm1.b"])
+    h2 = ad.lstm_layer(h1, params["lstm2.W_ih"], params["lstm2.W_hh"], params["lstm2.b"])
+    logits = ad.dense(h2, params["out.W"], params["out.b"])
     picked = ad.take_per_row(ad.log_softmax(logits), targets)
     return ad.scale(ad.tsum(picked), -1.0 / len(targets))
 

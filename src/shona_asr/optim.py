@@ -18,7 +18,9 @@ class OptimizerState:
     eps: float = 1e-8
     step_count: int = 0
     frozen_prefixes: tuple[str, ...] = ()
-    moments: dict = field(default_factory=dict)  # name -> (m, v)
+    moments: dict = field(default_factory=dict)  # name -> (m, v), updated in place
+    # two flat work buffers, as long as the largest parameter, reused by every update
+    scratch: np.ndarray = field(default_factory=lambda: np.empty((2, 0)), repr=False)
 
     def __post_init__(self):
         if self.kind not in ("sgd", "adam"):
@@ -32,27 +34,42 @@ def optimizer_step(state: OptimizerState, params: Parameters) -> None:
     """Apply one update from accumulated gradients, then zero all grads.
 
     Frozen parameters keep their values but still get their grads cleared.
+    The update runs in place through `state.scratch`, in the operation
+    order of the expressions m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g
+    and w -= (lr*m_hat) / (sqrt(v_hat) + eps), so it is bit-identical to
+    evaluating them directly.
     """
     missing = [name for name, t in params.items()
                if t.grad is None and not state.is_frozen(name)]
     if missing:
         raise ValueError(f"missing gradients for {missing}")
     state.step_count += 1
+    largest = max((t.data.size for _, t in params.items()), default=0)
+    if state.scratch.shape[1] < largest:
+        state.scratch = np.empty((2, largest))
+    b1, b2, lr = state.beta1, state.beta2, state.learning_rate
+    bias1 = 1.0 - b1 ** state.step_count
+    bias2 = 1.0 - b2 ** state.step_count
     for name, t in params.items():
         if state.is_frozen(name):
             t.grad = None
             continue
         g = t.grad
+        step, denom = (buf[:g.size].reshape(g.shape) for buf in state.scratch)
         if state.kind == "sgd":
-            t.data -= state.learning_rate * g
+            np.multiply(g, lr, out=step)
         else:
             if name not in state.moments:
                 state.moments[name] = (np.zeros_like(t.data), np.zeros_like(t.data))
             m, v = state.moments[name]
-            m = state.beta1 * m + (1.0 - state.beta1) * g
-            v = state.beta2 * v + (1.0 - state.beta2) * g * g
-            state.moments[name] = (m, v)
-            m_hat = m / (1.0 - state.beta1 ** state.step_count)
-            v_hat = v / (1.0 - state.beta2 ** state.step_count)
-            t.data -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+            m *= b1
+            m += np.multiply(g, 1.0 - b1, out=step)
+            v *= b2
+            np.multiply(g, 1.0 - b2, out=step)
+            v += np.multiply(step, g, out=step)
+            np.multiply(np.divide(m, bias1, out=step), lr, out=step)
+            np.sqrt(np.divide(v, bias2, out=denom), out=denom)
+            denom += state.eps
+            step /= denom
+        t.data -= step
         t.grad = None

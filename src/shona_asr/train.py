@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import types
 import typing
 from dataclasses import dataclass, field
 
@@ -104,8 +105,8 @@ def _config_to_dict(cfg) -> dict:
 def _config_from_dict(cls, obj, path: str):
     """Build a config dataclass from JSON, led by its field annotations.
 
-    A field whose type is a dataclass is decoded recursively; a JSON list
-    given for a `tuple[...]` field becomes a tuple.
+    Every value is checked against its field's annotation (see
+    `_decode_value`); a mismatch is a DataError naming the field.
     """
     if not isinstance(obj, dict):
         raise DataError(f"{path}: expected an object")
@@ -113,19 +114,48 @@ def _config_from_dict(cls, obj, path: str):
     unknown = set(obj) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise DataError(f"{path}: unknown keys {sorted(unknown)}")
-    kwargs = {}
-    for name, value in obj.items():
-        hint = hints[name]
-        if dataclasses.is_dataclass(hint):
-            kwargs[name] = _config_from_dict(hint, value, f"{path}.{name}")
-        elif isinstance(value, list) and typing.get_origin(hint) is tuple:
-            kwargs[name] = tuple(value)
-        else:
-            kwargs[name] = value
+    kwargs = {name: _decode_value(hints[name], value, f"{path}.{name}")
+              for name, value in obj.items()}
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise DataError(f"{path}: {exc}") from exc
+
+
+_SCALARS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+
+
+def _decode_value(hint, value, path: str):
+    """Check one JSON value against a field annotation and convert it.
+
+    Handles dataclasses (decoded recursively), bool, int, float (an int is
+    accepted), str, `X | None`, `list[X]` and `tuple[...]` (a JSON list
+    becomes a tuple). A bool is not accepted as an int or a float.
+    """
+    if dataclasses.is_dataclass(hint):
+        return _config_from_dict(hint, value, path)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        if value is None and type(None) in args:
+            return None
+        (inner,) = [a for a in args if a is not type(None)]
+        return _decode_value(inner, value, path)
+    if origin in (list, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise DataError(f"{path}: expected a list, got {value!r}")
+        if origin is list or args[-1:] == (Ellipsis,):
+            items = [args[0]] * len(value)
+        elif len(value) != len(args):
+            raise DataError(f"{path}: expected {len(args)} items, got {len(value)}")
+        else:
+            items = args
+        decoded = [_decode_value(h, v, f"{path}[{i}]")
+                   for i, (h, v) in enumerate(zip(items, value))]
+        return decoded if origin is list else tuple(decoded)
+    kinds = _SCALARS[hint]
+    if isinstance(value, bool) != (hint is bool) or not isinstance(value, kinds):
+        raise DataError(f"{path}: expected {hint.__name__}, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +460,7 @@ class EvalResult:
 def restore_models(ckpt: Checkpoint) -> tuple[TrainConfig, PhoneInventory, TokenVocab,
                                               ad.Parameters, ad.Parameters, Lexicon]:
     """Rebuild configs, inventory, vocab, parameters and lexicon from a checkpoint."""
-    config = dict(ckpt.config)
-    lexicon_words = config.pop("lexicon_words", None)
-    cfg = TrainConfig.from_dict(config)
+    cfg = TrainConfig.from_dict(ckpt.config)
     inventory = PhoneInventory.from_lines(ckpt.inventory_lines)
     vocab = TokenVocab(list(ckpt.vocab), cfg.granularity)
     acoustic_params = build_acoustic_model(cfg.acoustic, len(inventory), 0)
@@ -440,9 +468,9 @@ def restore_models(ckpt: Checkpoint) -> tuple[TrainConfig, PhoneInventory, Token
     old_acoustic, old_lm = _split_ckpt_tensors(ckpt)
     acoustic_params.load_values({k: np.array(v, dtype=np.float64) for k, v in old_acoustic.items()})
     lm_params.load_values({k: np.array(v, dtype=np.float64) for k, v in old_lm.items()})
-    if not lexicon_words:
+    if not cfg.lexicon_words:
         raise DataError("checkpoint config carries no lexicon_words; cannot decode")
-    lexicon = build_lexicon(lexicon_words, inventory)
+    lexicon = build_lexicon(cfg.lexicon_words, inventory)
     return cfg, inventory, vocab, acoustic_params, lm_params, lexicon
 
 

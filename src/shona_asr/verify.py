@@ -76,6 +76,27 @@ def check_lstm_cell(seed: int) -> float:
     return grad_check(forward, p, eps=1e-5)
 
 
+def check_lstm_layer(seed: int) -> float:
+    """A whole sequence of T = 1..5 steps (T cycles with the seed).
+
+    Random weights on the hidden states give each timestep its own
+    upstream gradient; at T = 1 the recurrent weights get a zero gradient.
+    """
+    rng = np.random.default_rng(seed)
+    n_steps, d, k = 1 + seed % 5, 3, 4
+    p = Parameters()
+    xs = _param(p, "xs", rng.uniform(-1, 1, (n_steps, d)))
+    w_ih = _param(p, "w_ih", rng.uniform(-0.5, 0.5, (4 * k, d)))
+    w_hh = _param(p, "w_hh", rng.uniform(-0.5, 0.5, (4 * k, k)))
+    b = _param(p, "b", rng.uniform(-0.5, 0.5, 4 * k))
+    weights = Tensor(rng.uniform(-1, 1, (n_steps, k)))
+
+    def forward():
+        return ad.tsum(ad.mul(ad.lstm_layer(xs, w_ih, w_hh, b), weights))
+
+    return grad_check(forward, p, eps=1e-5)
+
+
 def check_attention(seed: int) -> float:
     rng = np.random.default_rng(seed)
     t, d = 3, 4
@@ -132,6 +153,7 @@ CHECKS = {
     "max_pool2d": check_max_pool2d,
     "dense": check_dense,
     "lstm_cell": check_lstm_cell,
+    "lstm_layer": check_lstm_layer,
     "attention_layer": check_attention,
     "softmax_cross_entropy": check_softmax_cross_entropy,
     "ctc_loss": check_ctc_loss,

@@ -145,6 +145,41 @@ def test_lstm_saturated_gates_carry_cell_state(rng):
     assert np.max(np.abs(c2.data - c0)) < 1e-9
 
 
+def test_lstm_layer_matches_chained_cells(rng):
+    d, k, n_steps = 3, 5, 6
+    xs = rng.normal(size=(n_steps, d))
+    w_ih, w_hh = Tensor(rng.normal(size=(4 * k, d))), Tensor(rng.normal(size=(4 * k, k)))
+    b = Tensor(rng.normal(size=4 * k))
+    layer = ad.lstm_layer(Tensor(xs), w_ih, w_hh, b)
+    h, c = Tensor(np.zeros(k)), Tensor(np.zeros(k))
+    for t in range(n_steps):
+        h, c = ad.lstm_cell(Tensor(xs[t]), h, c, w_ih, w_hh, b)
+        assert np.allclose(layer.data[t], h.data, rtol=0, atol=1e-12)
+
+
+def test_lstm_layer_single_step_gives_recurrent_weights_a_zero_gradient(rng):
+    d, k = 3, 4
+    p = Parameters()
+    xs = p.add("xs", rng.normal(size=(1, d)))
+    w_ih = p.add("w_ih", rng.normal(size=(4 * k, d)))
+    w_hh = p.add("w_hh", rng.normal(size=(4 * k, k)))
+    b = p.add("b", rng.normal(size=4 * k))
+    backward(ad.tsum(ad.lstm_layer(xs, w_ih, w_hh, b)))
+    assert w_hh.grad is not None and np.array_equal(w_hh.grad, np.zeros((4 * k, k)))
+    assert all(t.grad is not None and np.any(t.grad != 0) for t in (xs, w_ih, b))
+
+
+def test_lstm_layer_rejects_bad_shapes():
+    k = 4
+    w_ih, w_hh, b = Tensor(np.zeros((4 * k, 3))), Tensor(np.zeros((4 * k, k))), Tensor(np.zeros(4 * k))
+    with pytest.raises(ValueError, match="input dim"):
+        ad.lstm_layer(Tensor(np.zeros((2, 5))), w_ih, w_hh, b)
+    with pytest.raises(ValueError, match="non-empty"):
+        ad.lstm_layer(Tensor(np.zeros((0, 3))), w_ih, w_hh, b)
+    with pytest.raises(ValueError, match="hidden size"):
+        ad.lstm_layer(Tensor(np.zeros((2, 3))), w_ih, w_hh, Tensor(np.zeros(k)))
+
+
 def test_softmax_uniform_on_zeros():
     out = ad.softmax(Tensor(np.zeros(3)))
     assert np.allclose(out.data, 1.0 / 3.0)
@@ -222,6 +257,47 @@ def test_adam_first_step_magnitude_matches_formulas():
     expected = -lr * m_hat / (np.sqrt(v_hat) + 1e-8)
     assert np.allclose(w.data, expected)
     assert abs(abs(expected) - lr) < 1e-8
+
+
+def _reference_step(kind, data, moments, grads, step, frozen, lr=3e-3, b1=0.9, b2=0.999, eps=1e-8):
+    """Out-of-place update written the textbook way, as the comparison for the in-place step."""
+    for name, g in grads.items():
+        if name.startswith(frozen):
+            continue
+        if kind == "sgd":
+            data[name] = data[name] - lr * g
+            continue
+        m, v = moments.get(name, (np.zeros_like(g), np.zeros_like(g)))
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        moments[name] = (m, v)
+        m_hat = m / (1.0 - b1 ** step)
+        v_hat = v / (1.0 - b2 ** step)
+        data[name] = data[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+@pytest.mark.parametrize("kind", ["adam", "sgd"])
+def test_in_place_step_is_bit_identical_to_out_of_place_reference(rng, kind):
+    shapes = {"enc.w": (3, 4), "out.w": (5, 2), "out.b": (5,), "big": (7, 6)}
+    p = Parameters()
+    for name, shape in shapes.items():
+        p.add(name, rng.normal(size=shape))
+    data = p.copy_values()
+    moments = {}
+    state = OptimizerState(kind=kind, learning_rate=3e-3, frozen_prefixes=("enc.",))
+    for step in range(1, 9):
+        grads = {name: rng.normal(scale=10.0 ** rng.integers(-4, 2), size=shape)
+                 for name, shape in shapes.items()}
+        for name, g in grads.items():
+            p[name].grad = g.copy()
+        optimizer_step(state, p)
+        _reference_step(kind, data, moments, grads, step, "enc.")
+        for name in shapes:
+            assert np.array_equal(p[name].data, data[name]), (name, step)
+            assert p[name].grad is None
+    for name, (m, v) in moments.items():
+        assert np.array_equal(state.moments[name][0], m) and np.array_equal(state.moments[name][1], v)
+    assert "enc.w" not in state.moments
 
 
 def test_missing_gradient_is_an_error():

@@ -97,8 +97,9 @@ def _with_first_offset(header, offset):
     (lambda h: {**h, "inventory": [5]}, "must hold strings"),
     (lambda h: _with_first_offset(h, -4), "malformed tensor entry"),
     (lambda h: _with_first_offset(h, 10**6), "extends past payload"),
+    (lambda h: {**h, "tensors": h["tensors"] + h["tensors"][:1]}, "listed twice"),
 ], ids=["no-tensors-key", "header-is-list", "config-not-object", "inventory-not-strings",
-        "negative-offset", "offset-past-payload"])
+        "negative-offset", "offset-past-payload", "duplicate-tensor-name"])
 def test_forged_header_is_data_error(tmp_path, rng, edit, message):
     path = tmp_path / "model.ckpt"
     save_checkpoint(sample_ckpt(rng), path)

@@ -9,6 +9,7 @@ from shona_asr.cli import main
 from shona_asr.corpusgen import GenConfig, generate_corpus
 
 from test_audio import write_pcm
+from test_checkpoint import rewrite_header
 
 TINY_TRAIN = {
     "seed": 3,
@@ -74,6 +75,30 @@ def test_corpusgen_unknown_config_key_exits_2(tmp_path):
     cfg = tmp_path / "gen.json"
     cfg.write_text(json.dumps({"seed": 1, "wat": 2}))
     assert main(["corpusgen", "--config", str(cfg), "--out-dir", str(tmp_path / "c")]) == 2
+
+
+@pytest.mark.parametrize("bad", [{"lexicon_words": [1, 2]}, {"seed": "x"}, {"seed": True}],
+                         ids=["lexicon-ints", "seed-string", "seed-bool"])
+def test_train_config_value_of_wrong_type_exits_2(corpus_dir, tmp_path, capsys, bad):
+    cfg_path = tmp_path / "train.json"
+    cfg_path.write_text(json.dumps({**TINY_TRAIN, **bad}))
+    code = main(["train", "--config", str(cfg_path),
+                 "--manifest", str(corpus_dir / "manifest.jsonl"),
+                 "--out", str(tmp_path / "model.ckpt")])
+    assert code == 2
+    assert "config." in capsys.readouterr().err
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("field, value", [("lexicon_words", [1, 2]), ("seed", "x")],
+                         ids=["lexicon-ints", "seed-string"])
+def test_checkpoint_config_value_of_wrong_type_exits_2(trained_ckpt, corpus_dir, tmp_path,
+                                                       field, value):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(trained_ckpt.read_bytes())
+    rewrite_header(bad, lambda h: {**h, "config": {**h["config"], field: value}})
+    wav = sorted((corpus_dir / "wav").glob("*.wav"))[0]
+    assert main(["decode", "--ckpt", str(bad), "--wav", str(wav)]) == 2
 
 
 def test_train_writes_checkpoint_and_log(trained_ckpt):

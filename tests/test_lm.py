@@ -95,6 +95,28 @@ def test_score_matches_teacher_forced_graph_path(rng):
     assert fast == pytest.approx(graph, abs=1e-10)
 
 
+def test_scoring_and_training_paths_agree_on_default_model(rng):
+    # lm_score steps lm_step token by token; sentence_loss runs lstm_layer over the sentence
+    vocab = phone_vocab(54)
+    params = build_lm(vocab, LmConfig(), seed=13)
+    for n in [1, 2, 40] + [int(v) for v in rng.integers(1, 41, size=9)]:
+        indices = [int(v) for v in rng.integers(2, len(vocab), size=n)]  # <wb>, <unk> and phones
+        tokens = [vocab.tokens[i] for i in indices]
+        graph = -float(sentence_loss(params, indices, vocab).data) * (n + 1)
+        assert abs(lm_score(params, tokens, vocab) - graph) < 1e-9
+
+
+def test_training_on_an_empty_sentence_takes_one_step():
+    vocab = phone_vocab(4)
+    params = build_lm(vocab, LmConfig(embed_dim=6, lstm1_units=6, lstm2_units=6), seed=14)
+    before = params.copy_values()
+    trace = lm_train(params, [[]], vocab, epochs=1)
+    assert len(trace) == 1 and math.isfinite(trace[0])
+    assert not np.array_equal(params["out.b"].data, before["out.b"])
+    # one input step: the recurrent weights get a zero gradient, so Adam leaves them alone
+    assert np.array_equal(params["lstm1.W_hh"].data, before["lstm1.W_hh"])
+
+
 def test_uniform_perplexity_equals_vocab_size():
     vocab = phone_vocab(54)
     params = build_lm(vocab, LmConfig(embed_dim=8, lstm1_units=8, lstm2_units=8), seed=5)
