@@ -1,9 +1,9 @@
-"""CNN acoustic model: stacked features in, per-frame phone posteriors out.
+"""CNN acoustic model: stacked features in, per-frame phone log-posteriors out.
 
 Two same-padded 3x3 convolution blocks, each followed by 2x2 max pooling,
 then a 128-unit dense layer per downsampled frame, optional self-attention
-over the frame sequence, and a softmax output over the phone set plus the
-blank symbol. Both time and feature axes are pooled, so the grid has
+over the frame sequence, and a log-softmax output over the phone set plus
+the blank symbol. Both time and feature axes are pooled, so the grid has
 floor(floor(T/2)/2) rows and the feature axis shrinks 39 -> 19 -> 9.
 """
 
@@ -35,22 +35,26 @@ class AcousticConfig:
 
 @dataclass
 class PosteriorGrid:
-    """Row-stochastic [T', P+1] matrix of phone(+blank) posteriors."""
+    """[T', P+1] matrix of phone(+blank) log-probabilities, one row per frame."""
 
-    probs: np.ndarray
+    log_probs: np.ndarray
     frame_subsample: int = FRAME_SUBSAMPLE
 
     @property
+    def probs(self) -> np.ndarray:
+        return np.exp(self.log_probs)
+
+    @property
     def n_frames(self) -> int:
-        return self.probs.shape[0]
+        return self.log_probs.shape[0]
 
     @property
     def n_classes(self) -> int:
-        return self.probs.shape[1]
+        return self.log_probs.shape[1]
 
     @property
     def blank(self) -> int:
-        return self.probs.shape[1] - 1
+        return self.log_probs.shape[1] - 1
 
 
 def build_acoustic_model(cfg: AcousticConfig, n_phones: int, seed: int) -> Parameters:
@@ -82,7 +86,7 @@ def build_acoustic_model(cfg: AcousticConfig, n_phones: int, seed: int) -> Param
 
 
 def acoustic_forward(params: Parameters, feats, cfg: AcousticConfig | None = None) -> Tensor:
-    """Differentiable forward pass; returns the [T', P+1] posterior tensor."""
+    """Differentiable forward pass; returns the [T', P+1] log-posterior tensor."""
     cfg = cfg or AcousticConfig(use_attention="attn.Wq" in params)
     values = feats.values if isinstance(feats, FeatureMatrix) else np.asarray(feats, dtype=np.float64)
     t = values.shape[0]
@@ -98,9 +102,9 @@ def acoustic_forward(params: Parameters, feats, cfg: AcousticConfig | None = Non
     if cfg.use_attention:
         rows = ad.attention_layer(rows, params["attn.Wq"], params["attn.Wk"], params["attn.Wv"])
     logits = ad.dense(rows, params["out.W"], params["out.b"])
-    return ad.softmax(logits)
+    return ad.log_softmax(logits)
 
 
 def posteriors(params: Parameters, feats, cfg: AcousticConfig | None = None) -> PosteriorGrid:
-    """Inference wrapper returning a plain posterior grid."""
+    """Inference wrapper returning a plain log-posterior grid."""
     return PosteriorGrid(acoustic_forward(params, feats, cfg).data)

@@ -276,10 +276,9 @@ def log_softmax(a: Tensor) -> Tensor:
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out_data = shifted - log_z
-    y = np.exp(out_data)
 
     def bwd(g):
-        _accumulate(a, g - y * g.sum(axis=-1, keepdims=True))
+        _accumulate(a, g - np.exp(out_data) * g.sum(axis=-1, keepdims=True))
 
     return _node(out_data, (a,), bwd)
 

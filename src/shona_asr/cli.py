@@ -132,7 +132,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    from .acoustic import PosteriorGrid, acoustic_forward
+    from .acoustic import posteriors
     from .audio import load_wav
     from .checkpoint import load_checkpoint
     from .decoder import beam_decode
@@ -144,7 +144,7 @@ def _cmd_decode(args) -> int:
     lam = cfg.decode.lm_weight if args.lm_weight is None else args.lm_weight
     beam = cfg.decode.beam_width if args.beam is None else args.beam
     feats = extract_features(load_wav(args.wav))
-    grid = PosteriorGrid(acoustic_forward(acoustic_params, feats, cfg.acoustic).data)
+    grid = posteriors(acoustic_params, feats, cfg.acoustic)
     hyp = beam_decode(grid, lexicon, lm_params, vocab, lm_weight=lam,
                       word_bonus=cfg.decode.word_bonus, beam_width=beam)
     print(hyp.text())

@@ -1,9 +1,10 @@
-"""Alignment-free sequence loss and greedy decoding over posterior grids.
+"""Alignment-free sequence loss and greedy decoding over log-posterior grids.
 
 The loss sums, over every blank-augmented monotonic alignment of the
 target, the product of per-frame posteriors, in log space. Its gradient
-comes from the standard forward-backward recursion and plugs into the
-autodiff graph as a single primitive.
+comes from the standard forward-backward recursion (one forward
+recursion, run a second time on the reversed grid for the backward
+variables) and plugs into the autodiff graph as a single primitive.
 """
 
 from __future__ import annotations
@@ -35,73 +36,50 @@ def _skip_mask(ext: np.ndarray, blank: int) -> np.ndarray:
     return mask
 
 
-def ctc_forward_logprob(log_grid: np.ndarray, target: list[int], blank: int) -> float:
-    """Total log-probability of the target via the forward recursion.
+def _alpha(log_grid: np.ndarray, ext: np.ndarray, skip: np.ndarray) -> np.ndarray:
+    """Forward state log-probabilities [T, S], each including the frame emission.
 
-    log_grid: [T, K] log posteriors. Returns -inf when the alignment is
-    infeasible.
+    Run on the time- and state-reversed grid and target (with the skip mask
+    of the reversed target), it yields the reversed backward variables.
     """
-    t_frames = log_grid.shape[0]
-    if len(target) == 0:
-        return float(log_grid[:, blank].sum())
-    if t_frames < min_frames(target):
-        return NEG_INF
-    ext = extended_targets(target, blank)
-    s = len(ext)
-    skip = _skip_mask(ext, blank)
-    alpha = np.full(s, NEG_INF)
-    alpha[0] = log_grid[0, ext[0]]
-    if s > 1:
-        alpha[1] = log_grid[0, ext[1]]
-    for t in range(1, t_frames):
-        stay = alpha
-        step = np.concatenate(([NEG_INF], alpha[:-1]))
-        new = np.logaddexp(stay, step)
-        jump = np.concatenate(([NEG_INF, NEG_INF], alpha[:-2]))
-        new[skip] = np.logaddexp(new[skip], jump[skip])
-        alpha = new + log_grid[t, ext]
-    total = alpha[-1] if s == 1 else np.logaddexp(alpha[-1], alpha[-2])
-    return float(total)
-
-
-def _alpha_beta(log_grid: np.ndarray, ext: np.ndarray, skip: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Forward/backward state log-probabilities, each including the frame emission."""
     t_frames = log_grid.shape[0]
     s = len(ext)
     alpha = np.full((t_frames, s), NEG_INF)
-    alpha[0, 0] = log_grid[0, ext[0]]
-    if s > 1:
-        alpha[0, 1] = log_grid[0, ext[1]]
+    alpha[0, :2] = log_grid[0, ext[:2]]
     for t in range(1, t_frames):
         prev = alpha[t - 1]
         new = np.logaddexp(prev, np.concatenate(([NEG_INF], prev[:-1])))
         jump = np.concatenate(([NEG_INF, NEG_INF], prev[:-2]))
         new[skip] = np.logaddexp(new[skip], jump[skip])
         alpha[t] = new + log_grid[t, ext]
-
-    beta = np.full((t_frames, s), NEG_INF)
-    beta[-1, -1] = log_grid[-1, ext[-1]]
-    if s > 1:
-        beta[-1, -2] = log_grid[-1, ext[-2]]
-    skip_fwd = np.zeros(s, dtype=bool)
-    skip_fwd[:-2] = skip[2:]
-    for t in range(t_frames - 2, -1, -1):
-        nxt = beta[t + 1]
-        new = np.logaddexp(nxt, np.concatenate((nxt[1:], [NEG_INF])))
-        jump = np.concatenate((nxt[2:], [NEG_INF, NEG_INF]))
-        new[skip_fwd] = np.logaddexp(new[skip_fwd], jump[skip_fwd])
-        beta[t] = new + log_grid[t, ext]
-    return alpha, beta
+    return alpha
 
 
-def ctc_loss(grid: Tensor, target: list[int], blank: int | None = None) -> Tensor:
-    """Negative log-likelihood of the target under a [T, K] posterior grid.
+def ctc_forward_logprob(log_grid: np.ndarray, target: list[int], blank: int) -> float:
+    """Total log-probability of the target via the forward recursion.
 
-    The grid rows are probabilities (strictly positive); blank defaults to
-    the last column. Raises when the target cannot be aligned within T
-    frames.
+    log_grid: [T, K] log posteriors. Returns -inf when the alignment is
+    infeasible.
     """
-    t_frames, k = grid.data.shape
+    if len(target) == 0:
+        return float(log_grid[:, blank].sum())
+    if log_grid.shape[0] < min_frames(target):
+        return NEG_INF
+    ext = extended_targets(target, blank)
+    alpha = _alpha(log_grid, ext, _skip_mask(ext, blank))
+    return float(np.logaddexp(alpha[-1, -1], alpha[-1, -2]))
+
+
+def ctc_loss(log_grid: Tensor, target: list[int], blank: int | None = None) -> Tensor:
+    """Negative log-likelihood of the target under a [T, K] log-posterior grid.
+
+    The grid rows are finite log-probabilities, as a log-softmax emits;
+    blank defaults to the last column. Raises when the target cannot be
+    aligned within T frames. The gradient with respect to log_grid[t, c]
+    is minus the posterior occupancy of class c at frame t, so chained
+    through log_softmax it is softmax - occupancy with respect to logits.
+    """
+    t_frames, k = log_grid.data.shape
     blank = k - 1 if blank is None else blank
     target = [int(p) for p in target]
     if len(target) < 1:
@@ -113,34 +91,28 @@ def ctc_loss(grid: Tensor, target: list[int], blank: int | None = None) -> Tenso
     if t_frames < needed:
         raise ValueError(f"target needs at least {needed} frames, grid has {t_frames}")
 
-    log_grid = np.log(grid.data)
+    lg = log_grid.data
     ext = extended_targets(target, blank)
-    skip = _skip_mask(ext, blank)
-    alpha, beta = _alpha_beta(log_grid, ext, skip)
-    s = len(ext)
-    log_p = alpha[-1, -1] if s == 1 else np.logaddexp(alpha[-1, -1], alpha[-1, -2])
+    alpha = _alpha(lg, ext, _skip_mask(ext, blank))
+    rev = ext[::-1]
+    beta = _alpha(lg[::-1], rev, _skip_mask(rev, blank))[::-1, ::-1]
+    log_p = np.logaddexp(alpha[-1, -1], alpha[-1, -2])
 
     def bwd(g):
-        if not grid.requires_grad:
+        if not log_grid.requires_grad:
             return
-        # d loss / d grid[t, c] = -exp(lse_{s: ext[s]=c}(alpha+beta)
-        #                              - 2 log grid[t, c] - log_p)
-        occ = np.full((t_frames, k), NEG_INF)
-        ab = alpha + beta
-        for si in range(s):
-            c = ext[si]
-            occ[:, c] = np.logaddexp(occ[:, c], ab[:, si])
-        with np.errstate(invalid="ignore"):
-            grad = -np.exp(occ - 2.0 * log_grid - log_p)
-        grad[occ == NEG_INF] = 0.0
-        _accumulate(grid, float(g) * grad)
+        # alpha and beta both include the frame-t emission, so one is divided out
+        occupancy = np.exp(alpha + beta - lg[:, ext] - log_p)
+        grad = np.zeros((t_frames, k))
+        np.add.at(grad, (slice(None), ext), occupancy)
+        _accumulate(log_grid, -float(g) * grad)
 
-    return _node(np.array(-log_p), (grid,), bwd)
+    return _node(np.array(-log_p), (log_grid,), bwd)
 
 
 def ctc_greedy_decode(grid, blank: int | None = None) -> list[int]:
     """Best-path decode: per-frame argmax, collapse repeats, drop blanks."""
-    grid = np.asarray(getattr(grid, "probs", grid))
+    grid = np.asarray(getattr(grid, "log_probs", grid))
     blank = grid.shape[1] - 1 if blank is None else blank
     path = grid.argmax(axis=1)
     out: list[int] = []

@@ -1,4 +1,4 @@
-"""Word-sequence search over CTC posteriors with language-model fusion.
+"""Word-sequence search over CTC log-posteriors with language-model fusion.
 
 beam_decode runs a lexicon-constrained CTC prefix beam search: hypotheses
 are (committed words, position in the pronunciation trie) pairs carrying
@@ -16,7 +16,7 @@ force on guard-railed tiny instances and serves as the search oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,14 +101,13 @@ def beam_decode(grid: PosteriorGrid | np.ndarray, lexicon: Lexicon,
                 lm_params: Parameters | None = None, vocab: TokenVocab | None = None,
                 lm_weight: float = 1.0, word_bonus: float = 0.0,
                 beam_width: int = 16) -> Transcript:
-    """Lexicon-constrained CTC prefix beam search with LM fusion."""
-    probs = grid.probs if isinstance(grid, PosteriorGrid) else np.asarray(grid)
-    if probs.shape[0] < 1:
+    """Lexicon-constrained CTC prefix beam search with LM fusion over log-posteriors."""
+    log_y = grid.log_probs if isinstance(grid, PosteriorGrid) else np.asarray(grid)
+    if log_y.shape[0] < 1:
         raise ValueError("posterior grid is empty")
     if beam_width < 1:
         raise ValueError("beam width must be >= 1")
-    blank = probs.shape[1] - 1
-    log_y = np.log(np.maximum(probs, 1e-300))
+    blank = log_y.shape[1] - 1
 
     if lm_params is not None and lm_weight != 0.0:
         if vocab is None:
@@ -125,7 +124,7 @@ def beam_decode(grid: PosteriorGrid | np.ndarray, lexicon: Lexicon,
         words, _ = key
         return _log_add(pb, pnb) + lm_weight * fusion.total(words) + word_bonus * len(words)
 
-    for t in range(probs.shape[0]):
+    for t in range(log_y.shape[0]):
         ly = log_y[t]
         nxt: dict[tuple[tuple[str, ...], TrieNode], list[float]] = {}
 
@@ -198,13 +197,12 @@ def exhaustive_decode(grid: PosteriorGrid | np.ndarray, lexicon: Lexicon,
     Guard rails keep this to oracle-sized problems: at most 5 lexicon
     words, 8 grid rows, and 3-word sequences.
     """
-    probs = grid.probs if isinstance(grid, PosteriorGrid) else np.asarray(grid)
-    t_frames = probs.shape[0]
+    log_grid = grid.log_probs if isinstance(grid, PosteriorGrid) else np.asarray(grid)
+    t_frames = log_grid.shape[0]
     if len(lexicon) > 5 or t_frames > 8 or max_words > 3:
         raise ValueError(f"guard rail: lexicon<=5, frames<=8, max_words<=3; "
                          f"got {len(lexicon)}, {t_frames}, {max_words}")
-    blank = probs.shape[1] - 1
-    log_grid = np.log(np.maximum(probs, 1e-300))
+    blank = log_grid.shape[1] - 1
     words = lexicon.words()
 
     use_lm = lm_params is not None and lm_weight != 0.0

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .acoustic import AcousticConfig, PosteriorGrid, acoustic_forward, build_acoustic_model
+from .acoustic import AcousticConfig, acoustic_forward, build_acoustic_model, posteriors
 from .audio import AudioBuffer, load_wav
 from .augment import AugmentPolicy, augment_audio, spec_augment
 from .checkpoint import Checkpoint, load_checkpoint, params_hash
@@ -499,12 +499,12 @@ def evaluate(ckpt: Checkpoint, split: CorpusManifest,
     transcripts = {}
     for utt in utts:
         feats = extract_features(utt.audio)
-        grid = PosteriorGrid(acoustic_forward(acoustic_params, feats, cfg.acoustic).data)
+        grid = posteriors(acoustic_params, feats, cfg.acoustic)
         hyp = beam_decode(grid, lexicon, lm_params, vocab,
                           lm_weight=lam, word_bonus=bonus, beam_width=beam)
         greedy_words = beam_decode(grid, lexicon, None, None,
                                    lm_weight=0.0, word_bonus=0.0, beam_width=1)
-        greedy_phones = ctc_greedy_decode(grid.probs)
+        greedy_phones = ctc_greedy_decode(grid)
         hyp_phones = [p for w in hyp.words for p in lexicon.pronunciations[w]]
         word_pairs.append((utt.words, hyp.words))
         phone_pairs.append((utt.phones, hyp_phones))

@@ -117,13 +117,13 @@ def check_softmax_cross_entropy(seed: int) -> float:
 
 
 def check_ctc_loss(seed: int) -> float:
-    """Differentiates through softmax rows into the CTC recursion."""
+    """Differentiates through log-softmax rows into the CTC recursion."""
     rng = np.random.default_rng(seed)
     t, k = 6, 4
     p = Parameters()
     logits = _param(p, "logits", rng.uniform(-1, 1, (t, k)))
     target = [int(v) for v in rng.integers(0, k - 1, size=2)]
-    return grad_check(lambda: ctc_loss(ad.softmax(logits), target), p, eps=1e-5)
+    return grad_check(lambda: ctc_loss(ad.log_softmax(logits), target), p, eps=1e-5)
 
 
 def check_full_acoustic(seed: int) -> float:

@@ -109,11 +109,11 @@ def test_criterion_2_ctc_oracle(announce):
                         else:
                             assert abs(got - want) < 1e-6
                         if min_frames(list(target)) <= t_frames:
-                            loss = ctc_loss(Tensor(grid), list(target), blank)
+                            loss = ctc_loss(Tensor(log_grid), list(target), blank)
                             assert abs(float(loss.data) + want) < 1e-6
                         else:
                             with pytest.raises(ValueError):
-                                ctc_loss(Tensor(grid), list(target), blank)
+                                ctc_loss(Tensor(log_grid), list(target), blank)
         assert time.time() - started < 60.0
 
 
@@ -132,8 +132,9 @@ def test_criterion_3_decoder_oracle(announce):
             grid = rng.uniform(0.02, 1.0, size=(t_frames, 55))
             grid /= grid.sum(axis=1, keepdims=True)
             lam = float(rng.choice([0.0, 0.5, 1.0]))
-            want = exhaustive_decode(grid, lexicon, lm, vocab, lm_weight=lam, max_words=3)
-            got = beam_decode(grid, lexicon, lm, vocab, lm_weight=lam, beam_width=8192)
+            log_grid = np.log(grid)
+            want = exhaustive_decode(log_grid, lexicon, lm, vocab, lm_weight=lam, max_words=3)
+            got = beam_decode(log_grid, lexicon, lm, vocab, lm_weight=lam, beam_width=8192)
             assert got.words == want.words, f"trial {trial}: {got.words} != {want.words}"
             assert abs(got.score - want.score) < 1e-6
 

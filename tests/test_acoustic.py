@@ -36,7 +36,7 @@ def test_forward_downsamples_98_to_24_rows(rng):
 def test_rows_sum_to_one(rng):
     params = build_acoustic_model(AcousticConfig(), 10, seed=1)
     out = acoustic_forward(params, rng.normal(size=(40, 39)))
-    assert np.all(np.abs(out.data.sum(axis=1) - 1.0) < 1e-6)
+    assert np.all(np.abs(np.exp(out.data).sum(axis=1) - 1.0) < 1e-6)
 
 
 def test_zero_output_layer_gives_uniform_rows(rng):
@@ -44,7 +44,7 @@ def test_zero_output_layer_gives_uniform_rows(rng):
     params["out.W"].data[:] = 0.0
     params["out.b"].data[:] = 0.0
     out = acoustic_forward(params, rng.normal(size=(16, 39)))
-    assert np.allclose(out.data, 1.0 / 55.0)
+    assert np.allclose(np.exp(out.data), 1.0 / 55.0)
 
 
 def test_too_few_frames_rejected(rng):

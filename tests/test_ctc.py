@@ -16,14 +16,14 @@ def random_grid(rng, t, k):
 
 
 def test_single_frame_single_phone():
-    grid = Tensor(np.array([[0.2, 0.3, 0.5]]))  # blank is index 2
+    grid = Tensor(np.log(np.array([[0.2, 0.3, 0.5]])))  # blank is index 2
     loss = ctc_loss(grid, [1])
     assert float(loss.data) == pytest.approx(-math.log(0.3), abs=1e-12)
 
 
 def test_matches_brute_force_small_instance(rng):
     grid = random_grid(rng, 3, 4)
-    loss = ctc_loss(Tensor(grid), [0, 1])
+    loss = ctc_loss(Tensor(np.log(grid)), [0, 1])
     want = -brute_force_ctc_logprob(grid, [0, 1], blank=3)
     assert float(loss.data) == pytest.approx(want, abs=1e-6)
 
@@ -46,11 +46,11 @@ def test_matches_brute_force_exhaustive_small_space(rng):
 
 
 def test_infeasible_target_rejected(rng):
-    grid = Tensor(random_grid(rng, 2, 4))
+    grid = Tensor(np.log(random_grid(rng, 2, 4)))
     with pytest.raises(ValueError, match="frames"):
         ctc_loss(grid, [0, 1, 2])
     with pytest.raises(ValueError, match="frames"):
-        ctc_loss(Tensor(random_grid(rng, 2, 4)), [0, 0])  # repeat needs 3 frames
+        ctc_loss(Tensor(np.log(random_grid(rng, 2, 4))), [0, 0])  # repeat needs 3 frames
 
 
 def test_min_frames_counts_adjacent_repeats():
@@ -67,7 +67,7 @@ def test_loss_is_positive_probability(rng):
         target = [int(v) for v in rng.integers(0, 4, size=min(t, 2))]
         if min_frames(target) > t:
             continue
-        loss = float(ctc_loss(Tensor(grid), target).data)
+        loss = float(ctc_loss(Tensor(np.log(grid)), target).data)
         assert 0.0 < math.exp(-loss) <= 1.0
         checked += 1
 
@@ -77,8 +77,34 @@ def test_gradient_matches_finite_differences(rng):
     p = Parameters()
     logits = p.add("logits", rng.uniform(-1, 1, (t, k)))
     from shona_asr.gradcheck import grad_check
-    err = grad_check(lambda: ctc_loss(ad.softmax(logits), [0, 2, 1]), p, eps=1e-5)
+    err = grad_check(lambda: ctc_loss(ad.log_softmax(logits), [0, 2, 1]), p, eps=1e-5)
     assert err < 1e-3
+
+
+def test_saturated_logits_give_finite_loss_and_gradient_toward_target():
+    # blank logit 800 above the rest: the target's probabilities underflow
+    # to 0 in a softmax, but stay finite (-800) as log-probabilities
+    t, target = 8, [0, 1]
+    p = Parameters()
+    z = np.zeros((t, 3))
+    z[:, 2] = 800.0
+    logits = p.add("logits", z)
+    loss = ctc_loss(ad.log_softmax(logits), target)
+    backward(loss)
+    # 28 equally likely alignments, each emitting both labels once at -800
+    assert float(loss.data) == pytest.approx(1600.0 - math.log(28.0), abs=1e-9)
+    assert np.all(np.isfinite(logits.grad))
+    for label in target:
+        assert logits.grad[:, label].sum() < 0.0
+
+
+def test_log_grid_gradient_is_minus_occupancy(rng):
+    # repeated labels share a column: [a, a, b, a] puts three label states on a
+    a, b, t, k = 1, 3, 10, 6
+    leaf = Tensor(np.log(random_grid(rng, t, k)), requires_grad=True)
+    backward(ctc_loss(leaf, [a, a, b, a]))
+    assert np.all(np.abs(-leaf.grad.sum(axis=1) - 1.0) < 1e-9)
+    assert np.all(leaf.grad[:, [0, 2, 4]] == 0.0)
 
 
 def test_loss_decreases_when_overfitting_single_grid(rng):
@@ -90,7 +116,7 @@ def test_loss_decreases_when_overfitting_single_grid(rng):
     opt = OptimizerState(kind="adam", learning_rate=5e-2)
     losses = []
     for _ in range(50):
-        loss = ctc_loss(ad.softmax(logits), target)
+        loss = ctc_loss(ad.log_softmax(logits), target)
         losses.append(float(loss.data))
         p.zero_grad()
         backward(loss)
@@ -101,7 +127,7 @@ def test_loss_decreases_when_overfitting_single_grid(rng):
 
 def test_greedy_decode_blank_only():
     grid = np.array([[0.1, 0.9], [0.2, 0.8]])  # blank = 1
-    assert ctc_greedy_decode(grid) == []
+    assert ctc_greedy_decode(np.log(grid)) == []
 
 
 def test_greedy_decode_collapse_semantics():
@@ -109,11 +135,11 @@ def test_greedy_decode_collapse_semantics():
     a, b, blank = 0, 1, 2
     rows = {a: [0.8, 0.1, 0.1], b: [0.1, 0.8, 0.1], blank: [0.1, 0.1, 0.8]}
     grid = np.array([rows[a], rows[a], rows[blank], rows[a], rows[b]])
-    assert ctc_greedy_decode(grid) == [a, a, b]
+    assert ctc_greedy_decode(np.log(grid)) == [a, a, b]
 
 
 def test_greedy_decode_matches_argmax_collapse_oracle(rng):
     for _ in range(30):
         grid = random_grid(rng, 6, 4)
         want = list(collapse_path(grid.argmax(axis=1), blank=3))
-        assert ctc_greedy_decode(grid) == want
+        assert ctc_greedy_decode(np.log(grid)) == want

@@ -17,11 +17,11 @@ def phone_vocab():
 
 def rand_grid(rng, t):
     g = rng.uniform(0.02, 1.0, size=(t, 55))
-    return g / g.sum(axis=1, keepdims=True)
+    return np.log(g / g.sum(axis=1, keepdims=True))
 
 
 def grid_for_phones(phones, peak=0.85, blank_frames=True):
-    """Sharply peaked grid following the phone sequence, one frame each."""
+    """Sharply peaked log grid following the phone sequence, one frame each."""
     rows = []
     for p in phones:
         row = np.full(55, (1 - peak) / 54)
@@ -31,7 +31,7 @@ def grid_for_phones(phones, peak=0.85, blank_frames=True):
             row = np.full(55, (1 - peak) / 54)
             row[54] = peak
             rows.append(row)
-    return np.array(rows)
+    return np.log(np.array(rows))
 
 
 def test_forced_single_word_path():
@@ -88,7 +88,7 @@ def test_uniform_grid_prefers_lm_choice():
     vocab = phone_vocab()
     lex = build_lexicon(["baba", "dana"])  # equal-length pronunciations
     lm = make_lm(vocab, seed=3)
-    grid = np.full((6, 55), 1.0 / 55)
+    grid = np.log(np.full((6, 55), 1.0 / 55))
     out = beam_decode(grid, lex, lm, vocab, lm_weight=1.0, beam_width=4096)
     want = exhaustive_decode(grid, lex, lm, vocab, lm_weight=1.0, max_words=2)
     assert out.words == want.words
@@ -114,8 +114,7 @@ def test_lambda_scaling_invariance_of_argmax(rng):
     vocab = phone_vocab()
     lex = build_lexicon(["baba", "dana", "ruva"])
     lm = make_lm(vocab, seed=2)
-    grid = rand_grid(rng, 5)
-    log_grid = np.log(grid)
+    log_grid = rand_grid(rng, 5)
     candidates = [(w,) for w in lex.words()] + list(product(lex.words(), repeat=2))
     scored = []
     for seq in candidates:
@@ -162,7 +161,7 @@ def test_exhaustive_single_word_lexicon(rng):
 def test_empty_transcript_flag_on_impossible_grid():
     # one frame cannot fit any 2+ phone word: only the empty transcript fits
     lex = build_lexicon(["baba"])
-    grid = np.full((1, 55), 1.0 / 55)
+    grid = np.log(np.full((1, 55), 1.0 / 55))
     out = exhaustive_decode(grid, lex, lm_weight=0.0)
     assert out.words == []
     out_beam = beam_decode(grid, lex, lm_weight=0.0, beam_width=4)
