@@ -57,6 +57,11 @@ class PosteriorGrid:
         return self.log_probs.shape[1] - 1
 
 
+def output_frames(n_frames: int) -> int:
+    """Grid rows left from n_frames input frames after the two stride-2 pools."""
+    return (n_frames // 2) // 2
+
+
 def build_acoustic_model(cfg: AcousticConfig, n_phones: int, seed: int) -> Parameters:
     """Fresh parameters for the acoustic network; deterministic in seed.
 
@@ -90,7 +95,7 @@ def acoustic_forward(params: Parameters, feats, cfg: AcousticConfig | None = Non
     cfg = cfg or AcousticConfig(use_attention="attn.Wq" in params)
     values = feats.values if isinstance(feats, FeatureMatrix) else np.asarray(feats, dtype=np.float64)
     t = values.shape[0]
-    if t < 4:
+    if output_frames(t) < 1:
         raise ValueError(f"need at least 4 frames to survive two stride-2 pools, got {t}")
     if values.shape[1] != FEATURE_DIM:
         raise ValueError(f"expected {FEATURE_DIM}-dim features, got {values.shape[1]}")

@@ -137,13 +137,6 @@ class Parameters:
     def copy_values(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self._tensors.items()}
 
-    def load_values(self, values: dict[str, np.ndarray]) -> None:
-        for name, arr in values.items():
-            t = self._tensors[name]
-            if t.data.shape != arr.shape:
-                raise ValueError(f"shape mismatch loading {name!r}: {t.data.shape} vs {arr.shape}")
-            t.data = np.array(arr, dtype=np.float64)
-
 
 # ---------------------------------------------------------------------------
 # elementwise and structural ops
@@ -180,15 +173,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data @ b.data
 
     def bwd(g):
-        if a.data.ndim == 1 and b.data.ndim == 2:
-            _accumulate(a, g @ b.data.T)
-            _accumulate(b, np.outer(a.data, g))
-        elif a.data.ndim == 2 and b.data.ndim == 1:
-            _accumulate(a, np.outer(g, b.data))
-            _accumulate(b, a.data.T @ g)
-        else:
-            _accumulate(a, g @ b.data.T)
-            _accumulate(b, a.data.T @ g)
+        _accumulate(a, g @ b.data.T)
+        _accumulate(b, a.data.T @ g)
 
     return _node(out_data, (a, b), bwd)
 
@@ -272,10 +258,17 @@ def softmax(a: Tensor) -> Tensor:
     return _node(y, (a,), bwd)
 
 
+def log_softmax_values(x: np.ndarray) -> np.ndarray:
+    """Plain-array log-softmax over the last axis, max-subtracted for stability.
+
+    `log_softmax` and the LM's scoring path both compute through this function.
+    """
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
 def log_softmax(a: Tensor) -> Tensor:
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out_data = shifted - log_z
+    out_data = log_softmax_values(a.data)
 
     def bwd(g):
         _accumulate(a, g - np.exp(out_data) * g.sum(axis=-1, keepdims=True))

@@ -154,14 +154,14 @@ def _cmd_decode(args) -> int:
 def _cmd_eval(args) -> int:
     from .checkpoint import load_checkpoint
     from .manifest import load_manifest, split_corpus
-    from .train import evaluate, restore_models
+    from .train import TrainConfig, evaluate
 
     ckpt = load_checkpoint(args.ckpt)
     manifest = load_manifest(args.manifest)
     if args.split == "all":
         part = manifest
     else:
-        cfg, *_ = restore_models(ckpt)
+        cfg = TrainConfig.from_dict(ckpt.config)
         splits = dict(zip(("train", "val", "test"),
                           split_corpus(manifest, cfg.split_ratios, cfg.seed)))
         part = splits[args.split]

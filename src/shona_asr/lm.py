@@ -126,9 +126,7 @@ def lm_step(params: Parameters, state: LmState, token_index: int) -> tuple[LmSta
     _, _, _, o2, c2, tanh_c2 = ad.lstm_gates(pre2, state.c2)
     h2 = o2 * tanh_c2
     logits = params["out.W"].data @ h2 + params["out.b"].data
-    shifted = logits - logits.max()
-    log_probs = shifted - np.log(np.exp(shifted).sum())
-    return LmState(h1, c1, h2, c2), log_probs
+    return LmState(h1, c1, h2, c2), ad.log_softmax_values(logits)
 
 
 def score_tokens(params: Parameters, state: LmState, last_index: int,

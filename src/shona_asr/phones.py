@@ -60,9 +60,6 @@ class PhoneInventory:
     def indices_to_symbols(self, indices) -> list[str]:
         return [self.phones[i].symbol for i in indices]
 
-    def is_vowel(self, symbol: str) -> bool:
-        return symbol in VOWELS
-
     def onset_spellings(self) -> list[str]:
         """All spelling units of non-vowel phones, sorted."""
         return sorted(u for u, p in self.by_spelling.items() if p.symbol not in VOWELS)

@@ -2,8 +2,9 @@
 
 One epoch loop trains the acoustic model (CTC) and the language model
 (teacher forcing) with independent optimizers, monitors validation PER
-from greedy decoding, and early-stops with patience, restoring the best
-epoch's parameters. The whole run is a pure function of (config, manifest).
+from greedy decoding, and early-stops with patience. The best epoch is kept
+as the float32 tensors its checkpoint holds. The whole run is a pure
+function of (config, manifest).
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .acoustic import AcousticConfig, acoustic_forward, build_acoustic_model, posteriors
+from .acoustic import (AcousticConfig, acoustic_forward, build_acoustic_model, output_frames,
+                       posteriors)
 from .audio import AudioBuffer, load_wav
 from .augment import AugmentPolicy, augment_audio, spec_augment
 from .checkpoint import Checkpoint, load_checkpoint, params_hash
@@ -76,6 +78,8 @@ class TrainConfig:
     decode: DecodeConfig = field(default_factory=DecodeConfig)
 
     def __post_init__(self):
+        if self.epochs_max < 1:
+            raise ValueError("epochs_max must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         if abs(sum(self.split_ratios) - 1.0) > 1e-9:
@@ -170,16 +174,6 @@ class WarmStart:
     frozen: tuple[str, ...]
 
 
-def _split_ckpt_tensors(ckpt: Checkpoint) -> tuple[dict, dict]:
-    acoustic, lm = {}, {}
-    for name, arr in ckpt.tensors.items():
-        if name.startswith("acoustic."):
-            acoustic[name[len("acoustic."):]] = arr
-        elif name.startswith("lm."):
-            lm[name[len("lm."):]] = arr
-    return acoustic, lm
-
-
 def warm_start(ckpt: Checkpoint, n_phones: int, vocab: TokenVocab,
                acoustic_cfg: AcousticConfig, lm_cfg: LmConfig,
                freeze: tuple[str, ...] = (), seed: int = 0) -> WarmStart:
@@ -189,21 +183,20 @@ def warm_start(ckpt: Checkpoint, n_phones: int, vocab: TokenVocab,
     legitimately differ (new phone set or vocab) and stay freshly
     initialized; any other shape mismatch is an error. Names in freeze
     (full "acoustic."/"lm." prefixes) are excluded from optimizer updates.
+    This is the only code that copies checkpoint tensors into models;
+    `restore_models` loads through it too.
     """
     new_acoustic = build_acoustic_model(acoustic_cfg, n_phones, seed)
     new_lm = build_lm(vocab, lm_cfg, seed + 1)
-    old_acoustic, old_lm = _split_ckpt_tensors(ckpt)
     reinitialized = []
-    for prefix, new_params, old_tensors in (("acoustic.", new_acoustic, old_acoustic),
-                                            ("lm.", new_lm, old_lm)):
+    for prefix, new_params in (("acoustic.", new_acoustic), ("lm.", new_lm)):
         for name, tensor in new_params.items():
-            if name not in old_tensors:
+            old = ckpt.tensors.get(prefix + name)
+            if old is None:
                 reinitialized.append(prefix + name)
-                continue
-            old = old_tensors[name]
-            if old.shape == tensor.data.shape:
+            elif old.shape == tensor.data.shape:
                 tensor.data = np.array(old, dtype=np.float64)
-            elif name.startswith("out.") or name.startswith("embed."):
+            elif name.startswith(("out.", "embed.")):
                 reinitialized.append(prefix + name)
             else:
                 raise DataError(f"incompatible hidden-layer shape for {prefix}{name}: "
@@ -337,7 +330,7 @@ def train(cfg: TrainConfig, manifest: CorpusManifest) -> TrainResult:
     lm_val_sents = _lm_sentences(val_utts, lexicon, vocab.granularity)
 
     stopper = EarlyStopper(cfg.patience)
-    best = {"acoustic": None, "lm": None, "hash": ""}
+    best_tensors = None
     epoch_log: list[dict] = []
     stopped_early = False
 
@@ -352,7 +345,7 @@ def train(cfg: TrainConfig, manifest: CorpusManifest) -> TrainResult:
                     np.random.SeedSequence(cfg.seed, spawn_key=(cfg.augment.seed, epoch, i)))
                 audio = augment_audio(utt.audio, cfg.augment, rng)
                 feats = spec_augment(extract_features(audio), cfg.augment, rng).values
-            if feats.shape[0] < 4 or (feats.shape[0] // 2) // 2 < min_frames(utt.phones):
+            if output_frames(feats.shape[0]) < min_frames(utt.phones):
                 n_failed += 1
                 continue
             grid = acoustic_forward(acoustic_params, feats, cfg.acoustic)
@@ -378,7 +371,7 @@ def train(cfg: TrainConfig, manifest: CorpusManifest) -> TrainResult:
         for utt in val_utts:
             feats = base_feats[utt.utt_id]
             grid = acoustic_forward(acoustic_params, feats, cfg.acoustic)
-            if (feats.shape[0] // 2) // 2 >= min_frames(utt.phones):
+            if output_frames(feats.shape[0]) >= min_frames(utt.phones):
                 val_ctc += float(ctc_loss(grid, utt.phones).data)
                 n_val += 1
             val_pairs.append((utt.phones, ctc_greedy_decode(grid.data)))
@@ -408,8 +401,7 @@ def train(cfg: TrainConfig, manifest: CorpusManifest) -> TrainResult:
                 stopper.best_epoch = epoch
 
         if improved or reached_target:
-            best.update(acoustic=acoustic_params.copy_values(), lm=lm_params.copy_values(),
-                        hash=params_hash(_collect_tensors(acoustic_params, lm_params)))
+            best_tensors = _collect_tensors(acoustic_params, lm_params)
         epoch_log.append(entry)
         if reached_target:
             log.info("epoch %d: train PER %.4f reached target, stopping", epoch, train_per)
@@ -422,21 +414,18 @@ def train(cfg: TrainConfig, manifest: CorpusManifest) -> TrainResult:
             log.info("early stopping at epoch %d (best epoch %d)", epoch, stopper.best_epoch)
             break
 
-    if best["acoustic"] is not None:
-        acoustic_params.load_values(best["acoustic"])
-        lm_params.load_values(best["lm"])
-
     config_snapshot = cfg.to_dict()
     config_snapshot["lexicon_words"] = lexicon.words()
     ckpt = Checkpoint(
         config=config_snapshot,
         inventory_lines=inventory.to_lines(),
         vocab=list(vocab.tokens),
-        tensors=_collect_tensors(acoustic_params, lm_params),
+        tensors=best_tensors,
         best_metric=stopper.best_value if stopper.best_value != float("inf") else None,
         epoch=stopper.best_epoch,
     )
-    return TrainResult(ckpt, epoch_log, stopper.best_epoch, stopped_early, best["hash"])
+    return TrainResult(ckpt, epoch_log, stopper.best_epoch, stopped_early,
+                       params_hash(best_tensors))
 
 
 # ---------------------------------------------------------------------------
@@ -459,19 +448,27 @@ class EvalResult:
 
 def restore_models(ckpt: Checkpoint) -> tuple[TrainConfig, PhoneInventory, TokenVocab,
                                               ad.Parameters, ad.Parameters, Lexicon]:
-    """Rebuild configs, inventory, vocab, parameters and lexicon from a checkpoint."""
+    """Rebuild configs, inventory, vocab, parameters and lexicon from a checkpoint.
+
+    Every model tensor must be in the checkpoint with its model shape, and
+    the checkpoint may hold no other tensor; otherwise this is a DataError.
+    """
     cfg = TrainConfig.from_dict(ckpt.config)
     inventory = PhoneInventory.from_lines(ckpt.inventory_lines)
     vocab = TokenVocab(list(ckpt.vocab), cfg.granularity)
-    acoustic_params = build_acoustic_model(cfg.acoustic, len(inventory), 0)
-    lm_params = build_lm(vocab, cfg.lm, 0)
-    old_acoustic, old_lm = _split_ckpt_tensors(ckpt)
-    acoustic_params.load_values({k: np.array(v, dtype=np.float64) for k, v in old_acoustic.items()})
-    lm_params.load_values({k: np.array(v, dtype=np.float64) for k, v in old_lm.items()})
+    ws = warm_start(ckpt, len(inventory), vocab, cfg.acoustic, cfg.lm)
+    if ws.reinitialized:
+        raise DataError("checkpoint tensors missing or of the wrong shape for its config: "
+                        + ", ".join(ws.reinitialized))
+    model_names = {prefix + name for prefix, params in (("acoustic.", ws.acoustic), ("lm.", ws.lm))
+                   for name in params.names()}
+    unknown = sorted(set(ckpt.tensors) - model_names)
+    if unknown:
+        raise DataError("checkpoint holds tensors its config's models lack: " + ", ".join(unknown))
     if not cfg.lexicon_words:
         raise DataError("checkpoint config carries no lexicon_words; cannot decode")
     lexicon = build_lexicon(cfg.lexicon_words, inventory)
-    return cfg, inventory, vocab, acoustic_params, lm_params, lexicon
+    return cfg, inventory, vocab, ws.acoustic, ws.lm, lexicon
 
 
 def evaluate(ckpt: Checkpoint, split: CorpusManifest,

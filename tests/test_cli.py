@@ -4,9 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from shona_asr.checkpoint import Checkpoint, load_checkpoint
+from shona_asr.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from shona_asr.cli import main
 from shona_asr.corpusgen import GenConfig, generate_corpus
+from shona_asr.errors import DataError
+from shona_asr.train import restore_models
 
 from test_audio import write_pcm
 from test_checkpoint import rewrite_header
@@ -97,6 +99,25 @@ def test_checkpoint_config_value_of_wrong_type_exits_2(trained_ckpt, corpus_dir,
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(trained_ckpt.read_bytes())
     rewrite_header(bad, lambda h: {**h, "config": {**h["config"], field: value}})
+    wav = sorted((corpus_dir / "wav").glob("*.wav"))[0]
+    assert main(["decode", "--ckpt", str(bad), "--wav", str(wav)]) == 2
+
+
+TENSOR_EDITS = {
+    "acoustic-out-missing": lambda t: t.pop("acoustic.out.W"),
+    "acoustic-bogus-extra": lambda t: t.update({"acoustic.bogus": np.zeros(3, np.float32)}),
+    "lm-out-one-row-short": lambda t: t.update({"lm.out.W": t["lm.out.W"][:-1]}),
+}
+
+
+@pytest.mark.parametrize("edit", TENSOR_EDITS.values(), ids=TENSOR_EDITS.keys())
+def test_checkpoint_tensors_not_matching_config_exit_2(trained_ckpt, corpus_dir, tmp_path, edit):
+    ckpt = load_checkpoint(trained_ckpt)
+    edit(ckpt.tensors)
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(ckpt, bad)
+    with pytest.raises(DataError):
+        restore_models(load_checkpoint(bad))
     wav = sorted((corpus_dir / "wav").glob("*.wav"))[0]
     assert main(["decode", "--ckpt", str(bad), "--wav", str(wav)]) == 2
 

@@ -77,6 +77,8 @@ def test_config_validates_values():
     with pytest.raises(DataError):
         TrainConfig.from_dict({"patience": 0})
     with pytest.raises(DataError):
+        TrainConfig.from_dict({"epochs_max": 0})
+    with pytest.raises(DataError):
         TrainConfig.from_dict({"split_ratios": [0.5, 0.2, 0.2]})
 
 
