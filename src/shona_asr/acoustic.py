@@ -18,7 +18,6 @@ from .autodiff import Parameters, Tensor
 from .features import FeatureMatrix
 
 FEATURE_DIM = 39
-FRAME_SUBSAMPLE = 4
 
 
 @dataclass
@@ -29,16 +28,12 @@ class AcousticConfig:
     dense_units: int = 128
     use_attention: bool = True
 
-    def pooled_cols(self) -> int:
-        return (FEATURE_DIM // 2) // 2
-
 
 @dataclass
 class PosteriorGrid:
     """[T', P+1] matrix of phone(+blank) log-probabilities, one row per frame."""
 
     log_probs: np.ndarray
-    frame_subsample: int = FRAME_SUBSAMPLE
 
     @property
     def probs(self) -> np.ndarray:
@@ -78,7 +73,7 @@ def build_acoustic_model(cfg: AcousticConfig, n_phones: int, seed: int) -> Param
                ad.he_uniform(rng, (cfg.conv2_filters, cfg.conv1_filters, k, k),
                              fan_in=cfg.conv1_filters * k * k))
     params.add("conv2.bias", np.zeros(cfg.conv2_filters))
-    dense_in = cfg.conv2_filters * cfg.pooled_cols()
+    dense_in = cfg.conv2_filters * output_frames(FEATURE_DIM)  # the feature axis pools alike
     params.add("dense.W", ad.he_uniform(rng, (cfg.dense_units, dense_in), fan_in=dense_in))
     params.add("dense.b", np.zeros(cfg.dense_units))
     if cfg.use_attention:

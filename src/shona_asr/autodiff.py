@@ -399,17 +399,18 @@ def channels_to_rows(x: Tensor) -> Tensor:
 def lstm_gates(pre: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
     """Plain-array LSTM gates from the pre-activation: (i, f, g, o, c', tanh(c')).
 
-    `pre` is W x + U h + b, with the 4k axis laid out as [input, forget,
-    candidate, output]: i, f, o = sigmoid(.); g = tanh(.); c' = f*c + i*g.
+    `pre` is W x + U h + b, with the 4k axis last (leading axes stack
+    states) and laid out as [input, forget, candidate, output]:
+    i, f, o = sigmoid(.); g = tanh(.); c' = f*c + i*g.
     The new hidden state is o * tanh(c'). `lstm_cell`, `lstm_layer` and the
     LM's scoring path all step through this function.
     """
-    k = c.shape[0]
+    k = c.shape[-1]
     # One sigmoid pass over all four blocks (the candidate block's values
     # go unused): elementwise, so each gate equals its own block's sigmoid.
     sig = 1.0 / (1.0 + np.exp(-pre))
-    i_g, f_g, o_g = sig[:k], sig[k:2 * k], sig[3 * k:]
-    g_g = np.tanh(pre[2 * k:3 * k])
+    i_g, f_g, o_g = sig[..., :k], sig[..., k:2 * k], sig[..., 3 * k:]
+    g_g = np.tanh(pre[..., 2 * k:3 * k])
     c_new = f_g * c + i_g * g_g
     return i_g, f_g, g_g, o_g, c_new, np.tanh(c_new)
 

@@ -1,7 +1,8 @@
 """Command-line surface: asr features | corpusgen | train | decode | eval | gradcheck.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric or
-verification failure.
+verification failure. `asr decode` exits 2 when the audio is too short for
+any word and 3 when the search ends with no hypothesis at a word boundary.
 """
 
 from __future__ import annotations
@@ -10,9 +11,12 @@ import argparse
 import json
 import logging
 import sys
+import time
 from pathlib import Path
 
 from .errors import DataError, VerificationError
+
+log = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -143,10 +147,20 @@ def _cmd_decode(args) -> int:
     cfg, _, vocab, acoustic_params, lm_params, lexicon = restore_models(ckpt)
     lam = cfg.decode.lm_weight if args.lm_weight is None else args.lm_weight
     beam = cfg.decode.beam_width if args.beam is None else args.beam
-    feats = extract_features(load_wav(args.wav))
-    grid = posteriors(acoustic_params, feats, cfg.acoustic)
+    started = time.perf_counter()
+    wav = load_wav(args.wav)
+    grid = posteriors(acoustic_params, extract_features(wav), cfg.acoustic)
     hyp = beam_decode(grid, lexicon, lm_params, vocab, lm_weight=lam,
                       word_bonus=cfg.decode.word_bonus, beam_width=beam)
+    wall_s = time.perf_counter() - started
+    log.debug(
+        "decoded %.2f s of audio in %.3f s, real-time factor %.3f; search: %s",
+        wav.duration_s, wall_s, wall_s / wav.duration_s, hyp.stats)
+    if not hyp.complete:
+        if grid.n_frames < lexicon.min_frames:
+            raise DataError(f"{args.wav}: the audio is too short for any word ({grid.n_frames} "
+                            f"posterior frames; the shortest word needs {lexicon.min_frames})")
+        raise VerificationError(f"no hypothesis at a word boundary at beam {beam}")
     print(hyp.text())
     return EXIT_OK
 

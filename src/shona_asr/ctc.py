@@ -43,16 +43,17 @@ def _alpha(log_grid: np.ndarray, ext: np.ndarray, skip: np.ndarray) -> np.ndarra
     of the reversed target), it yields the reversed backward variables.
     """
     t_frames = log_grid.shape[0]
-    s = len(ext)
-    alpha = np.full((t_frames, s), NEG_INF)
-    alpha[0, :2] = log_grid[0, ext[:2]]
+    emit = log_grid[:, ext]
+    # two leading -inf columns stand in for the states before s = 0, so the
+    # one- and two-state transitions read shifted views of the previous row
+    alpha = np.full((t_frames, len(ext) + 2), NEG_INF)
+    alpha[0, 2:4] = emit[0, :2]
     for t in range(1, t_frames):
-        prev = alpha[t - 1]
-        new = np.logaddexp(prev, np.concatenate(([NEG_INF], prev[:-1])))
-        jump = np.concatenate(([NEG_INF, NEG_INF], prev[:-2]))
-        new[skip] = np.logaddexp(new[skip], jump[skip])
-        alpha[t] = new + log_grid[t, ext]
-    return alpha
+        prev, new = alpha[t - 1], alpha[t, 2:]
+        np.logaddexp(prev[2:], prev[1:-1], out=new)
+        np.logaddexp(new, prev[:-2], out=new, where=skip)
+        new += emit[t]
+    return alpha[:, 2:]
 
 
 def ctc_forward_logprob(log_grid: np.ndarray, target: list[int], blank: int) -> float:

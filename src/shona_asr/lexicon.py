@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
+
+from .ctc import min_frames
 from .errors import DataError
 from .phones import G2pError, PhoneInventory, default_inventory, g2p
 
@@ -15,6 +18,49 @@ class TrieNode:
         self.children: dict[int, TrieNode] = {}
         self.words: list[str] = []  # words whose pronunciation ends here
         self.phone_path = phone_path
+
+
+class FlatTrie:
+    """The pronunciation trie as arrays, for the array beam search.
+
+    Nodes are numbered in preorder with children in phone order, so node-id
+    order is phone_path order; node 0 is the root. The arcs leaving node n
+    are arc_phone/arc_dest/arc_word[arc_start[n]:arc_start[n + 1]]: the
+    in-word child arcs (arc_word -1), then for each word ending at n one
+    arc per root child that finishes the word and enters the child. The
+    words ending at n are word_ids[word_start[n]:word_start[n + 1]], as
+    indices into `words`.
+    """
+
+    def __init__(self, root: TrieNode, words: list[str]):
+        nodes, stack = [], [root]
+        while stack:
+            node = stack.pop()
+            nodes.append(node)
+            stack.extend(node.children[k] for k in sorted(node.children, reverse=True))
+        node_id = {id(node): i for i, node in enumerate(nodes)}
+        word_id = {w: i for i, w in enumerate(words)}
+        root_arcs = [(k, node_id[id(root.children[k])]) for k in sorted(root.children)]
+        arcs, ends = [], []
+        arc_start, word_start = [0], [0]
+        for node in nodes:
+            arcs.extend((k, node_id[id(node.children[k])], -1) for k in sorted(node.children))
+            for w in node.words:
+                arcs.extend((k, dest, word_id[w]) for k, dest in root_arcs)
+                ends.append(word_id[w])
+            arc_start.append(len(arcs))
+            word_start.append(len(ends))
+        self.words = words
+        self.last_phone = np.array([n.phone_path[-1] if n.phone_path else -1 for n in nodes],
+                                   dtype=np.int64)
+        self.arc_start = np.array(arc_start, dtype=np.int64)
+        self.arc_phone, self.arc_dest, self.arc_word = (
+            np.array(column, dtype=np.int64) for column in zip(*arcs))
+        self.word_start = np.array(word_start, dtype=np.int64)
+        self.word_ids = np.array(ends, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self.last_phone)
 
 
 class Lexicon:
@@ -42,6 +88,9 @@ class Lexicon:
             node.words.append(word)
         for node in self.iter_nodes():
             node.words.sort()
+        self.flat = FlatTrie(self.root, list(self.pronunciations))
+        # fewest grid rows that can emit any one word
+        self.min_frames = min(min_frames(list(p)) for p in self.pronunciations.values())
 
     def __len__(self) -> int:
         return len(self.pronunciations)

@@ -4,8 +4,9 @@ A sentence is scored as <s> t1 ... tn </s>; in phone mode every word
 contributes its phones followed by the <wb> boundary token, so the model
 learns both phonotactics and word transitions. Training runs each layer
 over the whole sentence as one autodiff node (`autodiff.lstm_layer`);
-scoring and decoding run on plain arrays without a graph. Both paths step
-through one gate function, `autodiff.lstm_gates`.
+scoring and decoding run on plain arrays without a graph, stepping a stack
+of states held as [n, k] matrices (`lm_step`). Both paths step through one
+gate function, `autodiff.lstm_gates`.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ def build_lm(vocab: TokenVocab, cfg: LmConfig, seed: int) -> Parameters:
 # ---------------------------------------------------------------------------
 
 class LmState:
-    """Recurrent state after some token prefix."""
+    """Recurrent states after some token prefixes, one row per prefix: [n, k] arrays."""
 
     __slots__ = ("h1", "c1", "h2", "c2")
 
@@ -109,52 +110,99 @@ class LmState:
         self.h1, self.c1, self.h2, self.c2 = h1, c1, h2, c2
 
 
-def lm_initial_state(params: Parameters) -> LmState:
-    k1, k2 = params["lstm1.W_hh"].data.shape[1], params["lstm2.W_hh"].data.shape[1]
-    return LmState(np.zeros(k1), np.zeros(k1), np.zeros(k2), np.zeros(k2))
+@dataclass(frozen=True)
+class LmWeights:
+    """The LM's weights laid out for stepping [n, k] state rows.
+
+    The first layer's input projection is tabulated per token (embedding
+    row times W_ih), and every other matrix is stored transposed and
+    contiguous, so each product is one row-major GEMM. Build it once per
+    fixed set of parameters with `from_params`.
+    """
+
+    token_in1: np.ndarray  # [V, 4 k1]
+    hh1: np.ndarray  # [k1, 4 k1]
+    b1: np.ndarray
+    ih2: np.ndarray  # [k1, 4 k2]
+    hh2: np.ndarray  # [k2, 4 k2]
+    b2: np.ndarray
+    out: np.ndarray  # [k2, V]
+    out_b: np.ndarray
+
+    @classmethod
+    def from_params(cls, params: Parameters) -> "LmWeights":
+        def t(name):
+            return np.ascontiguousarray(params[name].data.T)
+
+        return cls(params["embed.W"].data @ params["lstm1.W_ih"].data.T, t("lstm1.W_hh"),
+                   params["lstm1.b"].data.copy(), t("lstm2.W_ih"), t("lstm2.W_hh"),
+                   params["lstm2.b"].data.copy(), t("out.W"), params["out.b"].data.copy())
 
 
-def lm_step(params: Parameters, state: LmState, token_index: int) -> tuple[LmState, np.ndarray]:
-    """Advance one token; returns the new state and next-token log-probs."""
-    x = params["embed.W"].data[token_index]
-    pre1 = (params["lstm1.W_ih"].data @ x + params["lstm1.W_hh"].data @ state.h1
-            + params["lstm1.b"].data)
+def lm_initial_state(weights: LmWeights) -> LmState:
+    """One row of zero state."""
+    k1, k2 = weights.hh1.shape[0], weights.hh2.shape[0]
+    return LmState(np.zeros((1, k1)), np.zeros((1, k1)), np.zeros((1, k2)), np.zeros((1, k2)))
+
+
+def lm_step(weights: LmWeights, state: LmState, token_indices) -> tuple[LmState, np.ndarray]:
+    """Advance every row by its token; returns the new states and [n, V] next-token log-probs."""
+    pre1 = weights.token_in1[token_indices] + state.h1 @ weights.hh1 + weights.b1
     _, _, _, o1, c1, tanh_c1 = ad.lstm_gates(pre1, state.c1)
     h1 = o1 * tanh_c1
-    pre2 = (params["lstm2.W_ih"].data @ h1 + params["lstm2.W_hh"].data @ state.h2
-            + params["lstm2.b"].data)
+    pre2 = h1 @ weights.ih2 + state.h2 @ weights.hh2 + weights.b2
     _, _, _, o2, c2, tanh_c2 = ad.lstm_gates(pre2, state.c2)
     h2 = o2 * tanh_c2
-    logits = params["out.W"].data @ h2 + params["out.b"].data
+    logits = h2 @ weights.out + weights.out_b
     return LmState(h1, c1, h2, c2), ad.log_softmax_values(logits)
 
 
-def score_tokens(params: Parameters, state: LmState, last_index: int,
-                 token_indices: list[int]) -> tuple[LmState, int, float]:
-    """Score a token run given (state, previous token); natural-log total."""
-    total = 0.0
-    for idx in token_indices:
-        state, log_probs = lm_step(params, state, last_index)
-        total += float(log_probs[idx])
-        last_index = idx
-    return state, last_index, total
+def score_tokens(weights: LmWeights, state: LmState, last_index: np.ndarray,
+                 token_indices: list[list[int]]) -> tuple[LmState, np.ndarray, np.ndarray]:
+    """Score one token run per state row, given each row's previous token.
+
+    The rows advance together, one `lm_step` per token position, and a row
+    drops out when its run ends. Returns the advanced states, each row's
+    last token and its natural-log total.
+    """
+    n = len(token_indices)
+    lengths = np.array([len(run) for run in token_indices], dtype=np.int64)
+    order = np.argsort(-lengths, kind="stable")  # rows still stepping stay a prefix
+    tokens = np.zeros((n, int(lengths.max(initial=0))), dtype=np.int64)
+    for row, i in enumerate(order):
+        tokens[row, :lengths[i]] = token_indices[i]
+    h1, c1, h2, c2 = (a[order] for a in (state.h1, state.c1, state.h2, state.c2))
+    last = np.asarray(last_index, dtype=np.int64)[order]
+    totals = np.zeros(n)
+    active = np.count_nonzero(lengths[:, None] > np.arange(tokens.shape[1]), axis=0)
+    for pos, m in enumerate(active.tolist()):
+        stepped, log_probs = lm_step(weights, LmState(h1[:m], c1[:m], h2[:m], c2[:m]), last[:m])
+        h1[:m], c1[:m], h2[:m], c2[:m] = stepped.h1, stepped.c1, stepped.h2, stepped.c2
+        totals[:m] += log_probs[np.arange(m), tokens[:m, pos]]
+        last[:m] = tokens[:m, pos]
+    back = np.argsort(order)
+    return LmState(h1[back], c1[back], h2[back], c2[back]), last[back], totals[back]
+
+
+def _sentence_logprob(weights: LmWeights, indices: list[int], vocab: TokenVocab) -> float:
+    """Natural-log probability of <s> indices </s>."""
+    if len(indices) == 0:
+        raise ValueError("token sequence must be non-empty")
+    _, _, totals = score_tokens(weights, lm_initial_state(weights), np.array([vocab.bos]),
+                                [indices + [vocab.eos]])
+    return float(totals[0])
 
 
 def lm_score(params: Parameters, tokens: list[str], vocab: TokenVocab) -> float:
     """Total natural-log probability of a sequence wrapped in <s> ... </s>."""
-    if len(tokens) == 0:
-        raise ValueError("token sequence must be non-empty")
-    indices = [vocab.index(t) for t in tokens] + [vocab.eos]
-    state = lm_initial_state(params)
-    _, _, total = score_tokens(params, state, vocab.bos, indices)
-    return total
+    return _sentence_logprob(LmWeights.from_params(params), [vocab.index(t) for t in tokens], vocab)
 
 
-def sequence_logprob_end(params: Parameters, state: LmState, last_index: int,
-                         vocab: TokenVocab) -> float:
-    """Log-probability of </s> as the next token; state is not advanced."""
-    _, log_probs = lm_step(params, state, last_index)
-    return float(log_probs[vocab.eos])
+def sequence_logprob_end(weights: LmWeights, state: LmState, last_index: np.ndarray,
+                         vocab: TokenVocab) -> np.ndarray:
+    """Per-row log-probability of </s> as the next token; the states are not advanced."""
+    _, log_probs = lm_step(weights, state, last_index)
+    return log_probs[:, vocab.eos]
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +246,10 @@ def lm_train(params: Parameters, corpus: list[list[str]], vocab: TokenVocab,
 
 def corpus_loss(params: Parameters, corpus: list[list[str]], vocab: TokenVocab) -> float:
     """Mean per-token cross-entropy without updating parameters."""
+    weights = LmWeights.from_params(params)
     total, count = 0.0, 0
     for sent in corpus:
-        total += -lm_score(params, sent, vocab)
+        total += -_sentence_logprob(weights, [vocab.index(t) for t in sent], vocab)
         count += len(sent) + 1
     if count == 0:
         raise ValueError("corpus has no tokens")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import time
 import types
 import typing
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ from .audio import AudioBuffer, load_wav
 from .augment import AugmentPolicy, augment_audio, spec_augment
 from .checkpoint import Checkpoint, load_checkpoint, params_hash
 from .ctc import ctc_greedy_decode, ctc_loss, min_frames
-from .decoder import Transcript, beam_decode
+from .decoder import DecodeStats, beam_decode
 from .errors import DataError
 from .features import extract_features
 from .lexicon import Lexicon, build_lexicon
@@ -438,11 +439,15 @@ class EvalResult:
     greedy_per: float
     greedy_wer: float
     transcripts: dict[str, str]
+    incomplete: int = 0  # searches that returned complete=False
+    search: DecodeStats = field(default_factory=DecodeStats)  # summed over the split
 
     def to_dict(self) -> dict:
         out = self.report.to_dict()
         out["greedy_per"] = self.greedy_per
         out["greedy_wer"] = self.greedy_wer
+        out["incomplete"] = self.incomplete
+        out["search"] = dataclasses.asdict(self.search)
         return out
 
 
@@ -494,11 +499,15 @@ def evaluate(ckpt: Checkpoint, split: CorpusManifest,
 
     word_pairs, phone_pairs, greedy_phone_pairs, greedy_word_pairs = [], [], [], []
     transcripts = {}
+    search, incomplete = DecodeStats(), 0
+    started = time.perf_counter()
     for utt in utts:
         feats = extract_features(utt.audio)
         grid = posteriors(acoustic_params, feats, cfg.acoustic)
         hyp = beam_decode(grid, lexicon, lm_params, vocab,
                           lm_weight=lam, word_bonus=bonus, beam_width=beam)
+        search.add(hyp.stats)
+        incomplete += not hyp.complete
         greedy_words = beam_decode(grid, lexicon, None, None,
                                    lm_weight=0.0, word_bonus=0.0, beam_width=1)
         greedy_phones = ctc_greedy_decode(grid)
@@ -509,10 +518,18 @@ def evaluate(ckpt: Checkpoint, split: CorpusManifest,
         greedy_word_pairs.append((utt.words, greedy_words.words))
         transcripts[utt.utt_id] = hyp.text()
 
+    wall_s = time.perf_counter() - started
+    audio_s = sum(utt.audio.duration_s for utt in utts)
+    log.debug("decoded %d utterances (%.2f s of audio) in %.2f s, real-time factor %.3f; "
+              "search: %s", len(utts), audio_s, wall_s, wall_s / audio_s, search)
+    if incomplete:
+        log.warning("%d of %d searches ended without a complete transcript", incomplete, len(utts))
     rep = report(word_pairs, phone_pairs)
     return EvalResult(
         report=rep,
         greedy_per=per(greedy_phone_pairs),
         greedy_wer=wer(greedy_word_pairs),
         transcripts=transcripts,
+        incomplete=incomplete,
+        search=search,
     )

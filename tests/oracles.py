@@ -3,13 +3,20 @@
 Each oracle takes the dumbest correct route: O(N^2) DFT matrices, 4-loop
 convolution, exhaustive path enumeration for the sequence loss, plain
 recursion for edit distance. They deliberately share no code with the
-package internals they check.
+package internals they check, with one exception: the reference beam
+search scores words with the package's LM step and exact CTC forward
+recursion, which have oracles of their own, so that it checks only the
+array search's bookkeeping.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from shona_asr.ctc import ctc_forward_logprob
+from shona_asr.lm import (LmWeights, lm_initial_state, score_tokens, sequence_logprob_end,
+                          word_tokens)
 
 
 def naive_dft_magnitude(signal: np.ndarray, n_fft: int) -> np.ndarray:
@@ -153,3 +160,122 @@ def greedy_segmentation_oracle(word: str, units) -> tuple[str, ...] | None:
     if not segs:
         return None
     return max(segs, key=lambda seg: tuple(len(u) for u in seg))
+
+
+def _log_add(a: float, b: float) -> float:
+    if a == -math.inf:
+        return b
+    if b == -math.inf:
+        return a
+    if a < b:
+        a, b = b, a
+    return a + math.log1p(math.exp(b - a))
+
+
+class _ReferenceLm:
+    """Per-word-sequence LM totals, one state row at a time."""
+
+    def __init__(self, params, vocab, lexicon):
+        self.weights = LmWeights.from_params(params)
+        self.vocab, self.lexicon = vocab, lexicon
+        self.cache = {(): (lm_initial_state(self.weights), np.array([vocab.bos]), 0.0)}
+
+    def extend(self, words, word):
+        new_words = words + (word,)
+        if new_words not in self.cache:
+            state, last, total = self.cache[words]
+            tokens = word_tokens(word, self.lexicon.phone_symbols(word), self.vocab.granularity)
+            state, last, inc = score_tokens(self.weights, state, last,
+                                            [[self.vocab.index(t) for t in tokens]])
+            self.cache[new_words] = (state, last, total + float(inc[0]))
+        return new_words
+
+    def total(self, words):
+        return self.cache[words][2]
+
+    def final_total(self, words):
+        state, last, total = self.cache[words]
+        return total + float(sequence_logprob_end(self.weights, state, last, self.vocab)[0])
+
+
+class _NoLm:
+    def extend(self, words, word):
+        return words + (word,)
+
+    def total(self, words):
+        return 0.0
+
+    def final_total(self, words):
+        return 0.0
+
+
+def reference_beam_decode(log_y: np.ndarray, lexicon, lm_params=None, vocab=None,
+                          lm_weight: float = 1.0, word_bonus: float = 0.0,
+                          beam_width: int = 16) -> tuple[list[str], float]:
+    """Lexicon-constrained CTC prefix beam search over dicts of hypotheses.
+
+    Hypotheses are keyed by (words, trie node) and walk the lexicon's
+    TrieNode trie one candidate at a time; the beam keeps the beam_width
+    best by score, ties broken by (words, phone path). Returns the best
+    finalist's words and exact objective, or ([], -inf) when none survived.
+    """
+    neg_inf = -math.inf
+    blank = log_y.shape[1] - 1
+    fusion = (_ReferenceLm(lm_params, vocab, lexicon)
+              if lm_params is not None and lm_weight != 0.0 else _NoLm())
+    root = lexicon.root
+    beams = {((), root): [0.0, neg_inf]}
+
+    def hyp_score(key, pb, pnb):
+        return _log_add(pb, pnb) + lm_weight * fusion.total(key[0]) + word_bonus * len(key[0])
+
+    for t in range(log_y.shape[0]):
+        ly = log_y[t]
+        nxt = {}
+
+        def bump(key, p_b=neg_inf, p_nb=neg_inf):
+            entry = nxt.setdefault(key, [neg_inf, neg_inf])
+            entry[0] = _log_add(entry[0], p_b)
+            entry[1] = _log_add(entry[1], p_nb)
+
+        for key, (pb, pnb) in beams.items():
+            words, node = key
+            total = _log_add(pb, pnb)
+            last = node.phone_path[-1] if node.phone_path else None
+            bump(key, p_b=total + ly[blank])
+            if last is not None and pnb != neg_inf:
+                bump(key, p_nb=pnb + ly[last])
+            for k, child in node.children.items():
+                src = pb if k == last else total
+                if src != neg_inf:
+                    bump((words, child), p_nb=src + ly[k])
+            for word in node.words:
+                new_words = fusion.extend(words, word)
+                for k, child in root.children.items():
+                    src = pb if k == last else total
+                    if src != neg_inf:
+                        bump((new_words, child), p_nb=src + ly[k])
+
+        ranked = sorted(nxt.items(), key=lambda item: (-hyp_score(item[0], *item[1]),
+                                                       item[0][0], item[0][1].phone_path))
+        beams = dict(ranked[:beam_width])
+
+    finalists = set()
+    for (words, node), (pb, pnb) in beams.items():
+        if _log_add(pb, pnb) == neg_inf:
+            continue
+        if node is root:
+            finalists.add(words)
+        finalists.update(fusion.extend(words, w) for w in node.words)
+    best = None
+    for cand in sorted(finalists):
+        phones = [p for w in cand for p in lexicon.pronunciations[w]]
+        acoustic = ctc_forward_logprob(log_y, phones, blank)
+        if acoustic == neg_inf:
+            continue
+        score = acoustic + lm_weight * fusion.final_total(cand) + word_bonus * len(cand)
+        if best is None or score > best[0]:
+            best = (score, cand)
+    if best is None:
+        return [], neg_inf
+    return list(best[1]), best[0]

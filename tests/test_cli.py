@@ -1,5 +1,6 @@
 import importlib
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -152,14 +153,42 @@ def test_decode_prints_words(trained_ckpt, corpus_dir, capsys):
     assert isinstance(out, str)  # possibly empty for an undertrained model
 
 
-def test_eval_writes_report(trained_ckpt, corpus_dir, tmp_path):
+def test_decode_wav_too_short_for_any_word_exits_2(trained_ckpt, tmp_path, capsys):
+    wav = tmp_path / "short.wav"
+    write_pcm(wav, 0.1 * np.sin(np.arange(960) / 5.0))  # 60 ms: one posterior frame
+    assert main(["decode", "--ckpt", str(trained_ckpt), "--wav", str(wav)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "too short for any word (1 posterior frames" in captured.err
+
+
+def test_decode_incomplete_search_exits_3(trained_ckpt, corpus_dir, monkeypatch, capsys):
+    decoder = importlib.import_module("shona_asr.decoder")
+    monkeypatch.setattr(decoder, "beam_decode",
+                        lambda *args, **kwargs: decoder.Transcript(words=[], complete=False))
+    wav = sorted((corpus_dir / "wav").glob("*.wav"))[0]
+    assert main(["decode", "--ckpt", str(trained_ckpt), "--wav", str(wav), "--beam", "4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no hypothesis at a word boundary at beam 4" in captured.err
+
+
+def test_eval_writes_report(trained_ckpt, corpus_dir, tmp_path, caplog):
+    caplog.set_level(logging.DEBUG)
     report = tmp_path / "report.json"
     assert main(["eval", "--ckpt", str(trained_ckpt),
                  "--manifest", str(corpus_dir / "manifest.jsonl"),
-                 "--split", "val", "--report", str(report), "--beam", "4"]) == 0
+                 "--split", "val", "--report", str(report), "--beam", "4", "--verbose"]) == 0
     obj = json.loads(report.read_text())
     assert set(obj) == {"wer", "per", "ser", "word_accuracy", "sentence_accuracy",
-                        "n_utts", "n_ref_words", "n_ref_phones", "greedy_per", "greedy_wer"}
+                        "n_utts", "n_ref_words", "n_ref_phones", "greedy_per", "greedy_wer",
+                        "incomplete", "search"}
+    assert set(obj["search"]) == {"frames", "candidates_generated", "candidates_pruned",
+                                  "lm_step_calls", "lm_rows_stepped", "lm_cache_hits"}
+    assert obj["search"]["frames"] > 0 and 0 <= obj["incomplete"] <= obj["n_utts"]
+    # wall time and the real-time factor go to the verbose log, never into the report
+    assert "real-time factor" in caplog.text
+    assert "real" not in report.read_text()
 
 
 def test_corrupted_checkpoint_exits_3(trained_ckpt, corpus_dir, tmp_path):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from shona_asr.decoder import Transcript, beam_decode, exhaustive_decode
+from oracles import reference_beam_decode
+from shona_asr import decoder
+from shona_asr.decoder import DecodeStats, Transcript, beam_decode, exhaustive_decode
 from shona_asr.lexicon import build_lexicon
 from shona_asr.lm import LmConfig, TokenVocab, build_lm
 from shona_asr.phones import default_inventory
@@ -68,14 +70,15 @@ def test_agrees_with_exhaustive_on_100_random_tiny_instances(rng):
 
 
 def test_beam_width_never_decreases_score(rng):
-    # Holds from width 8 upward (0 violations in a 1000-seed sweep). Below
-    # that, pruned prefix search can genuinely regress: merge mass lost to
-    # pruning distorts mid-search ranking (e.g. width 2 beating width 4 on
-    # near-uniform grids), so tiny widths are excluded here.
+    # On these 6-frame grids it holds from width 8 upward (0 violations in
+    # a 1000-seed sweep). Below that, and at any width on longer grids with
+    # larger lexicons (see the README), pruned prefix search can genuinely
+    # regress: merge mass lost to pruning distorts mid-search ranking (e.g.
+    # width 2 beating width 4 on near-uniform grids).
     vocab = phone_vocab()
     lex = build_lexicon(["baba", "mhoro", "dana"])
     lm = make_lm(vocab, seed=1)
-    for trial in range(20):
+    for trial in range(200):
         grid = rand_grid(rng, 6)
         scores = [beam_decode(grid, lex, lm, vocab, beam_width=w).score
                   for w in (8, 32, 256, 1024, 4096)]
@@ -166,6 +169,86 @@ def test_empty_transcript_flag_on_impossible_grid():
     assert out.words == []
     out_beam = beam_decode(grid, lex, lm_weight=0.0, beam_width=4)
     assert out_beam.words == []
+
+
+REFERENCE_POOL = ["baba", "bana", "dana", "gudo", "imba", "mhoro", "moto", "mvura", "pfuma",
+                  "ruva", "sadza", "sekuru", "tswanda", "zvino"]
+
+
+def test_matches_reference_search_on_random_grids(rng):
+    # the array search against the dict-of-hypotheses search it replaced
+    vocab = phone_vocab()
+    for trial in range(50):
+        words = sorted(rng.choice(REFERENCE_POOL, size=int(rng.integers(6, 11)), replace=False))
+        lex = build_lexicon(list(words))
+        lm = make_lm(vocab, seed=trial % 5)
+        grid = rand_grid(rng, int(rng.integers(20, 61)))
+        beta = float(rng.choice([0.0, 0.5]))
+        for lam in (1.0, 0.0):
+            for width in (1, 4, 16, 64):
+                got = beam_decode(grid, lex, lm, vocab, lm_weight=lam, word_bonus=beta,
+                                  beam_width=width)
+                want_words, want_score = reference_beam_decode(grid, lex, lm, vocab, lm_weight=lam,
+                                                               word_bonus=beta, beam_width=width)
+                assert got.words == want_words, f"trial {trial}, lm_weight {lam}, width {width}"
+                assert got.score == pytest.approx(want_score, rel=0, abs=1e-9)
+
+
+def test_matches_reference_search_with_ties_at_the_cut():
+    # a uniform grid makes many hypotheses score exactly alike, so the
+    # (words, phone path) tie-break decides what width 2 keeps
+    vocab = phone_vocab()
+    lex = build_lexicon(["baba", "bana", "dana", "imba", "moto", "ruva"])
+    lm = make_lm(vocab, seed=6)
+    grid = np.log(np.full((24, 55), 1.0 / 55))
+    for lam in (0.0, 1.0):
+        got = beam_decode(grid, lex, lm, vocab, lm_weight=lam, beam_width=2)
+        want_words, want_score = reference_beam_decode(grid, lex, lm, vocab, lm_weight=lam,
+                                                       beam_width=2)
+        assert got.words == want_words
+        assert got.score == pytest.approx(want_score, rel=0, abs=1e-9)
+
+
+def test_search_stats_repeat_and_beam_never_exceeds_width(rng, monkeypatch):
+    vocab = phone_vocab()
+    lex = build_lexicon(["baba", "bana", "mhoro", "zvino", "pfuma", "dana"])
+    lm = make_lm(vocab, seed=8)
+    grid = rand_grid(rng, 40)
+    kept = []
+
+    def recording_prune(*args):
+        keep = prune(*args)
+        kept.append(len(keep))
+        return keep
+
+    prune = decoder._prune
+    monkeypatch.setattr(decoder, "_prune", recording_prune)
+    for width in (1, 3, 16):
+        kept.clear()
+        a = beam_decode(grid, lex, lm, vocab, beam_width=width).stats
+        b = beam_decode(grid, lex, lm, vocab, beam_width=width).stats
+        assert a == b
+        assert len(kept) == 2 * grid.shape[0] and max(kept) <= width
+        assert a.frames == grid.shape[0]
+        assert a.candidates_generated - a.candidates_pruned == sum(kept) // 2
+        assert a.lm_step_calls > 0 and a.lm_rows_stepped >= a.lm_step_calls
+    no_lm = beam_decode(grid, lex, lm, vocab, lm_weight=0.0, beam_width=16).stats
+    assert no_lm.lm_step_calls == no_lm.lm_rows_stepped == 0
+    total = DecodeStats()
+    total.add(a)
+    total.add(no_lm)
+    assert total.frames == 2 * grid.shape[0]
+
+
+def test_grid_too_short_for_any_word_is_incomplete():
+    lex = build_lexicon(["baba", "mhoro"])
+    assert lex.min_frames == 4
+    short = np.log(np.full((3, 55), 1.0 / 55))
+    for out in (beam_decode(short, lex, lm_weight=0.0, beam_width=64),
+                exhaustive_decode(short, lex, lm_weight=0.0)):
+        assert out.words == [] and not out.complete
+        assert out.score == pytest.approx(3 * np.log(1.0 / 55))  # the empty transcript
+    assert beam_decode(np.log(np.full((4, 55), 1.0 / 55)), lex, lm_weight=0.0).complete
 
 
 def test_transcript_text():

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from shona_asr.lm import (LmConfig, TokenVocab, build_lm, corpus_loss, lm_initial_state,
-                          lm_score, lm_step, lm_train, perplexity, sentence_loss, word_tokens)
+from shona_asr.lm import (LmConfig, LmState, LmWeights, TokenVocab, build_lm, corpus_loss,
+                          lm_initial_state, lm_score, lm_step, lm_train, perplexity,
+                          score_tokens, sentence_loss, word_tokens)
 from shona_asr.optim import OptimizerState
 
 
@@ -75,12 +76,34 @@ def test_scores_are_never_positive(rng):
 def test_next_token_distribution_sums_to_one(rng):
     vocab = phone_vocab(7)
     params = build_lm(vocab, LmConfig(embed_dim=8, lstm1_units=10, lstm2_units=6), seed=2)
-    state = lm_initial_state(params)
+    weights = LmWeights.from_params(params)
+    state = lm_initial_state(weights)
     last = vocab.bos
     for tok in ["p1", "p5", "<wb>"]:
-        state, log_probs = lm_step(params, state, last)
+        state, log_probs = lm_step(weights, state, last)
         assert abs(np.exp(log_probs).sum() - 1.0) < 1e-6
         last = vocab.index(tok)
+
+
+def test_stacked_rows_score_like_single_rows(rng):
+    # rows of different run lengths (one empty) step together and drop out as they end
+    vocab = phone_vocab(6)
+    weights = LmWeights.from_params(
+        build_lm(vocab, LmConfig(embed_dim=8, lstm1_units=10, lstm2_units=6), seed=9))
+    init = lm_initial_state(weights)
+    five = LmState(*(np.repeat(a, 5, axis=0) for a in (init.h1, init.c1, init.h2, init.c2)))
+    state, last, _ = score_tokens(weights, five, np.full(5, vocab.bos), [[4], [5], [6], [7], [8]])
+    runs = [[int(v) for v in rng.integers(2, len(vocab), size=n)] for n in (3, 0, 5, 1, 5)]
+    got_state, got_last, got_totals = score_tokens(weights, state, last, runs)
+    assert got_totals[1] == 0.0 and got_last[1] == last[1]
+    for i, run in enumerate(runs):
+        row = LmState(state.h1[i:i + 1], state.c1[i:i + 1], state.h2[i:i + 1], state.c2[i:i + 1])
+        one_state, one_last, one_total = score_tokens(weights, row, last[i:i + 1], [run])
+        assert one_total[0] == pytest.approx(got_totals[i], abs=1e-12)
+        assert one_last[0] == got_last[i]
+        for a, b in zip((one_state.h1, one_state.c1, one_state.h2, one_state.c2),
+                        (got_state.h1, got_state.c1, got_state.h2, got_state.c2)):
+            np.testing.assert_allclose(a[0], b[i], rtol=0, atol=1e-12)
 
 
 def test_score_matches_teacher_forced_graph_path(rng):
