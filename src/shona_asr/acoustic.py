@@ -43,14 +43,6 @@ class PosteriorGrid:
     def n_frames(self) -> int:
         return self.log_probs.shape[0]
 
-    @property
-    def n_classes(self) -> int:
-        return self.log_probs.shape[1]
-
-    @property
-    def blank(self) -> int:
-        return self.log_probs.shape[1] - 1
-
 
 def output_frames(n_frames: int) -> int:
     """Grid rows left from n_frames input frames after the two stride-2 pools."""

@@ -35,9 +35,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -133,9 +130,6 @@ class Parameters:
     def zero_grad(self) -> None:
         for t in self._tensors.values():
             t.grad = None
-
-    def copy_values(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self._tensors.items()}
 
 
 # ---------------------------------------------------------------------------

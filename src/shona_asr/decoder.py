@@ -161,7 +161,7 @@ def _prune(score: np.ndarray, hist: np.ndarray, node: np.ndarray,
     """Indices of the `width` best candidates.
 
     Candidates tied at the cut are taken in (words, trie node) order; node
-    ids are numbered in phone_path order.
+    ids are numbered in phone-path order (see `FlatTrie`).
     """
     n = len(score)
     if n <= width:

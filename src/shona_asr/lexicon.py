@@ -11,53 +11,40 @@ from .errors import DataError
 from .phones import G2pError, PhoneInventory, default_inventory, g2p
 
 
-class TrieNode:
-    __slots__ = ("children", "words", "phone_path")
-
-    def __init__(self, phone_path: tuple[int, ...] = ()):
-        self.children: dict[int, TrieNode] = {}
-        self.words: list[str] = []  # words whose pronunciation ends here
-        self.phone_path = phone_path
-
-
 class FlatTrie:
     """The pronunciation trie as arrays, for the array beam search.
 
-    Nodes are numbered in preorder with children in phone order, so node-id
-    order is phone_path order; node 0 is the root. The arcs leaving node n
+    A node is a distinct pronunciation prefix; numbering the sorted prefixes
+    puts the nodes in preorder with children in phone order, so node-id order
+    is phone-path order and node 0 is the root `()`. The arcs leaving node n
     are arc_phone/arc_dest/arc_word[arc_start[n]:arc_start[n + 1]]: the
     in-word child arcs (arc_word -1), then for each word ending at n one
     arc per root child that finishes the word and enters the child. The
     words ending at n are word_ids[word_start[n]:word_start[n + 1]], as
-    indices into `words`.
+    indices into `words`, which is sorted.
     """
 
-    def __init__(self, root: TrieNode, words: list[str]):
-        nodes, stack = [], [root]
-        while stack:
-            node = stack.pop()
-            nodes.append(node)
-            stack.extend(node.children[k] for k in sorted(node.children, reverse=True))
-        node_id = {id(node): i for i, node in enumerate(nodes)}
-        word_id = {w: i for i, w in enumerate(words)}
-        root_arcs = [(k, node_id[id(root.children[k])]) for k in sorted(root.children)]
-        arcs, ends = [], []
-        arc_start, word_start = [0], [0]
-        for node in nodes:
-            arcs.extend((k, node_id[id(node.children[k])], -1) for k in sorted(node.children))
-            for w in node.words:
-                arcs.extend((k, dest, word_id[w]) for k, dest in root_arcs)
-                ends.append(word_id[w])
+    def __init__(self, pronunciations: dict[str, tuple[int, ...]]):
+        prefixes = sorted({p[:i] for p in pronunciations.values() for i in range(len(p) + 1)})
+        node_id = {prefix: i for i, prefix in enumerate(prefixes)}
+        children: list[list[tuple[int, int]]] = [[] for _ in prefixes]
+        for prefix in prefixes[1:]:
+            children[node_id[prefix[:-1]]].append((prefix[-1], node_id[prefix]))
+        self.words = sorted(pronunciations)
+        ends: list[list[int]] = [[] for _ in prefixes]
+        for w, word in enumerate(self.words):
+            ends[node_id[pronunciations[word]]].append(w)
+        arcs, arc_start = [], [0]
+        for n in range(len(prefixes)):
+            arcs.extend((k, dest, -1) for k, dest in children[n])
+            arcs.extend((k, dest, w) for w in ends[n] for k, dest in children[0])
             arc_start.append(len(arcs))
-            word_start.append(len(ends))
-        self.words = words
-        self.last_phone = np.array([n.phone_path[-1] if n.phone_path else -1 for n in nodes],
-                                   dtype=np.int64)
+        self.last_phone = np.array([p[-1] if p else -1 for p in prefixes], dtype=np.int64)
         self.arc_start = np.array(arc_start, dtype=np.int64)
         self.arc_phone, self.arc_dest, self.arc_word = (
             np.array(column, dtype=np.int64) for column in zip(*arcs))
-        self.word_start = np.array(word_start, dtype=np.int64)
-        self.word_ids = np.array(ends, dtype=np.int64)
+        self.word_start = np.cumsum([0] + [len(e) for e in ends], dtype=np.int64)
+        self.word_ids = np.array([w for e in ends for w in e], dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self.last_phone)
@@ -78,17 +65,7 @@ class Lexicon:
         self.pronunciations = dict(sorted(pronunciations.items()))
         self.inventory = inventory
         self.skipped = skipped or []
-        self.root = TrieNode()
-        for word, phones in self.pronunciations.items():
-            node = self.root
-            for p in phones:
-                if p not in node.children:
-                    node.children[p] = TrieNode(node.phone_path + (p,))
-                node = node.children[p]
-            node.words.append(word)
-        for node in self.iter_nodes():
-            node.words.sort()
-        self.flat = FlatTrie(self.root, list(self.pronunciations))
+        self.flat = FlatTrie(self.pronunciations)
         # fewest grid rows that can emit any one word
         self.min_frames = min(min_frames(list(p)) for p in self.pronunciations.values())
 
@@ -103,13 +80,6 @@ class Lexicon:
 
     def phone_symbols(self, word: str) -> list[str]:
         return self.inventory.indices_to_symbols(self.pronunciations[word])
-
-    def iter_nodes(self):
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(node.children.values())
 
     def save(self, path) -> None:
         lines = [f"{w} {' '.join(self.phone_symbols(w))}" for w in self.pronunciations]
@@ -130,6 +100,8 @@ class Lexicon:
             if len(parts) < 2:
                 raise DataError(f"{path}:{lineno}: expected '<word> <phones...>'")
             word, symbols = parts[0], parts[1:]
+            if word in prons:
+                raise DataError(f"{path}:{lineno}: word {word!r} is listed twice")
             try:
                 prons[word] = tuple(inventory.by_symbol[s].index for s in symbols)
             except KeyError as exc:

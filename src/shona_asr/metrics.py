@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 
@@ -117,9 +116,6 @@ class MetricsReport:
             "n_ref_phones": self.n_ref_phones,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=False)
-
     def to_table(self) -> str:
         rows = [(k, f"{v:.4f}" if isinstance(v, float) else str(v))
                 for k, v in self.to_dict().items()]
@@ -156,26 +152,3 @@ def normalize_text(text: str) -> list[str]:
     """Lowercase, strip punctuation, collapse whitespace; returns words."""
     cleaned = re.sub(r"[^a-z\s]", " ", text.lower())
     return cleaned.split()
-
-
-def save_trans_file(path, utterances: dict[str, str]) -> None:
-    """One utterance per line: <utt-id><TAB><text>."""
-    lines = [f"{utt_id}\t{text}" for utt_id, text in utterances.items()]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_trans_file(path) -> dict[str, str]:
-    out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            if "\t" not in line:
-                raise DataError(f"{path}:{lineno}: expected '<utt-id><TAB><text>'")
-            utt_id, text = line.split("\t", 1)
-            if utt_id in out:
-                raise DataError(f"{path}:{lineno}: duplicate utterance id {utt_id!r}")
-            out[utt_id] = text
-    return out

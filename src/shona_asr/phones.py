@@ -49,11 +49,6 @@ class PhoneInventory:
     def __len__(self) -> int:
         return len(self.phones)
 
-    @property
-    def blank_index(self) -> int:
-        """CTC blank sits one past the last phone."""
-        return len(self.phones)
-
     def symbols(self) -> list[str]:
         return [p.symbol for p in self.phones]
 

@@ -214,17 +214,25 @@ def reference_beam_decode(log_y: np.ndarray, lexicon, lm_params=None, vocab=None
                           beam_width: int = 16) -> tuple[list[str], float]:
     """Lexicon-constrained CTC prefix beam search over dicts of hypotheses.
 
-    Hypotheses are keyed by (words, trie node) and walk the lexicon's
-    TrieNode trie one candidate at a time; the beam keeps the beam_width
-    best by score, ties broken by (words, phone path). Returns the best
-    finalist's words and exact objective, or ([], -inf) when none survived.
+    Hypotheses are keyed by (words, phone path) and walk a dict trie built
+    here from lexicon.pronunciations, one candidate at a time; the beam
+    keeps the beam_width best by score, ties broken by (words, phone path).
+    Returns the best finalist's words and exact objective, or ([], -inf)
+    when none survived.
     """
     neg_inf = -math.inf
     blank = log_y.shape[1] - 1
     fusion = (_ReferenceLm(lm_params, vocab, lexicon)
               if lm_params is not None and lm_weight != 0.0 else _NoLm())
-    root = lexicon.root
-    beams = {((), root): [0.0, neg_inf]}
+    children: dict[tuple[int, ...], list[tuple[int, ...]]] = {(): []}
+    ends: dict[tuple[int, ...], list[str]] = {}
+    for word, phones in sorted(lexicon.pronunciations.items()):
+        for i in range(1, len(phones) + 1):
+            if phones[:i] not in children:
+                children[phones[:i]] = []
+                children[phones[:i - 1]].append(phones[:i])
+        ends.setdefault(phones, []).append(word)
+    beams = {((), ()): [0.0, neg_inf]}
 
     def hyp_score(key, pb, pnb):
         return _log_add(pb, pnb) + lm_weight * fusion.total(key[0]) + word_bonus * len(key[0])
@@ -241,32 +249,32 @@ def reference_beam_decode(log_y: np.ndarray, lexicon, lm_params=None, vocab=None
         for key, (pb, pnb) in beams.items():
             words, node = key
             total = _log_add(pb, pnb)
-            last = node.phone_path[-1] if node.phone_path else None
+            last = node[-1] if node else None
             bump(key, p_b=total + ly[blank])
             if last is not None and pnb != neg_inf:
                 bump(key, p_nb=pnb + ly[last])
-            for k, child in node.children.items():
-                src = pb if k == last else total
+            for child in children[node]:
+                src = pb if child[-1] == last else total
                 if src != neg_inf:
-                    bump((words, child), p_nb=src + ly[k])
-            for word in node.words:
+                    bump((words, child), p_nb=src + ly[child[-1]])
+            for word in ends.get(node, []):
                 new_words = fusion.extend(words, word)
-                for k, child in root.children.items():
-                    src = pb if k == last else total
+                for child in children[()]:
+                    src = pb if child[-1] == last else total
                     if src != neg_inf:
-                        bump((new_words, child), p_nb=src + ly[k])
+                        bump((new_words, child), p_nb=src + ly[child[-1]])
 
         ranked = sorted(nxt.items(), key=lambda item: (-hyp_score(item[0], *item[1]),
-                                                       item[0][0], item[0][1].phone_path))
+                                                       item[0][0], item[0][1]))
         beams = dict(ranked[:beam_width])
 
     finalists = set()
     for (words, node), (pb, pnb) in beams.items():
         if _log_add(pb, pnb) == neg_inf:
             continue
-        if node is root:
+        if not node:
             finalists.add(words)
-        finalists.update(fusion.extend(words, w) for w in node.words)
+        finalists.update(fusion.extend(words, w) for w in ends.get(node, []))
     best = None
     for cand in sorted(finalists):
         phones = [p for w in cand for p in lexicon.pronunciations[w]]

@@ -282,7 +282,7 @@ def test_in_place_step_is_bit_identical_to_out_of_place_reference(rng, kind):
     p = Parameters()
     for name, shape in shapes.items():
         p.add(name, rng.normal(size=shape))
-    data = p.copy_values()
+    data = {name: t.data.copy() for name, t in p.items()}
     moments = {}
     state = OptimizerState(kind=kind, learning_rate=3e-3, frozen_prefixes=("enc.",))
     for step in range(1, 9):

@@ -132,7 +132,7 @@ def test_scoring_and_training_paths_agree_on_default_model(rng):
 def test_training_on_an_empty_sentence_takes_one_step():
     vocab = phone_vocab(4)
     params = build_lm(vocab, LmConfig(embed_dim=6, lstm1_units=6, lstm2_units=6), seed=14)
-    before = params.copy_values()
+    before = {name: t.data.copy() for name, t in params.items()}
     trace = lm_train(params, [[]], vocab, epochs=1)
     assert len(trace) == 1 and math.isfinite(trace[0])
     assert not np.array_equal(params["out.b"].data, before["out.b"])
@@ -158,7 +158,7 @@ def test_perplexity_at_least_one(rng):
 def test_zero_epochs_leaves_parameters_unchanged():
     vocab = phone_vocab(4)
     params = build_lm(vocab, LmConfig(embed_dim=6, lstm1_units=6, lstm2_units=6), seed=7)
-    before = params.copy_values()
+    before = {name: t.data.copy() for name, t in params.items()}
     trace = lm_train(params, [["p0", "p1"]], vocab, epochs=0)
     assert trace == []
     for name, t in params.items():
@@ -211,7 +211,7 @@ def test_training_deterministic_given_seed_and_order():
     def run():
         params = build_lm(vocab, LmConfig(embed_dim=8, lstm1_units=8, lstm2_units=8), seed=11)
         lm_train(params, corpus, vocab, epochs=3)
-        return params.copy_values()
+        return {name: t.data.copy() for name, t in params.items()}
 
     a, b = run(), run()
     for name in a:

@@ -12,7 +12,7 @@ def test_inventory_has_54_phones_5_vowels():
     assert len(inv) == 54
     vowels = [p for p in inv.phones if p.symbol in "aeiou"]
     assert len(vowels) == 5
-    assert inv.blank_index == 54
+    assert len(inv.phones) == 54  # the CTC blank takes the next index
 
 
 def test_inventory_spec_named_digraphs_present():
@@ -104,13 +104,14 @@ def test_generated_cv_words_always_parse(rng):
 def test_build_lexicon_single_word_trie_depth():
     lex = build_lexicon(["baba"])
     assert len(lex) == 1
-    node = lex.root
-    depth = 0
-    while node.children:
-        node = next(iter(node.children.values()))
+    flat = lex.flat
+    node, depth = 0, 0
+    while flat.arc_word[flat.arc_start[node]] == -1:  # first arc stays inside the word
+        node = int(flat.arc_dest[flat.arc_start[node]])
         depth += 1
     assert depth == 4
-    assert node.words == ["baba"]
+    assert flat.words == ["baba"]
+    assert flat.word_ids[flat.word_start[node]:flat.word_start[node + 1]].tolist() == [0]
 
 
 def test_build_lexicon_dedupes():
@@ -132,15 +133,38 @@ def test_build_lexicon_all_failures_is_error():
 def test_lexicon_trie_paths_reconstruct_word_set():
     words = ["baba", "bara", "mhoro", "svondo"]
     lex = build_lexicon(words)
+    flat = lex.flat
     found = []
-    stack = [lex.root]
+    stack = [(0, ())]
     while stack:
-        node = stack.pop()
-        for w in node.words:
-            assert tuple(lex.pronunciations[w]) == node.phone_path
-            found.append(w)
-        stack.extend(node.children.values())
+        node, path = stack.pop()
+        for w in flat.word_ids[flat.word_start[node]:flat.word_start[node + 1]]:
+            assert tuple(lex.pronunciations[flat.words[w]]) == path
+            found.append(flat.words[w])
+        for arc in range(flat.arc_start[node], flat.arc_start[node + 1]):
+            if flat.arc_word[arc] == -1:
+                child = int(flat.arc_dest[arc])
+                assert flat.last_phone[child] == flat.arc_phone[arc]
+                stack.append((child, path + (int(flat.arc_phone[arc]),)))
     assert sorted(found) == sorted(words)
+
+
+def test_flat_trie_arrays_by_hand():
+    # ba ends inside baba; hwa and wa are homophones ending at one node
+    lex = build_lexicon(["ba", "baba", "hwa", "wa"])
+    a, b, w = (lex.inventory.by_symbol[s].index for s in "abw")
+    assert lex.pronunciations["hwa"] == lex.pronunciations["wa"] == (w, a)
+    flat = lex.flat
+    # nodes: 0 (), 1 b, 2 b a, 3 b a b, 4 b a b a, 5 w, 6 w a
+    assert flat.words == ["ba", "baba", "hwa", "wa"]
+    assert flat.last_phone.tolist() == [-1, b, a, b, a, w, a]
+    assert flat.arc_start.tolist() == [0, 2, 3, 6, 7, 9, 10, 14]
+    assert flat.arc_phone.tolist() == [b, w, a, b, b, w, a, b, w, a, b, w, b, w]
+    assert flat.arc_dest.tolist() == [1, 5, 2, 3, 1, 5, 4, 1, 5, 6, 1, 5, 1, 5]
+    assert flat.arc_word.tolist() == [-1, -1, -1, -1, 0, 0, -1, 1, 1, -1, 2, 2, 3, 3]
+    assert flat.word_start.tolist() == [0, 0, 0, 1, 1, 2, 2, 4]
+    assert flat.word_ids.tolist() == [0, 1, 2, 3]
+    assert len(flat) == 7
 
 
 def test_lexicon_file_round_trip(tmp_path):
@@ -148,3 +172,10 @@ def test_lexicon_file_round_trip(tmp_path):
     lex.save(tmp_path / "lex.txt")
     back = Lexicon.load(tmp_path / "lex.txt")
     assert back.pronunciations == lex.pronunciations
+
+
+def test_lexicon_file_with_duplicate_word_is_error(tmp_path):
+    path = tmp_path / "lex.txt"
+    path.write_text("baba b a b a\nbaba m a\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"lex\.txt:2: word 'baba' is listed twice"):
+        Lexicon.load(path)
