@@ -1,10 +1,15 @@
 """CNN acoustic model: stacked features in, per-frame phone log-posteriors out.
 
-Two same-padded 3x3 convolution blocks, each followed by 2x2 max pooling,
+Two blocks of same-padded 3x3 convolution -> 2x2 max pooling -> ReLU,
 then a 128-unit dense layer per downsampled frame, optional self-attention
 over the frame sequence, and a log-softmax output over the phone set plus
 the blank symbol. Both time and feature axes are pooled, so the grid has
 floor(floor(T/2)/2) rows and the feature axis shrinks 39 -> 19 -> 9.
+
+Pooling before the ReLU equals the usual ReLU-then-pool: ReLU is
+monotone, so the maximum commutes with it, and the gradient reaches the
+same element (the window's first maximum, or none when that maximum is
+<= 0). The ReLU then runs on a quarter of the elements.
 """
 
 from __future__ import annotations
@@ -87,8 +92,8 @@ def acoustic_forward(params: Parameters, feats, cfg: AcousticConfig | None = Non
     if values.shape[1] != FEATURE_DIM:
         raise ValueError(f"expected {FEATURE_DIM}-dim features, got {values.shape[1]}")
     x = Tensor(values[None, :, :])
-    h = ad.max_pool2d(ad.relu(ad.conv2d(x, params["conv1.kernels"], params["conv1.bias"])))
-    h = ad.max_pool2d(ad.relu(ad.conv2d(h, params["conv2.kernels"], params["conv2.bias"])))
+    h = ad.relu(ad.max_pool2d(ad.conv2d(x, params["conv1.kernels"], params["conv1.bias"])))
+    h = ad.relu(ad.max_pool2d(ad.conv2d(h, params["conv2.kernels"], params["conv2.bias"])))
     rows = ad.channels_to_rows(h)
     rows = ad.relu(ad.dense(rows, params["dense.W"], params["dense.b"]))
     if cfg.use_attention:

@@ -335,24 +335,28 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
 def max_pool2d(x: Tensor) -> Tensor:
     """2x2 max pooling with stride 2; trailing odd row/column dropped.
 
-    Gradient flows to the first maximal element of each window (row-major
-    order within the window).
+    The output is the elementwise maximum of the four stride-2 views, one
+    per window position. Gradient flows to the first maximal element of
+    each window (row-major order within the window).
     """
     c, h, w = x.data.shape
     h2, w2 = h // 2, w // 2
     if h2 == 0 or w2 == 0:
         raise ValueError(f"input {h}x{w} smaller than one 2x2 window")
-    crop = x.data[:, :h2 * 2, :w2 * 2]
-    windows = crop.reshape(c, h2, 2, w2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h2, w2, 4)
-    argmax = windows.argmax(axis=3)
-    out_data = np.take_along_axis(windows, argmax[..., None], axis=3)[..., 0]
+    slices = [(slice(None), slice(i, 2 * h2, 2), slice(j, 2 * w2, 2))
+              for i in (0, 1) for j in (0, 1)]
+    views = [x.data[s] for s in slices]
+    out_data = np.maximum(views[0], views[1])
+    np.maximum(out_data, views[2], out=out_data)
+    np.maximum(out_data, views[3], out=out_data)
 
     def bwd(g):
-        dwin = np.zeros_like(windows)
-        np.put_along_axis(dwin, argmax[..., None], g[..., None], axis=3)
-        dcrop = dwin.reshape(c, h2, w2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h2 * 2, w2 * 2)
         dx = np.zeros_like(x.data)
-        dx[:, :h2 * 2, :w2 * 2] = dcrop
+        taken = np.zeros(out_data.shape, dtype=bool)
+        for s, view in zip(slices, views):
+            first = (view == out_data) & ~taken
+            taken |= first
+            np.multiply(g, first, out=dx[s])
         _accumulate(x, dx)
 
     return _node(out_data, (x,), bwd)

@@ -7,6 +7,7 @@ the three streams into a mean-variance-normalized T x 39 matrix.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,12 +95,14 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=8)
 def mel_filterbank(n_mels: int, n_fft: int, sample_rate_hz: int,
                    fmin_hz: float, fmax_hz: float) -> np.ndarray:
     """Triangular filters on a mel-spaced grid, shape [n_mels, n_fft//2 + 1].
 
     Triangle corners are kept at their exact (non-integer) frequencies so
-    no filter degenerates to an empty bin set.
+    no filter degenerates to an empty bin set. Built once per argument
+    tuple and shared, so the returned array is read-only.
     """
     mel_points = np.linspace(hz_to_mel(fmin_hz), hz_to_mel(fmax_hz), n_mels + 2)
     hz_points = mel_to_hz(mel_points)
@@ -110,6 +113,7 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate_hz: int,
         rising = (bin_freqs - lo) / (center - lo)
         falling = (hi - bin_freqs) / (hi - center)
         fbank[m] = np.maximum(0.0, np.minimum(rising, falling))
+    fbank.flags.writeable = False
     return fbank
 
 

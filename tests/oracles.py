@@ -100,6 +100,27 @@ def naive_conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.nda
     return out
 
 
+def reference_max_pool2d(x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """2x2 stride-2 max pool of a [C, H, W] array and its input gradient.
+
+    Each window's four elements are gathered in row-major order; argmax
+    picks the first maximum, which gets the upstream gradient g. A trailing
+    odd row or column is dropped and gets no gradient. Returns (out, dx).
+    """
+    c, h, w = x.shape
+    h2, w2 = h // 2, w // 2
+    crop = x[:, :h2 * 2, :w2 * 2]
+    windows = crop.reshape(c, h2, 2, w2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h2, w2, 4)
+    argmax = windows.argmax(axis=3)
+    out = np.take_along_axis(windows, argmax[..., None], axis=3)[..., 0]
+    dwin = np.zeros_like(windows)
+    np.put_along_axis(dwin, argmax[..., None], g[..., None], axis=3)
+    dx = np.zeros_like(x)
+    dcrop = dwin.reshape(c, h2, w2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h2 * 2, w2 * 2)
+    dx[:, :h2 * 2, :w2 * 2] = dcrop
+    return out, dx
+
+
 def collapse_path(path, blank: int) -> tuple:
     """CTC collapse: merge adjacent repeats, then remove blanks."""
     out = []

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from shona_asr import autodiff as ad
 from shona_asr.acoustic import (AcousticConfig, acoustic_forward, build_acoustic_model,
                                 output_frames, posteriors)
 from shona_asr.autodiff import backward
@@ -73,6 +74,23 @@ def test_attention_toggle_preserves_shapes(rng):
     b = acoustic_forward(without, feats, AcousticConfig(use_attention=False))
     assert a.data.shape == b.data.shape == (12, 9)
     assert "attn.Wq" not in without
+
+
+def test_forward_calls_conv_pool_and_relu_through_module_attributes(rng, monkeypatch):
+    # Per-layer tracing wraps these module attributes and names its metrics
+    # after them, so each must stay a separate op looked up at call time.
+    calls = {"conv2d": 0, "max_pool2d": 0, "relu": 0}
+    for name in calls:
+        original = getattr(ad, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(ad, name, counted)
+    params = build_acoustic_model(AcousticConfig(), 10, seed=0)
+    acoustic_forward(params, rng.normal(size=(20, 39)))
+    assert calls == {"conv2d": 2, "max_pool2d": 2, "relu": 3}
 
 
 def test_posterior_grid_wrapper(rng):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import naive_conv2d
+from oracles import naive_conv2d, reference_max_pool2d
 from shona_asr import autodiff as ad
 from shona_asr.autodiff import Parameters, Tensor, backward
 from shona_asr.gradcheck import grad_check
@@ -102,6 +102,48 @@ def test_max_pool_tie_routes_to_first_element():
     x = p.add("x", np.ones((1, 2, 2)))
     backward(ad.tsum(ad.max_pool2d(x)))
     assert x.grad[0].tolist() == [[1.0, 0.0], [0.0, 0.0]]
+
+
+def _pool_inputs(rng, n_trials=60):
+    """[C, H, W] grids with odd and even H/W: small integers (many ties,
+    zeros of both signs after ReLU), all-negative values, and real values."""
+    for trial in range(n_trials):
+        shape = (int(rng.integers(1, 4)), int(rng.integers(2, 10)), int(rng.integers(2, 10)))
+        kind = trial % 3
+        if kind == 0:
+            x = rng.integers(-2, 3, size=shape).astype(np.float64)
+        elif kind == 1:
+            x = -rng.integers(1, 4, size=shape).astype(np.float64)
+        else:
+            x = rng.normal(size=shape)
+        yield x, rng.normal(size=(shape[0], shape[1] // 2, shape[2] // 2))
+
+
+def _pool_and_grad(block, x_data, g):
+    p = Parameters()
+    x = p.add("x", x_data)
+    out = block(x)
+    backward(ad.tsum(ad.mul(out, Tensor(g))))
+    return out.data, x.grad
+
+
+def test_max_pool_matches_argmax_oracle(rng):
+    for x, g in _pool_inputs(rng):
+        out, dx = _pool_and_grad(ad.max_pool2d, x, g)
+        want_out, want_dx = reference_max_pool2d(x, g)
+        assert np.array_equal(out, want_out)
+        assert np.array_equal(dx, want_dx)
+
+
+def test_relu_after_pool_equals_pool_after_relu(rng):
+    for x, g in _pool_inputs(rng):
+        out, dx = _pool_and_grad(lambda t: ad.relu(ad.max_pool2d(t)), x, g)
+        want_out, d_relu = reference_max_pool2d(x * (x > 0), g)
+        assert np.array_equal(out, want_out)
+        assert np.array_equal(dx, d_relu * (x > 0))
+        swapped_out, swapped_dx = _pool_and_grad(lambda t: ad.max_pool2d(ad.relu(t)), x, g)
+        assert np.array_equal(out, swapped_out)
+        assert np.array_equal(dx, swapped_dx)
 
 
 def test_max_pool_too_small_rejected():

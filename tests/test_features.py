@@ -5,7 +5,8 @@ from oracles import naive_deltas, naive_mel_energies
 from shona_asr.audio import AudioBuffer
 from shona_asr.errors import DataError
 from shona_asr.features import (FeatureMatrix, MelConfig, compute_deltas, compute_mfcc,
-                                extract_features, frame_count, mel_spectrogram, stack_features)
+                                extract_features, frame_count, mel_filterbank, mel_spectrogram,
+                                stack_features)
 
 from conftest import make_tone
 
@@ -49,6 +50,13 @@ def test_mel_energies_match_oracle_random_signals(rng):
         want = naive_mel_energies(samples, 16000, cfg.n_fft, cfg.n_mels,
                                   0.0, 8000.0, 400, 160, cfg.pre_emphasis)
         assert np.sqrt(np.mean((got - want) ** 2)) < 1e-4
+
+
+def test_mel_filterbank_is_built_once_and_read_only():
+    fbank = mel_filterbank(26, 512, 16000, 0.0, 8000.0)
+    assert mel_filterbank(26, 512, 16000, 0.0, 8000.0) is fbank
+    with pytest.raises(ValueError):
+        fbank[0, 0] = 1.0
 
 
 def test_gain_shifts_only_coefficient_zero():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from shona_asr.lm import (LmConfig, LmState, LmWeights, TokenVocab, build_lm, corpus_loss,
+from shona_asr.lm import (LmConfig, LmState, LmWeights, TokenVocab, build_lm,
                           lm_initial_state, lm_score, lm_step, lm_train, perplexity,
                           score_tokens, sentence_loss, word_tokens)
 from shona_asr.optim import OptimizerState

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from oracles import greedy_segmentation_oracle
@@ -92,7 +91,7 @@ def test_g2p_matches_exhaustive_segmentation_oracle(rng):
 
 
 def test_generated_cv_words_always_parse(rng):
-    from shona_asr.corpusgen import gen_word, GenConfig
+    from shona_asr.corpusgen import gen_word
     inv = default_inventory()
     for _ in range(200):
         word, phones = gen_word(rng, inv, (1, 4))
