@@ -83,9 +83,15 @@ def build_acoustic_model(cfg: AcousticConfig, n_phones: int, seed: int) -> Param
 
 
 def acoustic_forward(params: Parameters, feats, cfg: AcousticConfig | None = None) -> Tensor:
-    """Differentiable forward pass; returns the [T', P+1] log-posterior tensor."""
+    """Differentiable forward pass; returns the [T', P+1] log-posterior tensor.
+
+    The features are cast to the parameters' dtype, so float64 parameters
+    (training) give a float64 grid and a checkpoint's float32 ones a
+    float32 grid.
+    """
     cfg = cfg or AcousticConfig(use_attention="attn.Wq" in params)
-    values = feats.values if isinstance(feats, FeatureMatrix) else np.asarray(feats, dtype=np.float64)
+    values = np.asarray(feats.values if isinstance(feats, FeatureMatrix) else feats,
+                        dtype=params["conv1.kernels"].data.dtype)
     t = values.shape[0]
     if output_frames(t) < 1:
         raise ValueError(f"need at least 4 frames to survive two stride-2 pools, got {t}")

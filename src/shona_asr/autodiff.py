@@ -1,14 +1,18 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-A Tensor wraps a float64 ndarray plus an optional gradient; ops build a
+A Tensor wraps an ndarray plus an optional gradient; ops build a
 graph of backward closures and backward() replays them in reverse
 topological order. The op set is exactly what the two models here need:
 2-D convolution, max pooling, dense layers, a fused LSTM cell and a
 sequence-level LSTM layer, softmax family, and single-head scaled
 dot-product attention.
 
-Values are float64 throughout; a graph must stay on one thread from
-forward through backward, but separate graphs are independent.
+Training runs in float64: a Tensor stores anything but a float32 array
+as float64, and the gradient checks need that width. A float32 array is
+kept as it is, and the forward ops compute in their inputs' dtype, so
+decode and eval run the checkpoint's float32 tensors through the same
+code. A graph must stay on one thread from forward through backward, but
+separate graphs are independent.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_backward_done")
 
     def __init__(self, data, requires_grad: bool = False, parents=(), backward_fn=None):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = parents
@@ -309,7 +314,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         raise ValueError(f"bias shape {bias.data.shape} != ({c_out},)")
     ph, pw = kh // 2, kw // 2
     padded = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw)))
-    patches = np.empty((c_in, kh, kw, h, w))
+    patches = np.empty((c_in, kh, kw, h, w), dtype=x.data.dtype)
     for di in range(kh):
         for dj in range(kw):
             patches[:, di, dj] = padded[:, di:di + h, dj:dj + w]

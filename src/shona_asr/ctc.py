@@ -63,7 +63,7 @@ def ctc_forward_logprob(log_grid: np.ndarray, target: list[int], blank: int) -> 
     infeasible.
     """
     if len(target) == 0:
-        return float(log_grid[:, blank].sum())
+        return float(log_grid[:, blank].sum(dtype=np.float64))
     if log_grid.shape[0] < min_frames(target):
         return NEG_INF
     ext = extended_targets(target, blank)

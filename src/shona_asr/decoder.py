@@ -66,8 +66,9 @@ class _LmFusion:
     `lm_total`, `length`, `last` and `state`, which grow by doubling.
     `extend` maps (history, word) pairs to history ids; the new ones are
     scored together by one `score_tokens` run over their parents' states
-    stacked as [n, k] rows. Without a language model the totals stay zero
-    and nothing is stepped.
+    stacked as [n, k] rows. The states keep the LM weights' dtype; the
+    totals are float64. Without a language model the totals stay zero and
+    nothing is stepped.
     """
 
     def __init__(self, lexicon: Lexicon, params: Parameters | None, vocab: TokenVocab | None,

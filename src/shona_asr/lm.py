@@ -117,7 +117,7 @@ class LmWeights:
     The first layer's input projection is tabulated per token (embedding
     row times W_ih), and every other matrix is stored transposed and
     contiguous, so each product is one row-major GEMM. Build it once per
-    fixed set of parameters with `from_params`.
+    fixed set of parameters with `from_params`; it keeps their dtype.
     """
 
     token_in1: np.ndarray  # [V, 4 k1]
@@ -140,9 +140,10 @@ class LmWeights:
 
 
 def lm_initial_state(weights: LmWeights) -> LmState:
-    """One row of zero state."""
+    """One row of zero state, in the weights' dtype."""
     k1, k2 = weights.hh1.shape[0], weights.hh2.shape[0]
-    return LmState(np.zeros((1, k1)), np.zeros((1, k1)), np.zeros((1, k2)), np.zeros((1, k2)))
+    dtype = weights.hh1.dtype
+    return LmState(*(np.zeros((1, k), dtype=dtype) for k in (k1, k1, k2, k2)))
 
 
 def lm_step(weights: LmWeights, state: LmState, token_indices) -> tuple[LmState, np.ndarray]:
@@ -162,8 +163,9 @@ def score_tokens(weights: LmWeights, state: LmState, last_index: np.ndarray,
     """Score one token run per state row, given each row's previous token.
 
     The rows advance together, one `lm_step` per token position, and a row
-    drops out when its run ends. Returns the advanced states, each row's
-    last token and its natural-log total.
+    drops out when its run ends. Returns the advanced states (in the
+    weights' dtype), each row's last token and its natural-log total (summed
+    in float64).
     """
     n = len(token_indices)
     lengths = np.array([len(run) for run in token_indices], dtype=np.int64)

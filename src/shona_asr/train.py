@@ -184,8 +184,8 @@ def warm_start(ckpt: Checkpoint, n_phones: int, vocab: TokenVocab,
     legitimately differ (new phone set or vocab) and stay freshly
     initialized; any other shape mismatch is an error. Names in freeze
     (full "acoustic."/"lm." prefixes) are excluded from optimizer updates.
-    This is the only code that copies checkpoint tensors into models;
-    `restore_models` loads through it too.
+    The copies are float64, for training. `restore_models` checks a
+    checkpoint against its models through this function too.
     """
     new_acoustic = build_acoustic_model(acoustic_cfg, n_phones, seed)
     new_lm = build_lm(vocab, lm_cfg, seed + 1)
@@ -457,6 +457,9 @@ def restore_models(ckpt: Checkpoint) -> tuple[TrainConfig, PhoneInventory, Token
 
     Every model tensor must be in the checkpoint with its model shape, and
     the checkpoint may hold no other tensor; otherwise this is a DataError.
+    The parameters hold read-only views of the checkpoint's float32 tensors,
+    so decode and eval compute in float32 (`warm_start` widens to float64
+    for training).
     """
     cfg = TrainConfig.from_dict(ckpt.config)
     inventory = PhoneInventory.from_lines(ckpt.inventory_lines)
@@ -465,8 +468,12 @@ def restore_models(ckpt: Checkpoint) -> tuple[TrainConfig, PhoneInventory, Token
     if ws.reinitialized:
         raise DataError("checkpoint tensors missing or of the wrong shape for its config: "
                         + ", ".join(ws.reinitialized))
-    model_names = {prefix + name for prefix, params in (("acoustic.", ws.acoustic), ("lm.", ws.lm))
-                   for name in params.names()}
+    model_names = set()
+    for prefix, params in (("acoustic.", ws.acoustic), ("lm.", ws.lm)):
+        for name, tensor in params.items():
+            model_names.add(prefix + name)
+            tensor.data = ckpt.tensors[prefix + name].view()
+            tensor.data.flags.writeable = False
     unknown = sorted(set(ckpt.tensors) - model_names)
     if unknown:
         raise DataError("checkpoint holds tensors its config's models lack: " + ", ".join(unknown))

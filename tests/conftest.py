@@ -7,6 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from shona_asr.audio import AudioBuffer
+from shona_asr.autodiff import Parameters
 
 
 @pytest.fixture
@@ -24,3 +25,11 @@ def make_tone(freq_hz: float, duration_s: float = 1.0, amplitude: float = 0.5,
               sample_rate: int = 16000) -> AudioBuffer:
     t = np.arange(int(duration_s * sample_rate)) / sample_rate
     return AudioBuffer(amplitude * np.sin(2 * np.pi * freq_hz * t), sample_rate)
+
+
+def params_as(params: Parameters, dtype) -> Parameters:
+    """A copy of params with every tensor cast to dtype."""
+    out = Parameters()
+    for name, t in params.items():
+        out.add(name, t.data.astype(dtype))
+    return out

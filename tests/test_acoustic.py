@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import params_as
 from shona_asr import autodiff as ad
 from shona_asr.acoustic import (AcousticConfig, acoustic_forward, build_acoustic_model,
                                 output_frames, posteriors)
@@ -91,6 +92,21 @@ def test_forward_calls_conv_pool_and_relu_through_module_attributes(rng, monkeyp
     params = build_acoustic_model(AcousticConfig(), 10, seed=0)
     acoustic_forward(params, rng.normal(size=(20, 39)))
     assert calls == {"conv2d": 2, "max_pool2d": 2, "relu": 3}
+
+
+def test_grid_dtype_follows_the_parameters(rng):
+    p32 = params_as(build_acoustic_model(AcousticConfig(), 54, seed=6), np.float32)
+    p64 = params_as(p32, np.float64)  # the same values, widened
+    feats = rng.normal(size=(60, 39))
+    narrow = acoustic_forward(p32, feats).data
+    wide = acoustic_forward(p64, feats).data
+    assert narrow.dtype == np.float32
+    assert wide.dtype == np.float64
+    np.testing.assert_allclose(narrow, wide, rtol=0, atol=1e-4)
+    # float64 parameters widen narrower features before any arithmetic
+    feats32 = feats.astype(np.float32)
+    assert np.array_equal(acoustic_forward(p64, feats32).data,
+                          acoustic_forward(p64, feats32.astype(np.float64)).data)
 
 
 def test_posterior_grid_wrapper(rng):

@@ -24,6 +24,31 @@ def test_quadratic_gradient_is_2w(rng):
     assert np.allclose(w.grad, 2 * w.data)
 
 
+def test_tensor_keeps_float32_and_widens_everything_else(rng):
+    # training runs in float64; only a float32 array, as a checkpoint holds, stays as it is
+    f32 = rng.normal(size=4).astype(np.float32)
+    assert Tensor(f32).data is f32
+    f64 = rng.normal(size=4)
+    assert Tensor(f64).data is f64
+    for data in ([1, 2, 3], [0.5, -1.5], 3, 2.5, True, np.arange(3), np.array([True, False]),
+                 np.array([0.1, 2.0, -3.5], dtype=np.float16)):
+        t = Tensor(data)
+        assert t.data.dtype == np.float64
+        assert np.array_equal(t.data, np.asarray(data, dtype=np.float64))
+    assert Parameters().add("w", rng.normal(size=(2, 3))).data.dtype == np.float64
+
+
+def test_conv2d_computes_in_its_input_dtype(rng):
+    x = rng.normal(size=(2, 7, 6)).astype(np.float32)
+    k = rng.normal(size=(3, 2, 3, 3)).astype(np.float32)
+    b = rng.normal(size=3).astype(np.float32)
+    narrow = ad.conv2d(Tensor(x), Tensor(k), Tensor(b)).data
+    assert narrow.dtype == np.float32
+    wide = ad.conv2d(*(Tensor(a.astype(np.float64)) for a in (x, k, b))).data
+    assert wide.dtype == np.float64
+    np.testing.assert_allclose(narrow, wide, rtol=0, atol=1e-5)
+
+
 def test_backward_requires_scalar():
     t = Tensor(np.zeros(3), requires_grad=True)
     with pytest.raises(ValueError, match="scalar"):

@@ -125,6 +125,13 @@ def test_loss_decreases_when_overfitting_single_grid(rng):
     assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:])) or losses[-1] < 0.2 * losses[0]
 
 
+def test_empty_target_sums_a_long_float32_grid_in_float64(rng):
+    # a float32 grid (decode on checkpoint tensors) must not round the blank-path sum
+    grid = np.log(random_grid(rng, 3000, 5)).astype(np.float32)
+    want = math.fsum(float(v) for v in grid[:, 4])
+    assert abs(ctc_forward_logprob(grid, [], 4) - want) < 1e-9
+
+
 def test_greedy_decode_blank_only():
     grid = np.array([[0.1, 0.9], [0.2, 0.8]])  # blank = 1
     assert ctc_greedy_decode(np.log(grid)) == []

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import params_as
 from oracles import reference_beam_decode
 from shona_asr import decoder
 from shona_asr.decoder import DecodeStats, Transcript, beam_decode, exhaustive_decode
@@ -192,6 +193,22 @@ def test_matches_reference_search_on_random_grids(rng):
                                                                word_bonus=beta, beam_width=width)
                 assert got.words == want_words, f"trial {trial}, lm_weight {lam}, width {width}"
                 assert got.score == pytest.approx(want_score, rel=0, abs=1e-9)
+
+
+def test_float32_grid_and_lm_decode_the_same_words(rng):
+    # decode runs a checkpoint's float32 tensors; the search's own sums stay float64
+    vocab = phone_vocab()
+    for trial in range(30):
+        words = sorted(rng.choice(REFERENCE_POOL, size=int(rng.integers(6, 11)), replace=False))
+        lex = build_lexicon(list(words))
+        lm32 = params_as(make_lm(vocab, seed=trial % 5), np.float32)
+        grid32 = rand_grid(rng, int(rng.integers(20, 61))).astype(np.float32)
+        for width in (4, 16):
+            narrow = beam_decode(grid32, lex, lm32, vocab, beam_width=width)
+            wide = beam_decode(grid32.astype(np.float64), lex, params_as(lm32, np.float64), vocab,
+                               beam_width=width)
+            assert narrow.words == wide.words, f"trial {trial}, width {width}"
+            assert narrow.score == pytest.approx(wide.score, rel=0, abs=1e-4)
 
 
 def test_matches_reference_search_with_ties_at_the_cut():

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from conftest import params_as
 from shona_asr.lm import (LmConfig, LmState, LmWeights, TokenVocab, build_lm,
                           lm_initial_state, lm_score, lm_step, lm_train, perplexity,
                           score_tokens, sentence_loss, word_tokens)
@@ -104,6 +106,24 @@ def test_stacked_rows_score_like_single_rows(rng):
         for a, b in zip((one_state.h1, one_state.c1, one_state.h2, one_state.c2),
                         (got_state.h1, got_state.c1, got_state.h2, got_state.c2)):
             np.testing.assert_allclose(a[0], b[i], rtol=0, atol=1e-12)
+
+
+def test_float32_weights_step_float32_states_and_sum_float64_totals(rng):
+    vocab = phone_vocab(7)
+    p32 = params_as(build_lm(vocab, LmConfig(embed_dim=8, lstm1_units=10, lstm2_units=6), seed=4),
+                    np.float32)
+    runs = [[int(v) for v in rng.integers(2, len(vocab), size=n)] for n in (4, 1, 6)]
+    totals = []
+    for dtype in (np.dtype(np.float32), np.dtype(np.float64)):
+        weights = LmWeights.from_params(params_as(p32, dtype))
+        assert {getattr(weights, f.name).dtype for f in dataclasses.fields(weights)} == {dtype}
+        init = lm_initial_state(weights)
+        rows = LmState(*(np.repeat(a, 3, axis=0) for a in (init.h1, init.c1, init.h2, init.c2)))
+        state, _, total = score_tokens(weights, rows, np.full(3, vocab.bos), runs)
+        assert {a.dtype for a in (init.h1, state.h1, state.c1, state.h2, state.c2)} == {dtype}
+        assert total.dtype == np.float64
+        totals.append(total)
+    np.testing.assert_allclose(totals[0], totals[1], rtol=0, atol=1e-4)
 
 
 def test_score_matches_teacher_forced_graph_path(rng):

@@ -1,3 +1,5 @@
+import dataclasses
+import importlib
 import json
 
 import numpy as np
@@ -13,7 +15,7 @@ from shona_asr.manifest import split_corpus
 from shona_asr.optim import OptimizerState, optimizer_step
 from shona_asr.phones import default_inventory
 from shona_asr.train import (EarlyStopper, TrainConfig, _config_from_dict, _config_to_dict,
-                             evaluate, train, warm_start)
+                             evaluate, restore_models, train, warm_start)
 
 QUIET_AUGMENT = dict(speed_factors=[1.0], gain_db_range=(0.0, 0.0),
                      n_freq_masks=0, n_time_masks=0)
@@ -153,6 +155,43 @@ def test_warm_start_identical_architecture_copies_everything(tiny_result):
     assert ws.reinitialized == []
     for name, t in ws.acoustic.items():
         assert np.allclose(t.data, ckpt.tensors["acoustic." + name], atol=1e-7)
+
+
+def test_restore_models_keeps_the_checkpoint_float32_read_only(tiny_result):
+    _, result = tiny_result
+    ckpt = result.checkpoint
+    writeable = {name: arr.flags.writeable for name, arr in ckpt.tensors.items()}
+    _, _, _, acoustic, lm, _ = restore_models(ckpt)
+    for prefix, params in (("acoustic.", acoustic), ("lm.", lm)):
+        for name, t in params.items():
+            assert t.data.dtype == np.float32
+            assert np.array_equal(t.data, ckpt.tensors[prefix + name])
+            assert not t.data.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        acoustic["out.b"].data[0] = 1.0
+    assert {name: arr.flags.writeable for name, arr in ckpt.tensors.items()} == writeable
+
+
+def test_warm_start_and_training_run_in_float64(tiny_result, tiny_corpus, tmp_path, monkeypatch):
+    cfg, result = tiny_result
+    ckpt = result.checkpoint
+    ws = warm_start(ckpt, len(default_inventory()), TokenVocab(list(ckpt.vocab), "phone"),
+                    AcousticConfig(), LmConfig())
+    dtypes = {t.data.dtype for params in (ws.acoustic, ws.lm) for _, t in params.items()}
+    assert dtypes == {np.dtype(np.float64)}
+    path = tmp_path / "warm.ckpt"
+    save_checkpoint(ckpt, path)
+    seen = set()
+
+    def recording(opt, params):
+        seen.update(a.dtype for _, t in params.items() for a in (t.data, t.grad) if a is not None)
+        optimizer_step(opt, params)
+
+    for module in ("shona_asr.train", "shona_asr.lm"):
+        monkeypatch.setattr(importlib.import_module(module), "optimizer_step", recording)
+    train(dataclasses.replace(cfg, epochs_max=1, patience=1, warm_start_path=str(path)),
+          tiny_corpus)
+    assert seen == {np.dtype(np.float64)}
 
 
 def test_warm_start_mismatched_output_reinitialized(tiny_result):
