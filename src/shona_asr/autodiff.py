@@ -345,10 +345,10 @@ def max_pool2d(x: Tensor) -> Tensor:
     each window (row-major order within the window).
     """
     c, h, w = x.data.shape
-    h2, w2 = h // 2, w // 2
-    if h2 == 0 or w2 == 0:
+    oh, ow = h // 2, w // 2
+    if oh == 0 or ow == 0:
         raise ValueError(f"input {h}x{w} smaller than one 2x2 window")
-    slices = [(slice(None), slice(i, 2 * h2, 2), slice(j, 2 * w2, 2))
+    slices = [(slice(None), slice(i, 2 * oh, 2), slice(j, 2 * ow, 2))
               for i in (0, 1) for j in (0, 1)]
     views = [x.data[s] for s in slices]
     out_data = np.maximum(views[0], views[1])
@@ -377,12 +377,9 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     out_data = x.data @ weight.data.T + bias.data
 
     def bwd(g):
-        if x.data.ndim == 1:
-            _accumulate(weight, np.outer(g, x.data))
-            _accumulate(bias, g)
-        else:
-            _accumulate(weight, g.T @ x.data)
-            _accumulate(bias, g.sum(axis=0))
+        rows = g.reshape(-1, m)
+        _accumulate(weight, rows.T @ x.data.reshape(-1, n))
+        _accumulate(bias, rows.sum(axis=0))
         _accumulate(x, g @ weight.data)
 
     return _node(out_data, (x, weight, bias), bwd)

@@ -24,8 +24,8 @@ from .acoustic import PosteriorGrid
 from .autodiff import Parameters
 from .ctc import ctc_forward_logprob
 from .lexicon import Lexicon
-from .lm import (LmState, LmWeights, TokenVocab, lm_initial_state, score_tokens,
-                 sequence_logprob_end, word_tokens)
+from .lm import (LmWeights, TokenVocab, lm_initial_state, score_tokens, sequence_logprob_end,
+                 word_tokens)
 
 NEG_INF = float("-inf")
 
@@ -65,10 +65,11 @@ class _LmFusion:
     A history is an id into `words` (its word tuple) and into the rows of
     `lm_total`, `length`, `last` and `state`, which grow by doubling.
     `extend` maps (history, word) pairs to history ids; the new ones are
-    scored together by one `score_tokens` run over their parents' states
-    stacked as [n, k] rows. The states keep the LM weights' dtype; the
-    totals are float64. Without a language model the totals stay zero and
-    nothing is stepped.
+    scored together by one `score_tokens` run over their parents' state
+    rows. A state row is opaque here: `lm` alone knows its columns, and
+    `state` is one [n, S] matrix in the LM weights' dtype. The totals are
+    float64. Without a language model the totals stay zero and nothing is
+    stepped.
     """
 
     def __init__(self, lexicon: Lexicon, params: Parameters | None, vocab: TokenVocab | None,
@@ -87,10 +88,6 @@ class _LmFusion:
             self.state = lm_initial_state(self.weights)
             self.last = np.array([vocab.bos], dtype=np.int64)
 
-    def _rows(self, hists: np.ndarray) -> LmState:
-        s = self.state
-        return LmState(s.h1[hists], s.c1[hists], s.h2[hists], s.c2[hists])
-
     def _reserve(self, n: int) -> None:
         """Grow every per-history array to hold at least n rows."""
         if n <= len(self.lm_total):
@@ -104,9 +101,7 @@ class _LmFusion:
 
         self.lm_total, self.length = grown(self.lm_total), grown(self.length)
         if self.weights is not None:
-            self.last = grown(self.last)
-            s = self.state
-            self.state = LmState(grown(s.h1), grown(s.c1), grown(s.h2), grown(s.c2))
+            self.last, self.state = grown(self.last), grown(self.state)
 
     def extend(self, hists: np.ndarray, word_ids: np.ndarray) -> np.ndarray:
         """History id of each (history, word) pair, scoring the pairs not seen before."""
@@ -126,15 +121,13 @@ class _LmFusion:
         self.length[fresh] = self.length[parents] + 1
         if self.weights is not None:
             runs = [self.tokens[w] for w in words.tolist()]
-            state, last, inc = score_tokens(self.weights, self._rows(parents), self.last[parents],
+            state, last, inc = score_tokens(self.weights, self.state[parents], self.last[parents],
                                             runs)
             self.stats.lm_step_calls += max(map(len, runs))
             self.stats.lm_rows_stepped += sum(map(len, runs))
             self.lm_total[fresh] = self.lm_total[parents] + inc
             self.last[fresh] = last
-            for rows, new_rows in zip((self.state.h1, self.state.c1, self.state.h2, self.state.c2),
-                                      (state.h1, state.c1, state.h2, state.c2)):
-                rows[fresh] = new_rows
+            self.state[fresh] = state
         ids[new] = fresh
         return ids[inverse]
 
@@ -145,7 +138,7 @@ class _LmFusion:
             return np.zeros(len(hists))
         self.stats.lm_step_calls += 1
         self.stats.lm_rows_stepped += len(hists)
-        return self.lm_total[hists] + sequence_logprob_end(self.weights, self._rows(hists),
+        return self.lm_total[hists] + sequence_logprob_end(self.weights, self.state[hists],
                                                            self.last[hists], self.vocab)
 
 

@@ -5,8 +5,12 @@ contributes its phones followed by the <wb> boundary token, so the model
 learns both phonotactics and word transitions. Training runs each layer
 over the whole sentence as one autodiff node (`autodiff.lstm_layer`);
 scoring and decoding run on plain arrays without a graph, stepping a stack
-of states held as [n, k] matrices (`lm_step`). Both paths step through one
+of states held as one [n, S] matrix (`lm_step`). Both paths step through one
 gate function, `autodiff.lstm_gates`.
+
+A search state is one row of S = 2 k1 + 2 k2 columns, `h1 c1 h2 c2` for
+the two layers' hidden and cell vectors, in the weights' dtype. Only this
+module reads the columns; callers gather, stack and store whole rows.
 """
 
 from __future__ import annotations
@@ -101,18 +105,9 @@ def build_lm(vocab: TokenVocab, cfg: LmConfig, seed: int) -> Parameters:
 # graph-free path (scoring / decoding)
 # ---------------------------------------------------------------------------
 
-class LmState:
-    """Recurrent states after some token prefixes, one row per prefix: [n, k] arrays."""
-
-    __slots__ = ("h1", "c1", "h2", "c2")
-
-    def __init__(self, h1, c1, h2, c2):
-        self.h1, self.c1, self.h2, self.c2 = h1, c1, h2, c2
-
-
 @dataclass(frozen=True)
 class LmWeights:
-    """The LM's weights laid out for stepping [n, k] state rows.
+    """The LM's weights laid out for stepping [n, S] state rows.
 
     The first layer's input projection is tabulated per token (embedding
     row times W_ih), and every other matrix is stored transposed and
@@ -139,27 +134,29 @@ class LmWeights:
                    params["lstm2.b"].data.copy(), t("out.W"), params["out.b"].data.copy())
 
 
-def lm_initial_state(weights: LmWeights) -> LmState:
-    """One row of zero state, in the weights' dtype."""
+def lm_initial_state(weights: LmWeights) -> np.ndarray:
+    """One row of zero state, [1, S], in the weights' dtype."""
     k1, k2 = weights.hh1.shape[0], weights.hh2.shape[0]
-    dtype = weights.hh1.dtype
-    return LmState(*(np.zeros((1, k), dtype=dtype) for k in (k1, k1, k2, k2)))
+    return np.zeros((1, 2 * k1 + 2 * k2), dtype=weights.hh1.dtype)
 
 
-def lm_step(weights: LmWeights, state: LmState, token_indices) -> tuple[LmState, np.ndarray]:
-    """Advance every row by its token; returns the new states and [n, V] next-token log-probs."""
-    pre1 = weights.token_in1[token_indices] + state.h1 @ weights.hh1 + weights.b1
-    _, _, _, o1, c1, tanh_c1 = ad.lstm_gates(pre1, state.c1)
+def lm_step(weights: LmWeights, state: np.ndarray, token_indices) -> tuple[np.ndarray, np.ndarray]:
+    """Advance every [n, S] state row by its token; returns the new rows and [n, V] log-probs."""
+    k1, k2 = weights.hh1.shape[0], weights.hh2.shape[0]
+    h1, c1 = state[:, :k1], state[:, k1:2 * k1]
+    h2, c2 = state[:, 2 * k1:2 * k1 + k2], state[:, 2 * k1 + k2:]
+    pre1 = weights.token_in1[token_indices] + h1 @ weights.hh1 + weights.b1
+    _, _, _, o1, c1, tanh_c1 = ad.lstm_gates(pre1, c1)
     h1 = o1 * tanh_c1
-    pre2 = h1 @ weights.ih2 + state.h2 @ weights.hh2 + weights.b2
-    _, _, _, o2, c2, tanh_c2 = ad.lstm_gates(pre2, state.c2)
+    pre2 = h1 @ weights.ih2 + h2 @ weights.hh2 + weights.b2
+    _, _, _, o2, c2, tanh_c2 = ad.lstm_gates(pre2, c2)
     h2 = o2 * tanh_c2
     logits = h2 @ weights.out + weights.out_b
-    return LmState(h1, c1, h2, c2), ad.log_softmax_values(logits)
+    return np.concatenate((h1, c1, h2, c2), axis=1), ad.log_softmax_values(logits)
 
 
-def score_tokens(weights: LmWeights, state: LmState, last_index: np.ndarray,
-                 token_indices: list[list[int]]) -> tuple[LmState, np.ndarray, np.ndarray]:
+def score_tokens(weights: LmWeights, state: np.ndarray, last_index: np.ndarray,
+                 token_indices: list[list[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Score one token run per state row, given each row's previous token.
 
     The rows advance together, one `lm_step` per token position, and a row
@@ -173,17 +170,16 @@ def score_tokens(weights: LmWeights, state: LmState, last_index: np.ndarray,
     tokens = np.zeros((n, int(lengths.max(initial=0))), dtype=np.int64)
     for row, i in enumerate(order):
         tokens[row, :lengths[i]] = token_indices[i]
-    h1, c1, h2, c2 = (a[order] for a in (state.h1, state.c1, state.h2, state.c2))
+    rows = state[order]
     last = np.asarray(last_index, dtype=np.int64)[order]
     totals = np.zeros(n)
     active = np.count_nonzero(lengths[:, None] > np.arange(tokens.shape[1]), axis=0)
     for pos, m in enumerate(active.tolist()):
-        stepped, log_probs = lm_step(weights, LmState(h1[:m], c1[:m], h2[:m], c2[:m]), last[:m])
-        h1[:m], c1[:m], h2[:m], c2[:m] = stepped.h1, stepped.c1, stepped.h2, stepped.c2
+        rows[:m], log_probs = lm_step(weights, rows[:m], last[:m])
         totals[:m] += log_probs[np.arange(m), tokens[:m, pos]]
         last[:m] = tokens[:m, pos]
     back = np.argsort(order)
-    return LmState(h1[back], c1[back], h2[back], c2[back]), last[back], totals[back]
+    return rows[back], last[back], totals[back]
 
 
 def _sentence_logprob(weights: LmWeights, indices: list[int], vocab: TokenVocab) -> float:
@@ -200,7 +196,7 @@ def lm_score(params: Parameters, tokens: list[str], vocab: TokenVocab) -> float:
     return _sentence_logprob(LmWeights.from_params(params), [vocab.index(t) for t in tokens], vocab)
 
 
-def sequence_logprob_end(weights: LmWeights, state: LmState, last_index: np.ndarray,
+def sequence_logprob_end(weights: LmWeights, state: np.ndarray, last_index: np.ndarray,
                          vocab: TokenVocab) -> np.ndarray:
     """Per-row log-probability of </s> as the next token; the states are not advanced."""
     _, log_probs = lm_step(weights, state, last_index)

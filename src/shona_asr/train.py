@@ -172,20 +172,17 @@ class WarmStart:
     acoustic: ad.Parameters
     lm: ad.Parameters
     reinitialized: list[str]
-    frozen: tuple[str, ...]
 
 
 def warm_start(ckpt: Checkpoint, n_phones: int, vocab: TokenVocab,
-               acoustic_cfg: AcousticConfig, lm_cfg: LmConfig,
-               freeze: tuple[str, ...] = (), seed: int = 0) -> WarmStart:
+               acoustic_cfg: AcousticConfig, lm_cfg: LmConfig, seed: int = 0) -> WarmStart:
     """Initialize new models from a checkpoint.
 
     Tensors whose name and shape match are copied. Output layers may
     legitimately differ (new phone set or vocab) and stay freshly
-    initialized; any other shape mismatch is an error. Names in freeze
-    (full "acoustic."/"lm." prefixes) are excluded from optimizer updates.
-    The copies are float64, for training. `restore_models` checks a
-    checkpoint against its models through this function too.
+    initialized; any other shape mismatch is an error. The copies are
+    float64, for training. `restore_models` checks a checkpoint against its
+    models through this function too.
     """
     new_acoustic = build_acoustic_model(acoustic_cfg, n_phones, seed)
     new_lm = build_lm(vocab, lm_cfg, seed + 1)
@@ -202,7 +199,7 @@ def warm_start(ckpt: Checkpoint, n_phones: int, vocab: TokenVocab,
             else:
                 raise DataError(f"incompatible hidden-layer shape for {prefix}{name}: "
                                 f"checkpoint {old.shape} vs model {tensor.data.shape}")
-    return WarmStart(new_acoustic, new_lm, reinitialized, tuple(freeze))
+    return WarmStart(new_acoustic, new_lm, reinitialized)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +301,7 @@ def train(cfg: TrainConfig, manifest: CorpusManifest) -> TrainResult:
     seeds = [int(s.generate_state(1)[0]) for s in seed_seq.spawn(2)]
     if cfg.warm_start_path is not None:
         ws = warm_start(load_checkpoint(cfg.warm_start_path), len(inventory), vocab,
-                        cfg.acoustic, cfg.lm, cfg.freeze, seeds[0])
+                        cfg.acoustic, cfg.lm, seeds[0])
         acoustic_params, lm_params = ws.acoustic, ws.lm
         if ws.reinitialized:
             log.info("warm start reinitialized: %s", ", ".join(ws.reinitialized))

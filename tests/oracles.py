@@ -108,16 +108,16 @@ def reference_max_pool2d(x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.n
     odd row or column is dropped and gets no gradient. Returns (out, dx).
     """
     c, h, w = x.shape
-    h2, w2 = h // 2, w // 2
-    crop = x[:, :h2 * 2, :w2 * 2]
-    windows = crop.reshape(c, h2, 2, w2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h2, w2, 4)
+    oh, ow = h // 2, w // 2
+    crop = x[:, :oh * 2, :ow * 2]
+    windows = crop.reshape(c, oh, 2, ow, 2).transpose(0, 1, 3, 2, 4).reshape(c, oh, ow, 4)
     argmax = windows.argmax(axis=3)
     out = np.take_along_axis(windows, argmax[..., None], axis=3)[..., 0]
     dwin = np.zeros_like(windows)
     np.put_along_axis(dwin, argmax[..., None], g[..., None], axis=3)
     dx = np.zeros_like(x)
-    dcrop = dwin.reshape(c, h2, w2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h2 * 2, w2 * 2)
-    dx[:, :h2 * 2, :w2 * 2] = dcrop
+    dcrop = dwin.reshape(c, oh, ow, 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, oh * 2, ow * 2)
+    dx[:, :oh * 2, :ow * 2] = dcrop
     return out, dx
 
 

@@ -26,7 +26,7 @@ from shona_asr.decoder import beam_decode, exhaustive_decode
 from shona_asr.features import MelConfig, frame_count, mel_spectrogram
 from shona_asr.lexicon import build_lexicon
 from shona_asr.lm import LmConfig, TokenVocab, build_lm, lm_score, lm_train, perplexity
-from shona_asr.manifest import load_manifest, split_corpus
+from shona_asr.manifest import split_corpus
 from shona_asr.metrics import align, ser, wer
 from shona_asr.optim import OptimizerState
 from shona_asr.phones import default_inventory

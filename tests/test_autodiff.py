@@ -192,13 +192,24 @@ def test_dense_matches_dot_oracle(rng):
     assert np.allclose(got, want)
 
 
+def test_dense_vector_gradients_equal_one_row_gradients(rng):
+    x, w, b, c = (rng.normal(size=s) for s in (3, (4, 3), 4, 4))
+    grads = []
+    for xs in (x, x[None, :]):
+        p = [Tensor(a, requires_grad=True) for a in (xs, w, b)]
+        backward(ad.tsum(ad.mul(ad.dense(*p), Tensor(c))))
+        grads.append([t.grad for t in p])
+    (dx, dw, db), (dx_row, dw_row, db_row) = grads
+    assert np.array_equal(dx, dx_row[0]) and np.array_equal(dw, dw_row) and np.array_equal(db, db_row)
+
+
 def test_lstm_zero_weights_halves_gates():
     d, k = 3, 4
     x, h, c = Tensor(np.ones(d)), Tensor(np.zeros(k)), Tensor(np.zeros(k))
     zeros = lambda *s: Tensor(np.zeros(s))
-    h2, c2 = ad.lstm_cell(x, h, c, zeros(4 * k, d), zeros(4 * k, k), zeros(4 * k))
-    assert np.allclose(c2.data, 0.0)
-    assert np.allclose(h2.data, 0.0)
+    h_next, c_next = ad.lstm_cell(x, h, c, zeros(4 * k, d), zeros(4 * k, k), zeros(4 * k))
+    assert np.allclose(c_next.data, 0.0)
+    assert np.allclose(h_next.data, 0.0)
 
 
 def test_lstm_saturated_gates_carry_cell_state(rng):
@@ -207,9 +218,10 @@ def test_lstm_saturated_gates_carry_cell_state(rng):
     bias = np.zeros(4 * k)
     bias[k:2 * k] = 50.0   # forget gate ~ 1
     bias[:k] = -50.0       # input gate ~ 0
-    h2, c2 = ad.lstm_cell(Tensor(rng.normal(size=d)), Tensor(np.zeros(k)), Tensor(c0),
-                          Tensor(np.zeros((4 * k, d))), Tensor(np.zeros((4 * k, k))), Tensor(bias))
-    assert np.max(np.abs(c2.data - c0)) < 1e-9
+    h_next, c_next = ad.lstm_cell(Tensor(rng.normal(size=d)), Tensor(np.zeros(k)), Tensor(c0),
+                                  Tensor(np.zeros((4 * k, d))), Tensor(np.zeros((4 * k, k))),
+                                  Tensor(bias))
+    assert np.max(np.abs(c_next.data - c0)) < 1e-9
 
 
 def test_lstm_layer_matches_chained_cells(rng):

@@ -135,8 +135,8 @@ def test_missing_file_rejected(tmp_path):
 def test_params_hash_stable_and_sensitive(rng):
     tensors = {"a": rng.normal(size=4).astype(np.float32),
                "b": rng.normal(size=(2, 2)).astype(np.float32)}
-    h1 = params_hash(tensors)
-    h2 = params_hash(dict(reversed(list(tensors.items()))))
-    assert h1 == h2  # order-insensitive
+    first = params_hash(tensors)
+    second = params_hash(dict(reversed(list(tensors.items()))))
+    assert first == second  # order-insensitive
     tensors["a"] = tensors["a"] + 1e-3
-    assert params_hash(tensors) != h1
+    assert params_hash(tensors) != first

@@ -1,6 +1,3 @@
-import filecmp
-import json
-
 import numpy as np
 import pytest
 

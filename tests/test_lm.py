@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import params_as
-from shona_asr.lm import (LmConfig, LmState, LmWeights, TokenVocab, build_lm,
+from shona_asr.lm import (LmConfig, LmWeights, TokenVocab, build_lm,
                           lm_initial_state, lm_score, lm_step, lm_train, perplexity,
                           score_tokens, sentence_loss, word_tokens)
 from shona_asr.optim import OptimizerState
@@ -92,20 +92,16 @@ def test_stacked_rows_score_like_single_rows(rng):
     vocab = phone_vocab(6)
     weights = LmWeights.from_params(
         build_lm(vocab, LmConfig(embed_dim=8, lstm1_units=10, lstm2_units=6), seed=9))
-    init = lm_initial_state(weights)
-    five = LmState(*(np.repeat(a, 5, axis=0) for a in (init.h1, init.c1, init.h2, init.c2)))
+    five = np.repeat(lm_initial_state(weights), 5, axis=0)
     state, last, _ = score_tokens(weights, five, np.full(5, vocab.bos), [[4], [5], [6], [7], [8]])
     runs = [[int(v) for v in rng.integers(2, len(vocab), size=n)] for n in (3, 0, 5, 1, 5)]
     got_state, got_last, got_totals = score_tokens(weights, state, last, runs)
     assert got_totals[1] == 0.0 and got_last[1] == last[1]
     for i, run in enumerate(runs):
-        row = LmState(state.h1[i:i + 1], state.c1[i:i + 1], state.h2[i:i + 1], state.c2[i:i + 1])
-        one_state, one_last, one_total = score_tokens(weights, row, last[i:i + 1], [run])
+        one_state, one_last, one_total = score_tokens(weights, state[i:i + 1], last[i:i + 1], [run])
         assert one_total[0] == pytest.approx(got_totals[i], abs=1e-12)
         assert one_last[0] == got_last[i]
-        for a, b in zip((one_state.h1, one_state.c1, one_state.h2, one_state.c2),
-                        (got_state.h1, got_state.c1, got_state.h2, got_state.c2)):
-            np.testing.assert_allclose(a[0], b[i], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(one_state[0], got_state[i], rtol=0, atol=1e-12)
 
 
 def test_float32_weights_step_float32_states_and_sum_float64_totals(rng):
@@ -118,9 +114,10 @@ def test_float32_weights_step_float32_states_and_sum_float64_totals(rng):
         weights = LmWeights.from_params(params_as(p32, dtype))
         assert {getattr(weights, f.name).dtype for f in dataclasses.fields(weights)} == {dtype}
         init = lm_initial_state(weights)
-        rows = LmState(*(np.repeat(a, 3, axis=0) for a in (init.h1, init.c1, init.h2, init.c2)))
-        state, _, total = score_tokens(weights, rows, np.full(3, vocab.bos), runs)
-        assert {a.dtype for a in (init.h1, state.h1, state.c1, state.h2, state.c2)} == {dtype}
+        state, _, total = score_tokens(weights, np.repeat(init, 3, axis=0), np.full(3, vocab.bos),
+                                       runs)
+        assert init.shape == (1, 2 * 10 + 2 * 6) and state.shape == (3, init.shape[1])
+        assert {init.dtype, state.dtype} == {dtype}
         assert total.dtype == np.float64
         totals.append(total)
     np.testing.assert_allclose(totals[0], totals[1], rtol=0, atol=1e-4)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shona_asr.errors import DataError
-from shona_asr.manifest import CorpusManifest, load_manifest, split_corpus
+from shona_asr.manifest import load_manifest, split_corpus
 
 from test_audio import write_pcm
 

@@ -151,7 +151,7 @@ def test_warm_start_identical_architecture_copies_everything(tiny_result):
     ckpt = result.checkpoint
     inv = default_inventory()
     ws = warm_start(ckpt, len(inv), TokenVocab(list(ckpt.vocab), "phone"),
-                    AcousticConfig(), LmConfig(), freeze=())
+                    AcousticConfig(), LmConfig())
     assert ws.reinitialized == []
     for name, t in ws.acoustic.items():
         assert np.allclose(t.data, ckpt.tensors["acoustic." + name], atol=1e-7)
@@ -194,6 +194,20 @@ def test_warm_start_and_training_run_in_float64(tiny_result, tiny_corpus, tmp_pa
     assert seen == {np.dtype(np.float64)}
 
 
+def test_train_freezes_the_configured_warm_start_tensors(tiny_result, tiny_corpus, tmp_path):
+    cfg, result = tiny_result
+    path = tmp_path / "warm.ckpt"
+    save_checkpoint(result.checkpoint, path)
+    warm = load_checkpoint(path)
+    frozen = train(dataclasses.replace(cfg, epochs_max=1, patience=1, warm_start_path=str(path),
+                                       freeze=("acoustic.conv1",)), tiny_corpus).checkpoint
+    conv1 = [name for name in warm.tensors if name.startswith("acoustic.conv1.")]
+    assert conv1
+    for name in conv1:
+        assert np.array_equal(frozen.tensors[name], warm.tensors[name])
+    assert not np.array_equal(frozen.tensors["acoustic.out.W"], warm.tensors["acoustic.out.W"])
+
+
 def test_warm_start_mismatched_output_reinitialized(tiny_result):
     _, result = tiny_result
     ckpt = result.checkpoint
@@ -218,9 +232,8 @@ def test_frozen_tensors_unchanged_after_optimizer_steps(tiny_result):
     ckpt = result.checkpoint
     inv = default_inventory()
     ws = warm_start(ckpt, len(inv), TokenVocab(list(ckpt.vocab), "phone"),
-                    AcousticConfig(), LmConfig(), freeze=("acoustic.conv1",))
-    frozen_prefixes = tuple(p[len("acoustic."):] for p in ws.frozen)
-    opt = OptimizerState(kind="sgd", learning_rate=0.1, frozen_prefixes=frozen_prefixes)
+                    AcousticConfig(), LmConfig())
+    opt = OptimizerState(kind="sgd", learning_rate=0.1, frozen_prefixes=("conv1",))
     before = {n: t.data.copy() for n, t in ws.acoustic.items()}
     for _ in range(5):
         for name, t in ws.acoustic.items():
