@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 import time
 from pathlib import Path
@@ -29,6 +30,20 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _build_parser() -> _Parser:
@@ -59,8 +74,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("decode", help="decode one WAV file with a trained checkpoint")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--wav", required=True)
-    p.add_argument("--lm-weight", type=float, default=None)
-    p.add_argument("--beam", type=int, default=None)
+    p.add_argument("--lm-weight", type=finite_float, default=None)
+    p.add_argument("--beam", type=positive_int, default=None)
     common(p)
 
     p = sub.add_parser("eval", help="score a manifest split against a checkpoint")
@@ -68,8 +83,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--split", choices=["train", "val", "test", "all"], default="test")
     p.add_argument("--report", required=True)
-    p.add_argument("--lm-weight", type=float, default=None)
-    p.add_argument("--beam", type=int, default=None)
+    p.add_argument("--lm-weight", type=finite_float, default=None)
+    p.add_argument("--beam", type=positive_int, default=None)
     common(p)
 
     p = sub.add_parser("gradcheck", help="run the finite-difference gradient suite")

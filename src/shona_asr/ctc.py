@@ -2,9 +2,17 @@
 
 The loss sums, over every blank-augmented monotonic alignment of the
 target, the product of per-frame posteriors, in log space. Its gradient
-comes from the standard forward-backward recursion (one forward
-recursion, run a second time on the reversed grid for the backward
-variables) and plugs into the autodiff graph as a single primitive.
+comes from the standard forward-backward recursion and plugs into the
+autodiff graph as a single primitive.
+
+There is one forward recursion, `_alpha`, and it runs over a state graph:
+each state emits one label and is entered from itself, from its one-back
+predecessor and, where its skip flag allows, from its two-back
+predecessor. One target is the chain [b, t1, b, t2, ..., b]; the backward
+variables are the same recursion over the chain of the reversed target on
+the reversed grid. Several targets (a beam search's finalists) share one
+prefix tree (`_prefix_graph`), so `ctc_forward_logprob` scores them in a
+single recursion that computes each shared phone prefix once.
 """
 
 from __future__ import annotations
@@ -16,59 +24,98 @@ from .autodiff import Tensor, _accumulate, _node
 NEG_INF = -np.inf
 
 
-def extended_targets(target: list[int], blank: int) -> np.ndarray:
-    """Interleave blanks: [b, t1, b, t2, ..., b]."""
-    ext = np.full(2 * len(target) + 1, blank, dtype=np.int64)
-    ext[1::2] = target
-    return ext
-
-
 def min_frames(target: list[int]) -> int:
     """Shortest grid that can emit the target: length plus adjacent repeats."""
     dups = sum(1 for a, b in zip(target, target[1:]) if a == b)
     return len(target) + dups
 
 
-def _skip_mask(ext: np.ndarray, blank: int) -> np.ndarray:
-    """States reachable by the two-step transition s-2 -> s."""
-    mask = np.zeros(len(ext), dtype=bool)
-    mask[2:] = (ext[2:] != blank) & (ext[2:] != ext[:-2])
-    return mask
+def _prefix_graph(targets: list[list[int]], blank: int) -> tuple[np.ndarray, ...]:
+    """The blank-augmented state graph of the targets' prefix tree.
 
-
-def _alpha(log_grid: np.ndarray, ext: np.ndarray, skip: np.ndarray) -> np.ndarray:
-    """Forward state log-probabilities [T, S], each including the frame emission.
-
-    Run on the time- and state-reversed grid and target (with the skip mask
-    of the reversed target), it yields the reversed backward variables.
+    The targets are inserted in sorted order, each sharing its longest
+    common prefix with the one before, so every distinct phone prefix is
+    one tree node. State 0 is the root blank; the node made i-th gets the
+    phone state 2i + 1 and, after it, the blank state 2i + 2. A single
+    target gives the chain [b, t1, b, t2, ..., b]. Returns the per-state
+    arrays (label, one, two, skip) and, per target, the phone state of its
+    last phone (0 for an empty target). `one` and `two` are the one-back
+    and two-back predecessors, -1 for none; `skip` marks the phone states
+    whose two-back transition is allowed (their phone differs from the
+    parent's).
     """
-    t_frames = log_grid.shape[0]
-    emit = log_grid[:, ext]
-    # two leading -inf columns stand in for the states before s = 0, so the
-    # one- and two-state transitions read shifted views of the previous row
-    alpha = np.full((t_frames, len(ext) + 2), NEG_INF)
-    alpha[0, 2:4] = emit[0, :2]
+    label, one, two, skip = [blank], [-1], [-1], [False]
+    ends = [0] * len(targets)
+    path: list[int] = []  # phone state at each depth of the previous target
+    previous: list[int] = []
+    for i in sorted(range(len(targets)), key=targets.__getitem__):
+        target = targets[i]
+        shared = 0
+        while (shared < min(len(target), len(previous))
+               and target[shared] == previous[shared]):
+            shared += 1
+        del path[shared:]
+        for depth in range(shared, len(target)):
+            state, parent = len(label), (path[-1] if path else -1)
+            label += [target[depth], blank]
+            one += [parent + 1, state]  # the blank after the parent, or the root blank
+            two += [parent, -1]
+            skip += [depth > 0 and target[depth] != target[depth - 1], False]
+            path.append(state)
+        ends[i] = path[-1] if path else 0
+        previous = target
+    return (np.array(label, dtype=np.int64), np.array(one, dtype=np.int64),
+            np.array(two, dtype=np.int64), np.array(skip), np.array(ends, dtype=np.int64))
+
+
+def _alpha(log_grid: np.ndarray, label: np.ndarray, one: np.ndarray, two: np.ndarray,
+           skip: np.ndarray) -> np.ndarray:
+    """Forward log-probabilities [T, S] of a state graph's states, with the frame emission.
+
+    State s emits log_grid[:, label[s]] and is entered from itself, from
+    one[s], and from two[s] where skip[s]; a trailing -inf column stands
+    for "none", so a predecessor of -1 reads it. Row 0 seeds the root blank
+    and every first-phone state (those entered from the root). Run on the
+    time-reversed grid and the chain of the reversed target, it yields the
+    reversed backward variables.
+    """
+    t_frames, n_states = log_grid.shape[0], len(label)
+    emit = log_grid[:, label]
+    alpha = np.full((t_frames, n_states + 1), NEG_INF)
+    seed = np.flatnonzero(one <= 0)  # the root blank (-1) and the states entered from it (0)
+    alpha[0, seed] = emit[0, seed]
+    jump = np.flatnonzero(skip)
+    jump_from = two[jump]
     for t in range(1, t_frames):
-        prev, new = alpha[t - 1], alpha[t, 2:]
-        np.logaddexp(prev[2:], prev[1:-1], out=new)
-        np.logaddexp(new, prev[:-2], out=new, where=skip)
+        prev, new = alpha[t - 1], alpha[t, :-1]
+        np.logaddexp(prev[:-1], prev[one], out=new)
+        new[jump] = np.logaddexp(new[jump], prev[jump_from])
         new += emit[t]
-    return alpha[:, 2:]
+    return alpha[:, :-1]
 
 
-def ctc_forward_logprob(log_grid: np.ndarray, target: list[int], blank: int) -> float:
-    """Total log-probability of the target via the forward recursion.
+def ctc_forward_logprob(log_grid: np.ndarray, targets: list[list[int]],
+                        blank: int) -> list[float]:
+    """Log-probability of each target, from one forward recursion over their prefix tree.
 
-    log_grid: [T, K] log posteriors. Returns -inf when the alignment is
-    infeasible.
+    log_grid: [T, K] log posteriors. Returns one float per target, in input
+    order: -inf when the alignment is infeasible. A state's value depends
+    only on the states of its own prefix, so a target scores the same,
+    bit for bit, alone or among others.
     """
-    if len(target) == 0:
-        return float(log_grid[:, blank].sum(dtype=np.float64))
-    if log_grid.shape[0] < min_frames(target):
-        return NEG_INF
-    ext = extended_targets(target, blank)
-    alpha = _alpha(log_grid, ext, _skip_mask(ext, blank))
-    return float(np.logaddexp(alpha[-1, -1], alpha[-1, -2]))
+    scores = [NEG_INF] * len(targets)
+    tree = []
+    for i, target in enumerate(targets):
+        if len(target) == 0:
+            scores[i] = float(log_grid[:, blank].sum(dtype=np.float64))
+        elif log_grid.shape[0] >= min_frames(target):
+            tree.append(i)
+    if tree:
+        label, one, two, skip, ends = _prefix_graph([targets[i] for i in tree], blank)
+        last = _alpha(log_grid, label, one, two, skip)[-1]
+        for i, score in zip(tree, np.logaddexp(last[ends + 1], last[ends]).tolist()):
+            scores[i] = score
+    return scores
 
 
 def ctc_loss(log_grid: Tensor, target: list[int], blank: int | None = None) -> Tensor:
@@ -93,10 +140,9 @@ def ctc_loss(log_grid: Tensor, target: list[int], blank: int | None = None) -> T
         raise ValueError(f"target needs at least {needed} frames, grid has {t_frames}")
 
     lg = log_grid.data
-    ext = extended_targets(target, blank)
-    alpha = _alpha(lg, ext, _skip_mask(ext, blank))
-    rev = ext[::-1]
-    beta = _alpha(lg[::-1], rev, _skip_mask(rev, blank))[::-1, ::-1]
+    ext, one, two, skip, _ = _prefix_graph([target], blank)
+    alpha = _alpha(lg, ext, one, two, skip)
+    beta = _alpha(lg[::-1], *_prefix_graph([target[::-1]], blank)[:4])[::-1, ::-1]
     log_p = np.logaddexp(alpha[-1, -1], alpha[-1, -2])
 
     def bwd(g):

@@ -186,6 +186,8 @@ def beam_decode(grid: PosteriorGrid | np.ndarray, lexicon: Lexicon,
         raise ValueError("posterior grid is empty")
     if beam_width < 1:
         raise ValueError("beam width must be >= 1")
+    if not (np.isfinite(lm_weight) and np.isfinite(word_bonus)):
+        raise ValueError(f"lm_weight and word_bonus must be finite, got {lm_weight}, {word_bonus}")
     blank = log_y.shape[1] - 1
     fused = lm_params is not None and lm_weight != 0.0
     if fused and vocab is None:
@@ -237,21 +239,21 @@ def beam_decode(grid: PosteriorGrid | np.ndarray, lexicon: Lexicon,
         stats.candidates_pruned += len(groups) - len(keep)
         hist, node, pb, pnb = cand_hist[keep], cand_node[keep], cand_pb[keep], cand_pnb[keep]
 
-    # Finalize: hypotheses must end at a word boundary. Each finalist's
-    # acoustic term is rescored exactly with the full forward recursion;
-    # pruning can only underestimate the searched scores, so rescoring makes
-    # the returned score the true objective of the returned words.
+    # Finalize: hypotheses must end at a word boundary. The finalists'
+    # acoustic terms are rescored exactly by one forward recursion over
+    # their shared phone prefixes; pruning can only underestimate the
+    # searched scores, so rescoring makes the returned score the true
+    # objective of the returned words.
     alive = np.logaddexp(pb, pnb) > NEG_INF
     hist, node = hist[alive], node[alive]
     finalists = set(hist[node == 0].tolist())
     owner, entry = _csr_gather(trie.word_start, node)
     finalists.update(hists.extend(hist[owner], trie.word_ids[entry]).tolist())
-    feasible = []
-    for h in sorted(finalists, key=hists.words.__getitem__):
-        phones = [p for w in hists.words[h] for p in lexicon.pronunciations[w]]
-        acoustic = ctc_forward_logprob(log_y, phones, blank)
-        if acoustic != NEG_INF:
-            feasible.append((h, acoustic))
+    finalists = sorted(finalists, key=hists.words.__getitem__)
+    acoustics = ctc_forward_logprob(
+        log_y, [[p for w in hists.words[h] for p in lexicon.pronunciations[w]] for h in finalists],
+        blank)
+    feasible = [(h, acoustic) for h, acoustic in zip(finalists, acoustics) if acoustic != NEG_INF]
     lm_final = hists.final_totals([h for h, _ in feasible])
     best: tuple[float, int] | None = None
     for (h, acoustic), lm in zip(feasible, lm_final.tolist()):
@@ -302,7 +304,7 @@ def exhaustive_decode(grid: PosteriorGrid | np.ndarray, lexicon: Lexicon,
     while stack:
         seq = stack.pop()
         phones = [p for w in seq for p in lexicon.pronunciations[w]]
-        acoustic = ctc_forward_logprob(log_grid, phones, blank)
+        acoustic = ctc_forward_logprob(log_grid, [phones], blank)[0]
         if acoustic != NEG_INF:
             score = acoustic + lm_weight * lm_total(seq) + word_bonus * len(seq)
             if best is None or score > best[0] or (score == best[0] and seq < best[1]):

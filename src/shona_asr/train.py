@@ -26,7 +26,7 @@ from .augment import AugmentPolicy, augment_audio, spec_augment
 from .checkpoint import Checkpoint, load_checkpoint, params_hash
 from .ctc import ctc_greedy_decode, ctc_loss, min_frames
 from .decoder import DecodeStats, beam_decode
-from .errors import DataError
+from .errors import DataError, VerificationError
 from .features import extract_features
 from .lexicon import Lexicon, build_lexicon
 from .lm import LmConfig, TokenVocab, build_lm, corpus_loss, lm_train, word_tokens
@@ -280,6 +280,20 @@ def _lm_sentences(utts: list[Utterance], lexicon: Lexicon, granularity: str) -> 
             for utt in utts]
 
 
+def _finite_update(opt: OptimizerState, params: ad.Parameters, batch: int) -> int:
+    """One optimizer step from the accumulated gradients, unless one is non-finite.
+
+    A non-finite gradient drops the update and clears the gradients.
+    Returns the number of utterances whose gradients were dropped: 0, or
+    the batch size.
+    """
+    if all(t.grad is None or np.isfinite(t.grad).all() for _, t in params.items()):
+        optimizer_step(opt, params)
+        return 0
+    params.zero_grad()
+    return batch
+
+
 def train(cfg: TrainConfig, manifest: CorpusManifest) -> TrainResult:
     """Joint training run; returns the checkpoint of the best epoch."""
     inventory = default_inventory()
@@ -334,7 +348,7 @@ def train(cfg: TrainConfig, manifest: CorpusManifest) -> TrainResult:
 
     for epoch in range(1, cfg.epochs_max + 1):
         # -- acoustic pass ---------------------------------------------------
-        epoch_ctc, n_scored, n_failed, pending = 0.0, 0, 0, 0
+        epoch_ctc, n_scored, n_failed, n_nonfinite, pending = 0.0, 0, 0, 0, 0
         for i, utt in enumerate(train_utts):
             if identity_augment:
                 feats = base_feats[utt.utt_id]
@@ -348,17 +362,25 @@ def train(cfg: TrainConfig, manifest: CorpusManifest) -> TrainResult:
                 continue
             grid = acoustic_forward(acoustic_params, feats, cfg.acoustic)
             loss = ctc_loss(grid, utt.phones)
+            if not np.isfinite(loss.data):
+                n_nonfinite += 1
+                continue
             epoch_ctc += float(loss.data)
             n_scored += 1
             ad.backward(loss)
             pending += 1
             if pending >= cfg.batch_size:
-                optimizer_step(ac_opt, acoustic_params)
+                n_nonfinite += _finite_update(ac_opt, acoustic_params, pending)
                 pending = 0
         if pending:
-            optimizer_step(ac_opt, acoustic_params)
+            n_nonfinite += _finite_update(ac_opt, acoustic_params, pending)
+        n_failed += n_nonfinite
         if n_failed > len(train_utts) / 2:
-            raise DataError(f"epoch {epoch}: {n_failed}/{len(train_utts)} utterances failed")
+            message = f"epoch {epoch}: {n_failed}/{len(train_utts)} utterances failed"
+            if n_nonfinite:
+                raise VerificationError(f"{message}, {n_nonfinite} of them on a non-finite "
+                                        f"loss or gradient")
+            raise DataError(message)
 
         # -- language model pass ---------------------------------------------
         train_lm_ce = lm_train(lm_params, lm_train_sents, vocab, epochs=1, optimizer=lm_opt)[0]

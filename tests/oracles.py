@@ -146,6 +146,40 @@ def brute_force_ctc_logprob(grid: np.ndarray, target, blank: int) -> float:
     return float("-inf") if total == 0.0 else math.log(total)
 
 
+def slice_ctc_loss(log_grid: np.ndarray, target, blank: int) -> tuple[float, np.ndarray]:
+    """The sequence loss and its log-grid gradient from one blank-augmented chain.
+
+    The forward recursion reads the previous row through shifted slices
+    (s, s - 1, s - 2) of a row padded with two leading -inf columns, in
+    place of predecessor gathers over a state graph; the backward variables
+    are the same recursion on the reversed grid and chain.
+    """
+    t_frames, k = log_grid.shape
+    ext = np.full(2 * len(target) + 1, blank, dtype=np.int64)
+    ext[1::2] = target
+
+    def alpha_of(lg, chain):
+        skip = np.zeros(len(chain), dtype=bool)
+        skip[2:] = (chain[2:] != blank) & (chain[2:] != chain[:-2])
+        emit = lg[:, chain]
+        alpha = np.full((t_frames, len(chain) + 2), -np.inf)
+        alpha[0, 2:4] = emit[0, :2]
+        for t in range(1, t_frames):
+            prev, new = alpha[t - 1], alpha[t, 2:]
+            np.logaddexp(prev[2:], prev[1:-1], out=new)
+            np.logaddexp(new, prev[:-2], out=new, where=skip)
+            new += emit[t]
+        return alpha[:, 2:]
+
+    alpha = alpha_of(log_grid, ext)
+    beta = alpha_of(log_grid[::-1], ext[::-1])[::-1, ::-1]
+    log_p = np.logaddexp(alpha[-1, -1], alpha[-1, -2])
+    occupancy = np.exp(alpha + beta - log_grid[:, ext] - log_p)
+    grad = np.zeros((t_frames, k))
+    np.add.at(grad, (slice(None), ext), occupancy)
+    return float(-log_p), -grad
+
+
 def recursive_edit_distance(ref, hyp) -> int:
     """Plain exponential recursion, no DP table."""
     if not ref:
@@ -299,7 +333,7 @@ def reference_beam_decode(log_y: np.ndarray, lexicon, lm_params=None, vocab=None
     best = None
     for cand in sorted(finalists):
         phones = [p for w in cand for p in lexicon.pronunciations[w]]
-        acoustic = ctc_forward_logprob(log_y, phones, blank)
+        acoustic = ctc_forward_logprob(log_y, [phones], blank)[0]
         if acoustic == neg_inf:
             continue
         score = acoustic + lm_weight * fusion.final_total(cand) + word_bonus * len(cand)

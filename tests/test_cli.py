@@ -145,6 +145,36 @@ def test_train_log_with_non_finite_value_exits_3(corpus_dir, tmp_path, monkeypat
     assert not any(b"Infinity" in p.read_bytes() for p in tmp_path.iterdir())
 
 
+def test_train_with_non_finite_losses_exits_3(corpus_dir, tmp_path, monkeypatch, capsys):
+    train_mod = importlib.import_module("shona_asr.train")
+    ad = importlib.import_module("shona_asr.autodiff")
+    real = train_mod.ctc_loss
+    monkeypatch.setattr(train_mod, "ctc_loss",
+                        lambda grid, target: ad.scale(real(grid, target), float("nan")))
+    cfg_path = tmp_path / "train.json"
+    cfg_path.write_text(json.dumps(TINY_TRAIN))
+    code = main(["train", "--config", str(cfg_path),
+                 "--manifest", str(corpus_dir / "manifest.jsonl"),
+                 "--out", str(tmp_path / "model.ckpt")])
+    assert code == 3
+    assert "non-finite loss or gradient" in capsys.readouterr().err
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("command", ["decode", "eval"])
+@pytest.mark.parametrize("option", [("--lm-weight", "nan"), ("--lm-weight", "inf"),
+                                    ("--beam", "0")], ids=lambda o: " ".join(o))
+def test_bad_search_option_exits_1_before_loading(tmp_path, capsys, command, option):
+    # the checkpoint does not exist: loading it would be a data error (exit 2)
+    rest = {"decode": ["--wav", str(tmp_path / "a.wav")],
+            "eval": ["--manifest", str(tmp_path / "m.jsonl"), "--report", str(tmp_path / "r")]}
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--ckpt", str(tmp_path / "missing.ckpt"), *rest[command], *option])
+    assert exc.value.code == 1
+    assert f"argument {option[0]}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_decode_prints_words(trained_ckpt, corpus_dir, capsys):
     wav = sorted((corpus_dir / "wav").glob("*.wav"))[0]
     assert main(["decode", "--ckpt", str(trained_ckpt), "--wav", str(wav),

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import brute_force_ctc_logprob, collapse_path
+from oracles import brute_force_ctc_logprob, collapse_path, slice_ctc_loss
 from shona_asr import autodiff as ad
 from shona_asr.autodiff import Parameters, Tensor, backward
 from shona_asr.ctc import ctc_forward_logprob, ctc_greedy_decode, ctc_loss, min_frames
@@ -38,7 +38,7 @@ def test_matches_brute_force_exhaustive_small_space(rng):
             for length in range(1, 4):
                 for target in itertools.product(range(blank), repeat=length):
                     want = brute_force_ctc_logprob(grid, target, blank)
-                    got = ctc_forward_logprob(log_grid, list(target), blank)
+                    got = ctc_forward_logprob(log_grid, [list(target)], blank)[0]
                     if want == -math.inf:
                         assert got == -math.inf
                     else:
@@ -129,7 +129,70 @@ def test_empty_target_sums_a_long_float32_grid_in_float64(rng):
     # a float32 grid (decode on checkpoint tensors) must not round the blank-path sum
     grid = np.log(random_grid(rng, 3000, 5)).astype(np.float32)
     want = math.fsum(float(v) for v in grid[:, 4])
-    assert abs(ctc_forward_logprob(grid, [], 4) - want) < 1e-9
+    assert abs(ctc_forward_logprob(grid, [[]], 4)[0] - want) < 1e-9
+
+
+def test_chain_loss_and_gradient_equal_the_slice_recursion(rng):
+    for trial in range(60):
+        t, k = int(rng.integers(1, 40)), int(rng.integers(2, 7))
+        target = [int(v) for v in rng.integers(0, k - 1, size=int(rng.integers(1, 15)))]
+        if t < min_frames(target):
+            continue
+        log_grid = np.log(random_grid(rng, t, k))
+        leaf = Tensor(log_grid, requires_grad=True)
+        loss = ctc_loss(leaf, target)
+        backward(loss)
+        want_loss, want_grad = slice_ctc_loss(log_grid, target, k - 1)
+        assert float(loss.data) == want_loss, f"trial {trial}"
+        assert np.array_equal(leaf.grad, want_grad), f"trial {trial}"
+
+
+def prefix_family(rng, n_phones, blank):
+    """Targets that share prefixes: cuts of one stem with random tails, and edge cases."""
+    stem = [int(v) for v in rng.integers(0, n_phones, size=12)]
+    targets = [stem[:int(cut)] + [int(v) for v in rng.integers(0, n_phones, size=int(tail))]
+               for cut, tail in zip(rng.integers(0, 13, size=8), rng.integers(0, 5, size=8))]
+    targets += [
+        stem[:5], stem[:3],  # one target a prefix of another
+        list(stem), list(stem),  # duplicates
+        [stem[0], stem[0], stem[1]], [stem[0], stem[0]],  # adjacent repeats block the skip
+        [],  # the all-blank path
+        [stem[0]] * 40,  # infeasible on every grid here: needs 79 frames
+    ]
+    return [[p if p < blank else p + 1 for p in tg] for tg in targets]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_batched_scores_equal_one_recursion_per_target(rng, dtype):
+    for trial in range(40):
+        t = 1 if trial < 4 else int(rng.integers(2, 60))
+        k = int(rng.integers(2, 7))
+        blank = int(rng.integers(0, k))  # not always the last column
+        log_grid = np.log(random_grid(rng, t, k)).astype(dtype)
+        targets = prefix_family(rng, k - 1, blank)
+        got = ctc_forward_logprob(log_grid, targets, blank)
+        want = [ctc_forward_logprob(log_grid, [target], blank)[0] for target in targets]
+        assert got == want, f"trial {trial}"
+        assert all(type(score) is float for score in got)
+        assert got[-1] == -math.inf and got[-2] == want[-2] != -math.inf
+
+
+def test_batched_scores_match_brute_force(rng):
+    for t in range(1, 5):
+        grid = random_grid(rng, t, 3)
+        targets = [list(tg) for length in range(4)
+                   for tg in itertools.product(range(2), repeat=length)]
+        got = ctc_forward_logprob(np.log(grid), targets, 2)
+        for target, score in zip(targets, got):
+            want = brute_force_ctc_logprob(grid, target, 2)
+            if want == -math.inf:
+                assert score == -math.inf
+            else:
+                assert score == pytest.approx(want, abs=1e-9)
+
+
+def test_batched_scores_of_no_targets_are_empty(rng):
+    assert ctc_forward_logprob(np.log(random_grid(rng, 4, 3)), [], 2) == []
 
 
 def test_greedy_decode_blank_only():

@@ -123,7 +123,7 @@ def test_lambda_scaling_invariance_of_argmax(rng):
     scored = []
     for seq in candidates:
         phones = [p for w in seq for p in lex.pronunciations[w]]
-        ac = ctc_forward_logprob(log_grid, phones, 54)
+        ac = ctc_forward_logprob(log_grid, [phones], 54)[0]
         if ac == float("-inf"):
             continue
         tokens = [t for w in seq for t in word_tokens(w, lex.phone_symbols(w), "phone")]
@@ -266,6 +266,49 @@ def test_grid_too_short_for_any_word_is_incomplete():
         assert out.words == [] and not out.complete
         assert out.score == pytest.approx(3 * np.log(1.0 / 55))  # the empty transcript
     assert beam_decode(np.log(np.full((4, 55), 1.0 / 55)), lex, lm_weight=0.0).complete
+
+
+def test_batched_rescoring_decodes_like_one_recursion_per_finalist(rng, monkeypatch):
+    vocab = phone_vocab()
+    cases = []
+    for trial in range(8):
+        words = sorted(rng.choice(REFERENCE_POOL, size=int(rng.integers(6, 11)), replace=False))
+        grid = rand_grid(rng, int(rng.integers(20, 61)))
+        if trial % 2:
+            grid = grid.astype(np.float32)
+        for lam in (1.0, 0.0):
+            for width in (1, 16, 64):
+                cases.append((grid, build_lexicon(list(words)), make_lm(vocab, seed=trial % 5), lam,
+                              width))
+
+    def run():
+        return [beam_decode(grid, lex, lm, vocab, lm_weight=lam, beam_width=width)
+                for grid, lex, lm, lam, width in cases]
+
+    batch_sizes = []
+
+    def recording(log_grid, targets, blank):
+        batch_sizes.append(len(targets))
+        return batched(log_grid, targets, blank)
+
+    batched = decoder.ctc_forward_logprob
+    monkeypatch.setattr(decoder, "ctc_forward_logprob", recording)
+    got = run()
+    monkeypatch.setattr(decoder, "ctc_forward_logprob", lambda log_grid, targets, blank: [
+        batched(log_grid, [target], blank)[0] for target in targets])
+    want = run()
+    assert got == want  # words, score, complete and stats
+    assert [repr(t.score) for t in got] == [repr(t.score) for t in want]
+    assert len(batch_sizes) == len(cases) and max(batch_sizes) >= 10
+
+
+@pytest.mark.parametrize("weights", [dict(lm_weight=float("nan")), dict(lm_weight=float("inf")),
+                                     dict(word_bonus=float("nan")), dict(word_bonus=float("-inf"))])
+def test_non_finite_weights_raise(rng, weights):
+    vocab = phone_vocab()
+    with pytest.raises(ValueError, match="finite"):
+        beam_decode(rand_grid(rng, 10), build_lexicon(["baba", "mhoro"]), make_lm(vocab), vocab,
+                    **weights)
 
 
 def test_transcript_text():

@@ -1,8 +1,9 @@
 """Every name a module imports is read somewhere in that module.
 
 No linter ships with the project, so this scan stands in for the
-unused-import check. Package `__init__.py` files import to re-export and
-are skipped, as are `from __future__` imports.
+unused-import check. It covers the package, the tests and the benchmark
+harness (`bench/`, read only). Package `__init__.py` files import to
+re-export and are skipped, as are `from __future__` imports.
 """
 
 import ast
@@ -11,8 +12,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(p for d in (ROOT / "src" / "shona_asr", ROOT / "tests") for p in d.glob("*.py")
-                 if p.name != "__init__.py")
+MODULES = sorted(p for d, pattern in ((ROOT / "src" / "shona_asr", "*.py"), (ROOT / "tests", "*.py"),
+                                      (ROOT / "bench", "**/*.py"))
+                 for p in d.glob(pattern) if p.name != "__init__.py")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,6 +39,7 @@ def test_scan_finds_an_unused_import():
         "line 1: json", "line 3: b"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+@pytest.mark.parametrize("path", MODULES,
+                         ids=lambda p: p.relative_to(ROOT).as_posix().removeprefix("src/"))
 def test_module_reads_every_import(path):
     assert unused_imports(path.read_text()) == []

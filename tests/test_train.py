@@ -1,15 +1,18 @@
 import dataclasses
 import importlib
 import json
+import math
 
 import numpy as np
 import pytest
 
+from shona_asr import autodiff as ad
 from shona_asr.acoustic import AcousticConfig
 from shona_asr.augment import AugmentPolicy
 from shona_asr.checkpoint import load_checkpoint, params_hash, save_checkpoint
 from shona_asr.corpusgen import GenConfig, generate_corpus
-from shona_asr.errors import DataError
+from shona_asr.ctc import ctc_loss
+from shona_asr.errors import DataError, VerificationError
 from shona_asr.lm import LmConfig, TokenVocab
 from shona_asr.manifest import split_corpus
 from shona_asr.optim import OptimizerState, optimizer_step
@@ -244,3 +247,51 @@ def test_frozen_tensors_unchanged_after_optimizer_steps(tiny_result):
             assert np.array_equal(t.data, before[name])
         else:
             assert not np.array_equal(t.data, before[name])
+
+
+def poison_first_ctc_loss(monkeypatch, poison):
+    """Make train's first ctc_loss call return poison(loss); the others stay real."""
+    calls = []
+
+    def patched(grid, target):
+        loss = ctc_loss(grid, target)
+        calls.append(target)
+        return poison(loss) if len(calls) == 1 else loss
+
+    monkeypatch.setattr(importlib.import_module("shona_asr.train"), "ctc_loss", patched)
+    return calls
+
+
+def test_non_finite_loss_skips_its_backward_pass(tiny_result, tiny_corpus, monkeypatch):
+    # a NaN loss whose backward would turn every gradient into NaN
+    cfg = dataclasses.replace(tiny_result[0], epochs_max=1, patience=1)
+    clean = train(cfg, tiny_corpus)
+    calls = poison_first_ctc_loss(monkeypatch, lambda loss: ad.scale(loss, math.nan))
+    result = train(cfg, tiny_corpus)
+    assert calls
+    assert result.epoch_log[0]["skipped"] == clean.epoch_log[0]["skipped"] + 1
+    assert math.isfinite(result.epoch_log[0]["train_ctc"])
+    assert all(np.isfinite(t).all() for t in result.checkpoint.tensors.values())
+
+
+def test_non_finite_gradient_drops_the_update_and_clears_the_grads(tiny_result, tiny_corpus,
+                                                                  monkeypatch):
+    # a finite loss whose backward turns its batch's gradients into NaN
+    cfg = dataclasses.replace(tiny_result[0], epochs_max=1, patience=1, batch_size=2)
+    clean = train(cfg, tiny_corpus)
+    poison_first_ctc_loss(monkeypatch, lambda loss: ad._node(
+        loss.data, (loss,), lambda g: ad._accumulate(loss, g * math.nan)))
+    result = train(cfg, tiny_corpus)
+    # only the first batch's update is lost; a NaN left in the grads would spoil every later one
+    assert result.epoch_log[0]["skipped"] == clean.epoch_log[0]["skipped"] + 2
+    assert math.isfinite(result.epoch_log[0]["train_ctc"])
+    assert all(np.isfinite(t).all() for t in result.checkpoint.tensors.values())
+    assert result.best_hash != clean.best_hash
+
+
+def test_non_finite_losses_in_most_utterances_raise_verification_error(tiny_result, tiny_corpus,
+                                                                        monkeypatch):
+    monkeypatch.setattr(importlib.import_module("shona_asr.train"), "ctc_loss",
+                        lambda grid, target: ad.scale(ctc_loss(grid, target), math.nan))
+    with pytest.raises(VerificationError, match="non-finite"):
+        train(dataclasses.replace(tiny_result[0], epochs_max=1, patience=1), tiny_corpus)
