@@ -18,7 +18,7 @@ from .ctc import ctc_greedy_decode, ctc_loss
 from .lm import LmConfig, TokenVocab, build_lm, lm_score, lm_train, perplexity
 from .phones import PhoneInventory, default_inventory, g2p
 from .lexicon import Lexicon, build_lexicon
-from .decoder import Transcript, beam_decode, exhaustive_decode
+from .decoder import Transcript, beam_decode
 from .metrics import Alignment, MetricsReport, align, per, report, ser, wer
 from .manifest import CorpusManifest, load_manifest, split_corpus
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint

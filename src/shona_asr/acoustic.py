@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Parameters, Tensor
+from .autodiff import Layout, Parameters, Tensor
 from .features import FeatureMatrix
 
 FEATURE_DIM = 39
@@ -54,32 +54,26 @@ def output_frames(n_frames: int) -> int:
     return (n_frames // 2) // 2
 
 
-def build_acoustic_model(cfg: AcousticConfig, n_phones: int, seed: int) -> Parameters:
-    """Fresh parameters for the acoustic network; deterministic in seed.
+def acoustic_layout(cfg: AcousticConfig, n_phones: int) -> Layout:
+    """Name, shape and init fan of every acoustic tensor, in draw order.
 
     The output layer has n_phones + 1 rows, the extra one being the blank.
     """
     if n_phones < 2:
         raise ValueError(f"need at least 2 phones, got {n_phones}")
-    rng = np.random.default_rng(seed)
-    k = cfg.kernel_size
-    params = Parameters()
-    params.add("conv1.kernels", ad.he_uniform(rng, (cfg.conv1_filters, 1, k, k), fan_in=k * k))
-    params.add("conv1.bias", np.zeros(cfg.conv1_filters))
-    params.add("conv2.kernels",
-               ad.he_uniform(rng, (cfg.conv2_filters, cfg.conv1_filters, k, k),
-                             fan_in=cfg.conv1_filters * k * k))
-    params.add("conv2.bias", np.zeros(cfg.conv2_filters))
-    dense_in = cfg.conv2_filters * output_frames(FEATURE_DIM)  # the feature axis pools alike
-    params.add("dense.W", ad.he_uniform(rng, (cfg.dense_units, dense_in), fan_in=dense_in))
-    params.add("dense.b", np.zeros(cfg.dense_units))
+    k, c1, c2, d = cfg.kernel_size, cfg.conv1_filters, cfg.conv2_filters, cfg.dense_units
+    dense_in = c2 * output_frames(FEATURE_DIM)  # the feature axis pools alike
+    layout = [("conv1.kernels", (c1, 1, k, k), k * k), ("conv1.bias", (c1,), 0),
+              ("conv2.kernels", (c2, c1, k, k), c1 * k * k), ("conv2.bias", (c2,), 0),
+              ("dense.W", (d, dense_in), dense_in), ("dense.b", (d,), 0)]
     if cfg.use_attention:
-        d = cfg.dense_units
-        for name in ("attn.Wq", "attn.Wk", "attn.Wv"):
-            params.add(name, ad.xavier_uniform(rng, (d, d), fan_in=d, fan_out=d))
-    params.add("out.W", ad.he_uniform(rng, (n_phones + 1, cfg.dense_units), fan_in=cfg.dense_units))
-    params.add("out.b", np.zeros(n_phones + 1))
-    return params
+        layout += [(name, (d, d), d + d) for name in ("attn.Wq", "attn.Wk", "attn.Wv")]
+    return layout + [("out.W", (n_phones + 1, d), d), ("out.b", (n_phones + 1,), 0)]
+
+
+def build_acoustic_model(cfg: AcousticConfig, n_phones: int, seed: int) -> Parameters:
+    """Fresh parameters for the acoustic network; deterministic in seed."""
+    return Parameters.draw(acoustic_layout(cfg, n_phones), np.random.default_rng(seed))
 
 
 def acoustic_forward(params: Parameters, feats, cfg: AcousticConfig | None = None) -> Tensor:

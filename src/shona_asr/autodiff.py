@@ -104,11 +104,31 @@ def backward(loss: Tensor) -> None:
             node._backward(node.grad)
 
 
+# (name, shape, fan) of every tensor of a model, in draw order; see Parameters.draw
+Layout = list[tuple[str, tuple[int, ...], int]]
+
+
 class Parameters:
     """Named map of trainable tensors."""
 
     def __init__(self):
         self._tensors: dict[str, Tensor] = {}
+
+    @classmethod
+    def draw(cls, layout: Layout, rng: np.random.Generator) -> "Parameters":
+        """Fresh float64 tensors for a layout, drawn from rng in its order.
+
+        A tensor is uniform on +-sqrt(6 / fan): He init with fan = fan_in,
+        Glorot with fan = fan_in + fan_out. A fan of 0 means zeros and no draw.
+        """
+        params = cls()
+        for name, shape, fan in layout:
+            if fan:
+                bound = math.sqrt(6.0 / fan)
+                params.add(name, rng.uniform(-bound, bound, size=shape))
+            else:
+                params.add(name, np.zeros(shape))
+        return params
 
     def add(self, name: str, data: np.ndarray) -> Tensor:
         if name in self._tensors:
@@ -519,17 +539,3 @@ def attention_layer(seq: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor) -> Tenso
     scores = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(d))
     weights = softmax(scores)
     return add(seq, matmul(weights, v))
-
-
-# ---------------------------------------------------------------------------
-# initialization
-# ---------------------------------------------------------------------------
-
-def he_uniform(rng: np.random.Generator, shape: tuple, fan_in: int) -> np.ndarray:
-    bound = math.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def xavier_uniform(rng: np.random.Generator, shape: tuple, fan_in: int, fan_out: int) -> np.ndarray:
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)

@@ -132,6 +132,8 @@ def load_checkpoint(path) -> Checkpoint:
         if end > len(payload):
             raise DataError(f"{path}: tensor {name!r} extends past payload")
         tensors[name] = np.frombuffer(payload[start:end], dtype="<f4").reshape(shape)
+        if not np.isfinite(tensors[name]).all():
+            raise DataError(f"{path}: tensor {name!r} holds a non-finite value")
     return Checkpoint(
         config=header["config"],
         inventory_lines=header["inventory"],

@@ -10,8 +10,9 @@ transcript maximizes
     log P(X|W) + lm_weight * log P(W) + word_bonus * |W|
 
 which reduces to the plain acoustic-times-prior product at lm_weight=1,
-word_bonus=0. exhaustive_decode computes the same objective by brute
-force on guard-railed tiny instances and serves as the search oracle.
+word_bonus=0. The test oracles (`tests/oracles.py`) check it against a
+brute-force enumeration of the same objective on tiny instances and a
+dict-of-hypotheses reference search on larger ones.
 """
 
 from __future__ import annotations
@@ -264,53 +265,3 @@ def beam_decode(grid: PosteriorGrid | np.ndarray, lexicon: Lexicon,
         return Transcript(words=[], score=NEG_INF, complete=False, stats=stats)
     return Transcript(words=list(hists.words[best[1]]), score=best[0],
                       complete=log_y.shape[0] >= lexicon.min_frames, stats=stats)
-
-
-def exhaustive_decode(grid: PosteriorGrid | np.ndarray, lexicon: Lexicon,
-                      lm_params: Parameters | None = None, vocab: TokenVocab | None = None,
-                      lm_weight: float = 1.0, word_bonus: float = 0.0,
-                      max_words: int = 3) -> Transcript:
-    """Enumerate every word sequence up to max_words and score it exactly.
-
-    Guard rails keep this to oracle-sized problems: at most 5 lexicon
-    words, 8 grid rows, and 3-word sequences.
-    """
-    log_grid = grid.log_probs if isinstance(grid, PosteriorGrid) else np.asarray(grid)
-    t_frames = log_grid.shape[0]
-    if len(lexicon) > 5 or t_frames > 8 or max_words > 3:
-        raise ValueError(f"guard rail: lexicon<=5, frames<=8, max_words<=3; "
-                         f"got {len(lexicon)}, {t_frames}, {max_words}")
-    blank = log_grid.shape[1] - 1
-    words = lexicon.words()
-
-    use_lm = lm_params is not None and lm_weight != 0.0
-    weights = LmWeights.from_params(lm_params) if use_lm else None
-
-    def lm_total(seq: tuple[str, ...]) -> float:
-        if weights is None:
-            return 0.0
-        state = lm_initial_state(weights)
-        last = np.array([vocab.bos])
-        total = 0.0
-        for w in seq:
-            tokens = word_tokens(w, lexicon.phone_symbols(w), vocab.granularity)
-            state, last, inc = score_tokens(weights, state, last,
-                                            [[vocab.index(tk) for tk in tokens]])
-            total += float(inc[0])
-        return total + float(sequence_logprob_end(weights, state, last, vocab)[0])
-
-    best: tuple[float, tuple[str, ...]] | None = None
-    stack: list[tuple[str, ...]] = [()]
-    while stack:
-        seq = stack.pop()
-        phones = [p for w in seq for p in lexicon.pronunciations[w]]
-        acoustic = ctc_forward_logprob(log_grid, [phones], blank)[0]
-        if acoustic != NEG_INF:
-            score = acoustic + lm_weight * lm_total(seq) + word_bonus * len(seq)
-            if best is None or score > best[0] or (score == best[0] and seq < best[1]):
-                best = (score, seq)
-        if len(seq) < max_words:
-            stack.extend(seq + (w,) for w in words)
-    if best is None or best[0] == NEG_INF:
-        return Transcript(words=[], score=NEG_INF, complete=False)
-    return Transcript(words=list(best[1]), score=best[0], complete=t_frames >= lexicon.min_frames)

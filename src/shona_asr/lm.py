@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Parameters, Tensor
+from .autodiff import Layout, Parameters, Tensor
 from .optim import OptimizerState, optimizer_step
 
 BOS, EOS, WB, UNK = "<s>", "</s>", "<wb>", "<unk>"
@@ -62,10 +62,6 @@ class TokenVocab:
     def eos(self) -> int:
         return self._index[EOS]
 
-    @property
-    def wb(self) -> int:
-        return self._index[WB]
-
 
 def word_tokens(word: str, phones: list[str], granularity: str) -> list[str]:
     """Token contribution of one word to the LM stream."""
@@ -81,23 +77,25 @@ class LmConfig:
     lstm2_units: int = 64
 
 
-def build_lm(vocab: TokenVocab, cfg: LmConfig, seed: int) -> Parameters:
-    """Embedding, two stacked LSTM layers, projection back to the vocab."""
+def lm_layout(vocab: TokenVocab, cfg: LmConfig) -> Layout:
+    """Name, shape and init fan of every LM tensor, in draw order."""
     v = len(vocab)
     if v < 3:
         raise ValueError(f"vocab of {v} tokens is too small")
-    rng = np.random.default_rng(seed)
-    params = Parameters()
-    params.add("embed.W", ad.xavier_uniform(rng, (v, cfg.embed_dim), fan_in=v, fan_out=cfg.embed_dim))
-    for name, (d_in, d_out) in (("lstm1", (cfg.embed_dim, cfg.lstm1_units)),
-                                ("lstm2", (cfg.lstm1_units, cfg.lstm2_units))):
-        params.add(f"{name}.W_ih", ad.xavier_uniform(rng, (4 * d_out, d_in), fan_in=d_in, fan_out=d_out))
-        params.add(f"{name}.W_hh", ad.xavier_uniform(rng, (4 * d_out, d_out), fan_in=d_out, fan_out=d_out))
-        bias = np.zeros(4 * d_out)
-        bias[d_out:2 * d_out] = 1.0  # forget gate starts open
-        params.add(f"{name}.b", bias)
-    params.add("out.W", ad.he_uniform(rng, (v, cfg.lstm2_units), fan_in=cfg.lstm2_units))
-    params.add("out.b", np.zeros(v))
+    layout = [("embed.W", (v, cfg.embed_dim), v + cfg.embed_dim)]
+    for name, d_in, d_out in (("lstm1", cfg.embed_dim, cfg.lstm1_units),
+                              ("lstm2", cfg.lstm1_units, cfg.lstm2_units)):
+        layout += [(f"{name}.W_ih", (4 * d_out, d_in), d_in + d_out),
+                   (f"{name}.W_hh", (4 * d_out, d_out), d_out + d_out),
+                   (f"{name}.b", (4 * d_out,), 0)]
+    return layout + [("out.W", (v, cfg.lstm2_units), cfg.lstm2_units), ("out.b", (v,), 0)]
+
+
+def build_lm(vocab: TokenVocab, cfg: LmConfig, seed: int) -> Parameters:
+    """Embedding, two stacked LSTM layers, projection back to the vocab."""
+    params = Parameters.draw(lm_layout(vocab, cfg), np.random.default_rng(seed))
+    for name, k in (("lstm1", cfg.lstm1_units), ("lstm2", cfg.lstm2_units)):
+        params[f"{name}.b"].data[k:2 * k] = 1.0  # forget gate starts open
     return params
 
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .acoustic import (AcousticConfig, acoustic_forward, build_acoustic_model, output_frames,
-                       posteriors)
+from .acoustic import (AcousticConfig, acoustic_forward, acoustic_layout, build_acoustic_model,
+                       output_frames, posteriors)
 from .audio import AudioBuffer, load_wav
 from .augment import AugmentPolicy, augment_audio, spec_augment
 from .checkpoint import Checkpoint, load_checkpoint, params_hash
@@ -29,7 +29,7 @@ from .decoder import DecodeStats, beam_decode
 from .errors import DataError, VerificationError
 from .features import extract_features
 from .lexicon import Lexicon, build_lexicon
-from .lm import LmConfig, TokenVocab, build_lm, corpus_loss, lm_train, word_tokens
+from .lm import LmConfig, TokenVocab, build_lm, corpus_loss, lm_layout, lm_train, word_tokens
 from .manifest import CorpusManifest, split_corpus
 from .metrics import MetricsReport, normalize_text, per, report, wer
 from .optim import OptimizerState, optimizer_step
@@ -181,8 +181,7 @@ def warm_start(ckpt: Checkpoint, n_phones: int, vocab: TokenVocab,
     Tensors whose name and shape match are copied. Output layers may
     legitimately differ (new phone set or vocab) and stay freshly
     initialized; any other shape mismatch is an error. The copies are
-    float64, for training. `restore_models` checks a checkpoint against its
-    models through this function too.
+    float64, for training.
     """
     new_acoustic = build_acoustic_model(acoustic_cfg, n_phones, seed)
     new_lm = build_lm(vocab, lm_cfg, seed + 1)
@@ -474,32 +473,39 @@ def restore_models(ckpt: Checkpoint) -> tuple[TrainConfig, PhoneInventory, Token
                                               ad.Parameters, ad.Parameters, Lexicon]:
     """Rebuild configs, inventory, vocab, parameters and lexicon from a checkpoint.
 
-    Every model tensor must be in the checkpoint with its model shape, and
-    the checkpoint may hold no other tensor; otherwise this is a DataError.
-    The parameters hold read-only views of the checkpoint's float32 tensors,
-    so decode and eval compute in float32 (`warm_start` widens to float64
-    for training).
+    Every tensor of the models' layouts must be in the checkpoint with its
+    layout shape, and the checkpoint may hold no other tensor; otherwise
+    this is a DataError. The parameters hold read-only views of the
+    checkpoint's float32 tensors, so decode and eval compute in float32;
+    no model is drawn.
     """
     cfg = TrainConfig.from_dict(ckpt.config)
     inventory = PhoneInventory.from_lines(ckpt.inventory_lines)
     vocab = TokenVocab(list(ckpt.vocab), cfg.granularity)
-    ws = warm_start(ckpt, len(inventory), vocab, cfg.acoustic, cfg.lm)
-    if ws.reinitialized:
-        raise DataError("checkpoint tensors missing or of the wrong shape for its config: "
-                        + ", ".join(ws.reinitialized))
-    model_names = set()
-    for prefix, params in (("acoustic.", ws.acoustic), ("lm.", ws.lm)):
-        for name, tensor in params.items():
+    acoustic, lm = ad.Parameters(), ad.Parameters()
+    mismatched, model_names = [], set()
+    for prefix, layout, params in (
+            ("acoustic.", acoustic_layout(cfg.acoustic, len(inventory)), acoustic),
+            ("lm.", lm_layout(vocab, cfg.lm), lm)):
+        for name, shape, _ in layout:
             model_names.add(prefix + name)
-            tensor.data = ckpt.tensors[prefix + name].view()
-            tensor.data.flags.writeable = False
+            stored = ckpt.tensors.get(prefix + name)
+            if stored is None or stored.shape != shape:
+                mismatched.append(prefix + name)
+                continue
+            view = stored.view()
+            view.flags.writeable = False
+            params.add(name, view)
+    if mismatched:
+        raise DataError("checkpoint tensors missing or of the wrong shape for its config: "
+                        + ", ".join(mismatched))
     unknown = sorted(set(ckpt.tensors) - model_names)
     if unknown:
         raise DataError("checkpoint holds tensors its config's models lack: " + ", ".join(unknown))
     if not cfg.lexicon_words:
         raise DataError("checkpoint config carries no lexicon_words; cannot decode")
     lexicon = build_lexicon(cfg.lexicon_words, inventory)
-    return cfg, inventory, vocab, ws.acoustic, ws.lm, lexicon
+    return cfg, inventory, vocab, acoustic, lm, lexicon
 
 
 def evaluate(ckpt: Checkpoint, split: CorpusManifest,

@@ -3,10 +3,10 @@
 Each oracle takes the dumbest correct route: O(N^2) DFT matrices, 4-loop
 convolution, exhaustive path enumeration for the sequence loss, plain
 recursion for edit distance. They deliberately share no code with the
-package internals they check, with one exception: the reference beam
-search scores words with the package's LM step and exact CTC forward
-recursion, which have oracles of their own, so that it checks only the
-array search's bookkeeping.
+package internals they check, with one exception: the two search
+oracles (the exhaustive decoder and the reference beam search) score
+words with the package's LM step and exact CTC forward recursion, which
+have oracles of their own, so that they check only the search.
 """
 
 import itertools
@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from shona_asr.ctc import ctc_forward_logprob
+from shona_asr.decoder import Transcript
 from shona_asr.lm import (LmWeights, lm_initial_state, score_tokens, sequence_logprob_end,
                           word_tokens)
 
@@ -342,3 +343,39 @@ def reference_beam_decode(log_y: np.ndarray, lexicon, lm_params=None, vocab=None
     if best is None:
         return [], neg_inf
     return list(best[1]), best[0]
+
+
+def exhaustive_decode(log_grid: np.ndarray, lexicon, lm_params=None, vocab=None,
+                      lm_weight: float = 1.0, word_bonus: float = 0.0,
+                      max_words: int = 3) -> Transcript:
+    """Enumerate every word sequence up to max_words and score it exactly.
+
+    The objective is `beam_decode`'s; ties go to the smaller word tuple.
+    Guard rails keep this to oracle-sized problems: at most 5 lexicon
+    words, 8 grid rows, and 3-word sequences.
+    """
+    log_grid = np.asarray(log_grid)
+    t_frames = log_grid.shape[0]
+    if len(lexicon) > 5 or t_frames > 8 or max_words > 3:
+        raise ValueError(f"guard rail: lexicon<=5, frames<=8, max_words<=3; "
+                         f"got {len(lexicon)}, {t_frames}, {max_words}")
+    blank = log_grid.shape[1] - 1
+    words = lexicon.words()
+    fusion = (_ReferenceLm(lm_params, vocab, lexicon)
+              if lm_params is not None and lm_weight != 0.0 else _NoLm())
+
+    best = None
+    stack = [()]
+    while stack:
+        seq = stack.pop()
+        phones = [p for w in seq for p in lexicon.pronunciations[w]]
+        acoustic = ctc_forward_logprob(log_grid, [phones], blank)[0]
+        if acoustic != -math.inf:
+            score = acoustic + lm_weight * fusion.final_total(seq) + word_bonus * len(seq)
+            if best is None or score > best[0] or (score == best[0] and seq < best[1]):
+                best = (score, seq)
+        if len(seq) < max_words:
+            stack.extend(fusion.extend(seq, w) for w in words)
+    if best is None or best[0] == -math.inf:
+        return Transcript(words=[], score=-math.inf, complete=False)
+    return Transcript(words=list(best[1]), score=best[0], complete=t_frames >= lexicon.min_frames)

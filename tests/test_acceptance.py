@@ -14,7 +14,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from oracles import (brute_force_ctc_logprob, naive_mel_energies, recursive_edit_distance)
+from oracles import (brute_force_ctc_logprob, exhaustive_decode, naive_mel_energies,
+                     recursive_edit_distance)
 from shona_asr.audio import AudioBuffer
 from shona_asr.augment import AugmentPolicy
 from shona_asr.autodiff import Tensor
@@ -22,7 +23,7 @@ from shona_asr.checkpoint import load_checkpoint, params_hash, save_checkpoint
 from shona_asr.cli import main as cli_main
 from shona_asr.corpusgen import GenConfig, generate_corpus
 from shona_asr.ctc import ctc_forward_logprob, ctc_loss, min_frames
-from shona_asr.decoder import beam_decode, exhaustive_decode
+from shona_asr.decoder import beam_decode
 from shona_asr.features import MelConfig, frame_count, mel_spectrogram
 from shona_asr.lexicon import build_lexicon
 from shona_asr.lm import LmConfig, TokenVocab, build_lm, lm_score, lm_train, perplexity

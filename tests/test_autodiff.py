@@ -38,6 +38,18 @@ def test_tensor_keeps_float32_and_widens_everything_else(rng):
     assert Parameters().add("w", rng.normal(size=(2, 3))).data.dtype == np.float64
 
 
+def test_draw_follows_the_layout_and_skips_zero_fans():
+    layout = [("w", (300, 4), 6), ("b", (4,), 0), ("v", (2, 3), 24)]
+    params = Parameters.draw(layout, np.random.default_rng(7))
+    assert [(name, t.data.shape, t.data.dtype) for name, t in params.items()] == [
+        ("w", (300, 4), np.float64), ("b", (4,), np.float64), ("v", (2, 3), np.float64)]
+    assert np.abs(params["w"].data).max() <= 1.0 < 2 * np.abs(params["w"].data).max()
+    assert not params["b"].data.any()
+    rng = np.random.default_rng(7)  # the zero-fan tensor consumes no draw
+    rng.uniform(-1.0, 1.0, size=(300, 4))
+    assert np.array_equal(params["v"].data, rng.uniform(-0.5, 0.5, size=(2, 3)))
+
+
 def test_conv2d_computes_in_its_input_dtype(rng):
     x = rng.normal(size=(2, 7, 6)).astype(np.float32)
     k = rng.normal(size=(3, 2, 3, 3)).astype(np.float32)

@@ -104,10 +104,19 @@ def test_checkpoint_config_value_of_wrong_type_exits_2(trained_ckpt, corpus_dir,
     assert main(["decode", "--ckpt", str(bad), "--wav", str(wav)]) == 2
 
 
+def with_one_nan(arr):
+    out = arr.copy()
+    out.flat[0] = np.nan
+    return out
+
+
 TENSOR_EDITS = {
     "acoustic-out-missing": lambda t: t.pop("acoustic.out.W"),
     "acoustic-bogus-extra": lambda t: t.update({"acoustic.bogus": np.zeros(3, np.float32)}),
     "lm-out-one-row-short": lambda t: t.update({"lm.out.W": t["lm.out.W"][:-1]}),
+    "acoustic-conv2-one-filter-short":
+        lambda t: t.update({"acoustic.conv2.kernels": t["acoustic.conv2.kernels"][:-1]}),
+    "lm-weight-nan": lambda t: t.update({"lm.lstm1.W_hh": with_one_nan(t["lm.lstm1.W_hh"])}),
 }
 
 

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import params_as
-from oracles import reference_beam_decode
+from oracles import exhaustive_decode, reference_beam_decode
 from shona_asr import decoder
-from shona_asr.decoder import DecodeStats, Transcript, beam_decode, exhaustive_decode
+from shona_asr.decoder import DecodeStats, Transcript, beam_decode
 from shona_asr.lexicon import build_lexicon
 from shona_asr.lm import LmConfig, TokenVocab, build_lm
 from shona_asr.phones import default_inventory

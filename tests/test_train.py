@@ -175,6 +175,26 @@ def test_restore_models_keeps_the_checkpoint_float32_read_only(tiny_result):
     assert {name: arr.flags.writeable for name, arr in ckpt.tensors.items()} == writeable
 
 
+def test_restore_models_draws_no_model(tiny_result, monkeypatch):
+    ckpt = tiny_result[1].checkpoint
+    train_mod = importlib.import_module("shona_asr.train")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("restore_models drew a model")
+
+    for owner, name in ((train_mod, "build_acoustic_model"), (train_mod, "build_lm"),
+                        (train_mod, "warm_start"), (ad.Parameters, "draw"),
+                        (np.random, "default_rng")):
+        monkeypatch.setattr(owner, name, refuse)
+    _, _, _, acoustic, lm, _ = restore_models(ckpt)
+    restored = {prefix + name: t.data for prefix, params in (("acoustic.", acoustic), ("lm.", lm))
+                for name, t in params.items()}
+    assert set(restored) == set(ckpt.tensors)
+    for name, data in restored.items():
+        assert data.dtype == np.float32 and not data.flags.writeable
+        assert np.shares_memory(data, ckpt.tensors[name])
+
+
 def test_warm_start_and_training_run_in_float64(tiny_result, tiny_corpus, tmp_path, monkeypatch):
     cfg, result = tiny_result
     ckpt = result.checkpoint
