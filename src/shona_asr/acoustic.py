@@ -79,9 +79,9 @@ def build_acoustic_model(cfg: AcousticConfig, n_phones: int, seed: int) -> Param
 def acoustic_forward(params: Parameters, feats, cfg: AcousticConfig | None = None) -> Tensor:
     """Differentiable forward pass; returns the [T', P+1] log-posterior tensor.
 
-    The features are cast to the parameters' dtype, so float64 parameters
-    (training) give a float64 grid and a checkpoint's float32 ones a
-    float32 grid.
+    The features are cast to the parameters' dtype, so float32 parameters
+    (training, and a checkpoint's) give a float32 grid and float64 ones
+    (the gradient checks) a float64 grid.
     """
     cfg = cfg or AcousticConfig(use_attention="attn.Wq" in params)
     values = np.asarray(feats.values if isinstance(feats, FeatureMatrix) else feats,

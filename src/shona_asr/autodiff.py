@@ -7,12 +7,13 @@ topological order. The op set is exactly what the two models here need:
 sequence-level LSTM layer, softmax family, and single-head scaled
 dot-product attention.
 
-Training runs in float64: a Tensor stores anything but a float32 array
-as float64, and the gradient checks need that width. A float32 array is
-kept as it is, and the forward ops compute in their inputs' dtype, so
-decode and eval run the checkpoint's float32 tensors through the same
-code. A graph must stay on one thread from forward through backward, but
-separate graphs are independent.
+A Tensor keeps a float32 array as it is and stores anything else as
+float64. The ops compute in their inputs' dtype, and a gradient lands in
+its tensor's dtype, so one code path serves both widths: training casts
+freshly drawn parameters to float32 and decode and eval run the
+checkpoint's float32 tensors, while the finite-difference gradient checks
+build float64 parameters, which they need. A graph must stay on one thread
+from forward through backward, but separate graphs are independent.
 """
 
 from __future__ import annotations
@@ -48,8 +49,9 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.array(g, dtype=t.data.dtype)  # a copy: g may be a view
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -120,6 +122,8 @@ class Parameters:
 
         A tensor is uniform on +-sqrt(6 / fan): He init with fan = fan_in,
         Glorot with fan = fan_in + fan_out. A fan of 0 means zeros and no draw.
+        Training casts the drawn tensors to float32 once, so the draws and
+        the random stream are the same at either width.
         """
         params = cls()
         for name, shape, fan in layout:
@@ -484,7 +488,9 @@ def lstm_layer(xs: Tensor, w_ih: Tensor, w_hh: Tensor, b: Tensor) -> Tensor:
     the recurrent product U h runs per step. The backward pass fills the
     gate-gradient matrix dA [T, 4k] in one reverse loop, then forms the
     weight gradients as two GEMMs, dW_ih = dA^T X and dW_hh = dA[1:]^T H[:-1]
-    (Appleyard, Kocisky & Blunsom 2016, arXiv:1604.01946).
+    (Appleyard, Kocisky & Blunsom 2016, arXiv:1604.01946). The zero states
+    and the backward buffers take the weights' dtype, so float32 weights
+    step in float32 throughout.
     """
     if xs.data.ndim != 2 or xs.data.shape[0] == 0:
         raise ValueError(f"lstm_layer expects a non-empty [T, d] input, got {xs.data.shape}")
@@ -492,7 +498,8 @@ def lstm_layer(xs: Tensor, w_ih: Tensor, w_hh: Tensor, b: Tensor) -> Tensor:
     _check_lstm_shapes(w_ih, w_hh, b, k, xs.data.shape[1])
     u = w_hh.data
     proj = xs.data @ w_ih.data.T + b.data
-    h, c = np.zeros(k), np.zeros(k)
+    zero = np.zeros(k, dtype=u.dtype)  # the initial states; never written in place
+    h, c = zero, zero
     steps = []
     for t in range(n_steps):
         i_g, f_g, g_g, o_g, c, tanh_c = lstm_gates(proj[t] + u @ h, c)
@@ -501,16 +508,16 @@ def lstm_layer(xs: Tensor, w_ih: Tensor, w_hh: Tensor, b: Tensor) -> Tensor:
     i_s, f_s, g_s, o_s, c_s, tanh_cs, h_s = (np.array(a) for a in zip(*steps))
 
     def bwd(grad):
-        c_prev = np.vstack([np.zeros(k), c_s[:-1]])
+        c_prev = np.vstack([zero, c_s[:-1]])
         # dA[:, :3k] = dc * [g i (1-i), c_prev f (1-f), i (1-g^2)] and
         # dA[:, 3k:] = dh * tanh(c) o (1-o); dc gains dh * o (1 - tanh(c)^2).
         via_dc = np.stack([g_s * i_s * (1.0 - i_s), c_prev * f_s * (1.0 - f_s),
                            i_s * (1.0 - g_s * g_s)], axis=1)
         via_dh = tanh_cs * o_s * (1.0 - o_s)
         dh_to_dc = o_s * (1.0 - tanh_cs * tanh_cs)
-        d_a = np.empty((n_steps, 4 * k))
+        d_a = np.empty((n_steps, 4 * k), dtype=u.dtype)
         d_a3 = d_a[:, :3 * k].reshape(n_steps, 3, k)
-        dh_next, dc_next = np.zeros(k), np.zeros(k)
+        dh_next, dc_next = zero, zero
         for t in range(n_steps - 1, -1, -1):
             dh = grad[t] + dh_next
             dc = dc_next + dh * dh_to_dc[t]

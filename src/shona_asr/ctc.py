@@ -126,6 +126,8 @@ def ctc_loss(log_grid: Tensor, target: list[int], blank: int | None = None) -> T
     aligned within T frames. The gradient with respect to log_grid[t, c]
     is minus the posterior occupancy of class c at frame t, so chained
     through log_softmax it is softmax - occupancy with respect to logits.
+    The recursions, the loss and the occupancy are float64 whatever the
+    grid's dtype; the gradient lands in the grid's dtype.
     """
     t_frames, k = log_grid.data.shape
     blank = k - 1 if blank is None else blank

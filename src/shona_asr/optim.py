@@ -19,7 +19,8 @@ class OptimizerState:
     step_count: int = 0
     frozen_prefixes: tuple[str, ...] = ()
     moments: dict = field(default_factory=dict)  # name -> (m, v), updated in place
-    # two flat work buffers, as long as the largest parameter, reused by every update
+    # two flat work buffers, as long as the largest parameter and in the widest
+    # parameter dtype (float32 at least), reused by every update
     scratch: np.ndarray = field(default_factory=lambda: np.empty((2, 0)), repr=False)
 
     def __post_init__(self):
@@ -45,8 +46,9 @@ def optimizer_step(state: OptimizerState, params: Parameters) -> None:
         raise ValueError(f"missing gradients for {missing}")
     state.step_count += 1
     largest = max((t.data.size for _, t in params.items()), default=0)
-    if state.scratch.shape[1] < largest:
-        state.scratch = np.empty((2, largest))
+    dtype = np.result_type(np.float32, *(t.data.dtype for _, t in params.items()))
+    if state.scratch.shape[1] < largest or state.scratch.dtype != dtype:
+        state.scratch = np.empty((2, largest), dtype=dtype)
     b1, b2, lr = state.beta1, state.beta2, state.learning_rate
     bias1 = 1.0 - b1 ** state.step_count
     bias2 = 1.0 - b2 ** state.step_count

@@ -75,13 +75,6 @@ class PhoneInventory:
             phones.append(Phone(int(index), symbol, tuple(units.split(","))))
         return cls(phones)
 
-    @classmethod
-    def from_file(cls, path) -> "PhoneInventory":
-        path = Path(path)
-        if not path.exists():
-            raise DataError(f"inventory file not found: {path}")
-        return cls.from_lines(path.read_text(encoding="utf-8").splitlines())
-
     def to_lines(self) -> list[str]:
         return [f"{p.index} {p.symbol} {','.join(p.spellings)}" for p in self.phones]
 

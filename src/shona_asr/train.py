@@ -2,9 +2,10 @@
 
 One epoch loop trains the acoustic model (CTC) and the language model
 (teacher forcing) with independent optimizers, monitors validation PER
-from greedy decoding, and early-stops with patience. The best epoch is kept
-as the float32 tensors its checkpoint holds. The whole run is a pure
-function of (config, manifest).
+from greedy decoding, and early-stops with patience. Both models train in
+float32; the CTC recursion and the loss totals sum in float64. The best
+epoch is kept as a copy of its tensors, which its checkpoint holds. The
+whole run is a pure function of (config, manifest).
 """
 
 from __future__ import annotations
@@ -176,15 +177,15 @@ class WarmStart:
 
 def warm_start(ckpt: Checkpoint, n_phones: int, vocab: TokenVocab,
                acoustic_cfg: AcousticConfig, lm_cfg: LmConfig, seed: int = 0) -> WarmStart:
-    """Initialize new models from a checkpoint.
+    """Initialize new float32 models, for training, from a checkpoint.
 
     Tensors whose name and shape match are copied. Output layers may
     legitimately differ (new phone set or vocab) and stay freshly
-    initialized; any other shape mismatch is an error. The copies are
-    float64, for training.
+    initialized; any other shape mismatch is an error.
     """
     new_acoustic = build_acoustic_model(acoustic_cfg, n_phones, seed)
     new_lm = build_lm(vocab, lm_cfg, seed + 1)
+    _to_float32(new_acoustic, new_lm)
     reinitialized = []
     for prefix, new_params in (("acoustic.", new_acoustic), ("lm.", new_lm)):
         for name, tensor in new_params.items():
@@ -192,13 +193,20 @@ def warm_start(ckpt: Checkpoint, n_phones: int, vocab: TokenVocab,
             if old is None:
                 reinitialized.append(prefix + name)
             elif old.shape == tensor.data.shape:
-                tensor.data = np.array(old, dtype=np.float64)
+                tensor.data[...] = old
             elif name.startswith(("out.", "embed.")):
                 reinitialized.append(prefix + name)
             else:
                 raise DataError(f"incompatible hidden-layer shape for {prefix}{name}: "
                                 f"checkpoint {old.shape} vs model {tensor.data.shape}")
     return WarmStart(new_acoustic, new_lm, reinitialized)
+
+
+def _to_float32(*models: ad.Parameters) -> None:
+    """Cast every tensor of the models to float32, the dtype training runs in."""
+    for params in models:
+        for _, t in params.items():
+            t.data = t.data.astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +275,9 @@ def _prepare_utterances(manifest: CorpusManifest, lexicon: Lexicon) -> tuple[lis
 def _collect_tensors(acoustic_params: ad.Parameters, lm_params: ad.Parameters) -> dict[str, np.ndarray]:
     tensors = {}
     for name, t in acoustic_params.items():
-        tensors["acoustic." + name] = t.data.astype(np.float32)
+        tensors["acoustic." + name] = t.data.copy()
     for name, t in lm_params.items():
-        tensors["lm." + name] = t.data.astype(np.float32)
+        tensors["lm." + name] = t.data.copy()
     return tensors
 
 
@@ -321,6 +329,7 @@ def train(cfg: TrainConfig, manifest: CorpusManifest) -> TrainResult:
     else:
         acoustic_params = build_acoustic_model(cfg.acoustic, len(inventory), seeds[0])
         lm_params = build_lm(vocab, cfg.lm, seeds[1])
+        _to_float32(acoustic_params, lm_params)
 
     ac_frozen = tuple(p[len("acoustic."):] for p in cfg.freeze if p.startswith("acoustic."))
     lm_frozen = tuple(p[len("lm."):] for p in cfg.freeze if p.startswith("lm."))

@@ -25,7 +25,7 @@ def test_quadratic_gradient_is_2w(rng):
 
 
 def test_tensor_keeps_float32_and_widens_everything_else(rng):
-    # training runs in float64; only a float32 array, as a checkpoint holds, stays as it is
+    # the gradient checks need float64; a float32 array (training, a checkpoint) stays as it is
     f32 = rng.normal(size=4).astype(np.float32)
     assert Tensor(f32).data is f32
     f64 = rng.normal(size=4)

@@ -132,6 +132,20 @@ def test_empty_target_sums_a_long_float32_grid_in_float64(rng):
     assert abs(ctc_forward_logprob(grid, [[]], 4)[0] - want) < 1e-9
 
 
+def test_float32_grid_loss_equals_the_widened_grid_loss_bit_for_bit(rng):
+    # training's float32 grid: the recursion widens each emission and sums in float64
+    for trial in range(30):
+        t, k = int(rng.integers(2, 200)), int(rng.integers(2, 9))
+        target = [int(v) for v in rng.integers(0, k - 1, size=int(rng.integers(1, 30)))]
+        if t < min_frames(target):
+            continue
+        grid32 = np.log(random_grid(rng, t, k)).astype(np.float32)
+        narrow = ctc_loss(Tensor(grid32), target).data
+        wide = ctc_loss(Tensor(grid32.astype(np.float64)), target).data
+        assert narrow.dtype == np.float64
+        assert narrow.tobytes() == wide.tobytes(), f"trial {trial}"
+
+
 def test_chain_loss_and_gradient_equal_the_slice_recursion(rng):
     for trial in range(60):
         t, k = int(rng.integers(1, 40)), int(rng.integers(2, 7))

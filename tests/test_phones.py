@@ -23,8 +23,9 @@ def test_inventory_spec_named_digraphs_present():
 
 def test_inventory_round_trips_through_file(tmp_path):
     inv = default_inventory()
-    inv.save(tmp_path / "phones.txt")
-    back = PhoneInventory.from_file(tmp_path / "phones.txt")
+    path = tmp_path / "phones.txt"
+    inv.save(path)
+    back = PhoneInventory.from_lines(path.read_text(encoding="utf-8").splitlines())
     assert back.to_lines() == inv.to_lines()
 
 

@@ -6,14 +6,15 @@ import math
 import numpy as np
 import pytest
 
+from conftest import params_as
 from shona_asr import autodiff as ad
-from shona_asr.acoustic import AcousticConfig
+from shona_asr.acoustic import AcousticConfig, acoustic_forward, build_acoustic_model
 from shona_asr.augment import AugmentPolicy
 from shona_asr.checkpoint import load_checkpoint, params_hash, save_checkpoint
 from shona_asr.corpusgen import GenConfig, generate_corpus
 from shona_asr.ctc import ctc_loss
 from shona_asr.errors import DataError, VerificationError
-from shona_asr.lm import LmConfig, TokenVocab
+from shona_asr.lm import LmConfig, TokenVocab, build_lm, sentence_loss
 from shona_asr.manifest import split_corpus
 from shona_asr.optim import OptimizerState, optimizer_step
 from shona_asr.phones import default_inventory
@@ -195,15 +196,16 @@ def test_restore_models_draws_no_model(tiny_result, monkeypatch):
         assert np.shares_memory(data, ckpt.tensors[name])
 
 
-def test_warm_start_and_training_run_in_float64(tiny_result, tiny_corpus, tmp_path, monkeypatch):
+def test_warm_start_and_training_run_in_float32(tiny_result, tiny_corpus, tmp_path, monkeypatch):
     cfg, result = tiny_result
     ckpt = result.checkpoint
     ws = warm_start(ckpt, len(default_inventory()), TokenVocab(list(ckpt.vocab), "phone"),
                     AcousticConfig(), LmConfig())
     dtypes = {t.data.dtype for params in (ws.acoustic, ws.lm) for _, t in params.items()}
-    assert dtypes == {np.dtype(np.float64)}
+    assert dtypes == {np.dtype(np.float32)}
     path = tmp_path / "warm.ckpt"
     save_checkpoint(ckpt, path)
+
     seen = set()
 
     def recording(opt, params):
@@ -212,9 +214,29 @@ def test_warm_start_and_training_run_in_float64(tiny_result, tiny_corpus, tmp_pa
 
     for module in ("shona_asr.train", "shona_asr.lm"):
         monkeypatch.setattr(importlib.import_module(module), "optimizer_step", recording)
-    train(dataclasses.replace(cfg, epochs_max=1, patience=1, warm_start_path=str(path)),
-          tiny_corpus)
-    assert seen == {np.dtype(np.float64)}
+    one_epoch = dataclasses.replace(cfg, epochs_max=1, patience=1)
+    for run in (one_epoch, dataclasses.replace(one_epoch, warm_start_path=str(path))):
+        seen.clear()
+        train(run, tiny_corpus)
+        assert seen == {np.dtype(np.float32)}
+
+
+def test_float32_parameters_keep_float32_gradients(rng):
+    acoustic = params_as(build_acoustic_model(AcousticConfig(), 54, seed=1), np.float32)
+    feats = rng.normal(size=(40, 39))
+    ad.backward(ctc_loss(acoustic_forward(acoustic, feats), [3, 7, 7, 12]))
+    vocab = TokenVocab.build(default_inventory().symbols(), "phone")
+    lm = params_as(build_lm(vocab, LmConfig(), seed=2), np.float32)
+    ad.backward(sentence_loss(lm, [5, 9, 2, 14, 5], vocab))
+    for params in (acoustic, lm):
+        assert {t.grad.dtype for _, t in params.items()} == {np.dtype(np.float32)}
+    opt = OptimizerState()
+    optimizer_step(opt, acoustic)
+    assert opt.scratch.dtype == np.float32
+    assert {m.dtype for pair in opt.moments.values() for m in pair} == {np.dtype(np.float32)}
+    xs = ad.Tensor(rng.normal(size=(6, 64)).astype(np.float32), requires_grad=True)
+    hs = ad.lstm_layer(xs, lm["lstm1.W_ih"], lm["lstm1.W_hh"], lm["lstm1.b"])
+    assert hs.data.dtype == np.float32
 
 
 def test_train_freezes_the_configured_warm_start_tensors(tiny_result, tiny_corpus, tmp_path):
