@@ -8,7 +8,7 @@ end to end.
 """
 
 from .audio import AudioBuffer, load_wav, save_wav
-from .features import FeatureMatrix, MelConfig, compute_deltas, compute_mfcc, extract_features, stack_features
+from .features import compute_deltas, compute_mfcc, extract_features, stack_features
 from .augment import AugmentPolicy, spec_augment, speed_perturb, volume_perturb
 from .autodiff import Parameters, Tensor, backward
 from .optim import OptimizerState, optimizer_step

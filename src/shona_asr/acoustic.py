@@ -20,7 +20,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Layout, Parameters, Tensor
-from .features import FeatureMatrix
 
 FEATURE_DIM = 39
 
@@ -84,8 +83,7 @@ def acoustic_forward(params: Parameters, feats, cfg: AcousticConfig | None = Non
     (the gradient checks) a float64 grid.
     """
     cfg = cfg or AcousticConfig(use_attention="attn.Wq" in params)
-    values = np.asarray(feats.values if isinstance(feats, FeatureMatrix) else feats,
-                        dtype=params["conv1.kernels"].data.dtype)
+    values = np.asarray(feats, dtype=params["conv1.kernels"].data.dtype)
     t = values.shape[0]
     if output_frames(t) < 1:
         raise ValueError(f"need at least 4 frames to survive two stride-2 pools, got {t}")

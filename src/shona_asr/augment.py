@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio import AudioBuffer
-from .features import FeatureMatrix
 
 
 @dataclass
@@ -26,9 +25,16 @@ class AugmentPolicy:
     seed: int = 0
 
     def __post_init__(self):
+        if not self.speed_factors:
+            raise ValueError("speed_factors must not be empty")
         for f in self.speed_factors:
             if not 0.5 < f < 2.0:
                 raise ValueError(f"speed factor {f} outside (0.5, 2.0)")
+        lo, hi = self.gain_db_range
+        if not -20.0 <= lo <= hi <= 20.0:
+            raise ValueError(f"gain_db_range {self.gain_db_range} needs -20 <= low <= high <= 20")
+        if min(self.n_freq_masks, self.freq_mask_max, self.n_time_masks) < 0:
+            raise ValueError("n_freq_masks, freq_mask_max and n_time_masks must be >= 0")
         if not 0.0 <= self.time_mask_max_fraction < 1.0:
             raise ValueError("time_mask_max_fraction must be in [0, 1)")
 
@@ -68,18 +74,18 @@ def volume_perturb(audio: AudioBuffer, gain_db: float) -> tuple[AudioBuffer, int
     return AudioBuffer(np.clip(scaled, -1.0, 1.0), audio.sample_rate_hz), n_clipped
 
 
-def spec_augment(feats: FeatureMatrix, policy: AugmentPolicy,
-                 rng: np.random.Generator) -> FeatureMatrix:
-    """Mask random frequency bands and time spans with the global mean.
+def spec_augment(feats: np.ndarray, policy: AugmentPolicy,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Mask random frequency bands and time spans of a [T, D] array with its global mean.
 
     Mask widths are drawn uniformly from [0, max]; width-0 masks are no-ops.
     Entries outside the masked rectangles are copied bit-identically.
     """
-    values = feats.values.copy()
+    values = feats.copy()
     t, d = values.shape
     if policy.freq_mask_max >= d:
         raise ValueError(f"freq_mask_max {policy.freq_mask_max} must be < D={d}")
-    fill = float(feats.values.mean())
+    fill = float(feats.mean())
     for _ in range(policy.n_freq_masks):
         width = int(rng.integers(0, policy.freq_mask_max + 1))
         start = int(rng.integers(0, d - width + 1))
@@ -89,7 +95,7 @@ def spec_augment(feats: FeatureMatrix, policy: AugmentPolicy,
         width = int(rng.integers(0, time_mask_max + 1))
         start = int(rng.integers(0, t - width + 1))
         values[start:start + width, :] = fill
-    return FeatureMatrix(values, feats.kind, feats.frame_len_ms, feats.hop_ms)
+    return values
 
 
 def augment_audio(audio: AudioBuffer, policy: AugmentPolicy,

@@ -101,9 +101,9 @@ def _cmd_features(args) -> int:
     feats = extract_features(load_wav(args.wav))
     ckpt = Checkpoint(config={"kind": "feature-dump", "source": str(args.wav)},
                       inventory_lines=[], vocab=[],
-                      tensors={"features": feats.values.astype("float32")})
+                      tensors={"features": feats.astype("float32")})
     save_checkpoint(ckpt, args.out)
-    print(f"wrote {feats.n_frames}x{feats.dim} features to {args.out}")
+    print(f"wrote {feats.shape[0]}x{feats.shape[1]} features to {args.out}")
     return EXIT_OK
 
 

@@ -2,13 +2,13 @@
 
 The acoustic front end produces 13 cepstra per 25 ms frame (10 ms hop),
 extends them with first- and second-order regression deltas, and stacks
-the three streams into a mean-variance-normalized T x 39 matrix.
+the three streams into a mean-variance-normalized [T, 39] float64 array.
+The settings are the module constants below.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,61 +16,15 @@ from .audio import AudioBuffer
 from .errors import DataError
 
 
-@dataclass
-class MelConfig:
-    n_fft: int = 512
-    n_mels: int = 26
-    n_ceps: int = 13
-    fmin_hz: float = 0.0
-    fmax_hz: float | None = None  # defaults to sample_rate / 2
-    pre_emphasis: float = 0.97
-    frame_len_ms: float = 25.0
-    hop_ms: float = 10.0
-    log_floor: float = 1e-10
-
-    def __post_init__(self):
-        if self.n_ceps > self.n_mels:
-            raise ValueError("n_ceps must not exceed n_mels")
-
-    def frame_len(self, sample_rate_hz: int) -> int:
-        return int(round(self.frame_len_ms * sample_rate_hz / 1000.0))
-
-    def hop(self, sample_rate_hz: int) -> int:
-        return int(round(self.hop_ms * sample_rate_hz / 1000.0))
-
-    def fmax(self, sample_rate_hz: int) -> float:
-        fmax = self.fmax_hz if self.fmax_hz is not None else sample_rate_hz / 2.0
-        if not (self.fmin_hz < fmax <= sample_rate_hz / 2.0):
-            raise ValueError(f"need fmin < fmax <= nyquist, got [{self.fmin_hz}, {fmax}]")
-        return fmax
-
-
-@dataclass
-class FeatureMatrix:
-    """T x D matrix of per-frame acoustic features."""
-
-    values: np.ndarray
-    kind: str  # "mfcc13" or "stacked39"
-    frame_len_ms: float = 25.0
-    hop_ms: float = 10.0
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2 or self.values.shape[0] < 1:
-            raise ValueError(f"feature matrix must be T x D with T >= 1, got {self.values.shape}")
-        expected = {"mfcc13": 13, "stacked39": 39}.get(self.kind)
-        if expected is not None and self.values.shape[1] != expected:
-            raise ValueError(f"{self.kind} features must have D={expected}, got {self.values.shape[1]}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("feature matrix contains non-finite values")
-
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
+N_FFT = 512
+N_MELS = 26
+N_CEPS = 13
+PRE_EMPHASIS = 0.97
+FRAME_LEN_MS = 25.0
+HOP_MS = 10.0
+LOG_FLOOR = 1e-10
+DELTA_WINDOW = 2
+VARIANCE_FLOOR = 1e-8
 
 
 def frame_count(n_samples: int, frame_len: int, hop: int) -> int:
@@ -127,75 +81,69 @@ def dct_matrix(n_out: int, n_in: int) -> np.ndarray:
     return mat
 
 
-def _windowed_frames(audio: AudioBuffer, cfg: MelConfig) -> np.ndarray:
-    emphasized = np.concatenate(([audio.samples[0]],
-                                 audio.samples[1:] - cfg.pre_emphasis * audio.samples[:-1]))
-    frames = frame_signal(emphasized, cfg.frame_len(audio.sample_rate_hz), cfg.hop(audio.sample_rate_hz))
-    return frames * np.hamming(frames.shape[1])
+def mel_spectrogram(audio: AudioBuffer) -> np.ndarray:
+    """Per-frame mel filterbank energies (pre-log), shape [T, N_MELS].
+
+    The filters span 0 Hz to the Nyquist frequency.
+    """
+    samples, rate = audio.samples, audio.sample_rate_hz
+    emphasized = np.concatenate(([samples[0]], samples[1:] - PRE_EMPHASIS * samples[:-1]))
+    frame_len = int(round(FRAME_LEN_MS * rate / 1000.0))
+    frames = frame_signal(emphasized, frame_len, int(round(HOP_MS * rate / 1000.0)))
+    if frame_len > N_FFT:
+        raise ValueError(f"frame length {frame_len} exceeds n_fft {N_FFT}")
+    spectrum = np.abs(np.fft.rfft(frames * np.hamming(frame_len), n=N_FFT, axis=1))
+    return spectrum @ mel_filterbank(N_MELS, N_FFT, rate, 0.0, rate / 2.0).T
 
 
-def mel_spectrogram(audio: AudioBuffer, cfg: MelConfig | None = None) -> np.ndarray:
-    """Per-frame mel filterbank energies (pre-log), shape [T, n_mels]."""
-    cfg = cfg or MelConfig()
-    windowed = _windowed_frames(audio, cfg)
-    if windowed.shape[1] > cfg.n_fft:
-        raise ValueError(f"frame length {windowed.shape[1]} exceeds n_fft {cfg.n_fft}")
-    spectrum = np.abs(np.fft.rfft(windowed, n=cfg.n_fft, axis=1))
-    fbank = mel_filterbank(cfg.n_mels, cfg.n_fft, audio.sample_rate_hz,
-                           cfg.fmin_hz, cfg.fmax(audio.sample_rate_hz))
-    return spectrum @ fbank.T
+def compute_mfcc(audio: AudioBuffer) -> np.ndarray:
+    """[T, 13] mel cepstra: log filterbank energies decorrelated by DCT-II."""
+    log_mel = np.log(np.maximum(mel_spectrogram(audio), LOG_FLOOR))
+    return log_mel @ dct_matrix(N_CEPS, N_MELS).T
 
 
-def compute_mfcc(audio: AudioBuffer, cfg: MelConfig | None = None) -> FeatureMatrix:
-    """13 mel cepstra per frame: log filterbank energies decorrelated by DCT-II."""
-    cfg = cfg or MelConfig()
-    mel = mel_spectrogram(audio, cfg)
-    log_mel = np.log(np.maximum(mel, cfg.log_floor))
-    ceps = log_mel @ dct_matrix(cfg.n_ceps, cfg.n_mels).T
-    return FeatureMatrix(ceps, "mfcc13", cfg.frame_len_ms, cfg.hop_ms)
-
-
-def compute_deltas(feats: FeatureMatrix, window: int = 2) -> FeatureMatrix:
-    """Regression deltas d_t = sum_n n*(c_{t+n} - c_{t-n}) / (2 sum_n n^2).
+def compute_deltas(c: np.ndarray) -> np.ndarray:
+    """Regression deltas d_t = sum_n n*(c_{t+n} - c_{t-n}) / (2 sum_n n^2), n <= DELTA_WINDOW.
 
     Frames past either edge are replaced by the nearest real frame
     (index clamping).
     """
-    if window < 1:
-        raise ValueError("delta window must be >= 1")
-    c = feats.values
     t = c.shape[0]
     out = np.zeros_like(c)
-    denom = 2.0 * sum(n * n for n in range(1, window + 1))
-    for n in range(1, window + 1):
+    denom = 2.0 * sum(n * n for n in range(1, DELTA_WINDOW + 1))
+    for n in range(1, DELTA_WINDOW + 1):
         ahead = c[np.minimum(np.arange(t) + n, t - 1)]
         behind = c[np.maximum(np.arange(t) - n, 0)]
         out += n * (ahead - behind)
     out /= denom
-    return FeatureMatrix(out, feats.kind, feats.frame_len_ms, feats.hop_ms)
+    return out
 
 
-def stack_features(mfcc: FeatureMatrix, delta: FeatureMatrix,
-                   delta2: FeatureMatrix, variance_floor: float = 1e-8) -> FeatureMatrix:
-    """Concatenate the three 13-dim streams and normalize each column.
+def stack_features(mfcc: np.ndarray, delta: np.ndarray, delta2: np.ndarray) -> np.ndarray:
+    """Concatenate the three [T, 13] streams into [T, 39] and normalize each column.
 
     Per-utterance mean-variance normalization; columns whose variance falls
-    below the floor come out as all zeros.
+    below VARIANCE_FLOOR come out as all zeros.
     """
     parts = (mfcc, delta, delta2)
-    shapes = {p.values.shape for p in parts}
-    if len(shapes) != 1 or parts[0].values.shape[1] != 13:
-        raise ValueError(f"need three equal T x 13 matrices, got {[p.values.shape for p in parts]}")
-    stacked = np.concatenate([p.values for p in parts], axis=1)
+    shapes = {p.shape for p in parts}
+    if len(shapes) != 1 or mfcc.shape[1] != N_CEPS:
+        raise ValueError(f"need three equal T x 13 matrices, got {[p.shape for p in parts]}")
+    stacked = np.concatenate(parts, axis=1)
     mean = stacked.mean(axis=0)
     var = stacked.var(axis=0)
-    normalized = (stacked - mean) / np.sqrt(np.maximum(var, variance_floor))
-    return FeatureMatrix(normalized, "stacked39", mfcc.frame_len_ms, mfcc.hop_ms)
+    return (stacked - mean) / np.sqrt(np.maximum(var, VARIANCE_FLOOR))
 
 
-def extract_features(audio: AudioBuffer, cfg: MelConfig | None = None) -> FeatureMatrix:
-    """Full front end: MFCC -> deltas -> delta-deltas -> normalized stack."""
-    mfcc = compute_mfcc(audio, cfg)
+def extract_features(audio: AudioBuffer) -> np.ndarray:
+    """Full front end: MFCC -> deltas -> delta-deltas -> normalized [T, 39] stack.
+
+    Finite but huge samples can overflow to inf on the way, so the result
+    is checked once here.
+    """
+    mfcc = compute_mfcc(audio)
     delta = compute_deltas(mfcc)
-    delta2 = compute_deltas(delta)
-    return stack_features(mfcc, delta, delta2)
+    feats = stack_features(mfcc, delta, compute_deltas(delta))
+    if not np.all(np.isfinite(feats)):
+        raise ValueError("features contain non-finite values")
+    return feats

@@ -343,8 +343,7 @@ def train(cfg: TrainConfig, manifest: CorpusManifest) -> TrainResult:
     if n_skipped > len(train_m) / 2:
         raise DataError(f"{n_skipped} of {len(train_m)} training utterances unusable; aborting")
 
-    base_feats = {u.utt_id: extract_features(u.audio).values
-                  for u in train_utts + val_utts}
+    base_feats = {u.utt_id: extract_features(u.audio) for u in train_utts + val_utts}
     identity_augment = cfg.augment.is_identity()
     lm_train_sents = _lm_sentences(train_utts, lexicon, vocab.granularity)
     lm_val_sents = _lm_sentences(val_utts, lexicon, vocab.granularity)
@@ -364,7 +363,7 @@ def train(cfg: TrainConfig, manifest: CorpusManifest) -> TrainResult:
                 rng = np.random.default_rng(
                     np.random.SeedSequence(cfg.seed, spawn_key=(cfg.augment.seed, epoch, i)))
                 audio = augment_audio(utt.audio, cfg.augment, rng)
-                feats = spec_augment(extract_features(audio), cfg.augment, rng).values
+                feats = spec_augment(extract_features(audio), cfg.augment, rng)
             if output_frames(feats.shape[0]) < min_frames(utt.phones):
                 n_failed += 1
                 continue

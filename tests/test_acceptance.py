@@ -16,6 +16,7 @@ import pytest
 
 from oracles import (brute_force_ctc_logprob, exhaustive_decode, naive_mel_energies,
                      recursive_edit_distance)
+from shona_asr import features
 from shona_asr.audio import AudioBuffer
 from shona_asr.augment import AugmentPolicy
 from shona_asr.autodiff import Tensor
@@ -24,7 +25,7 @@ from shona_asr.cli import main as cli_main
 from shona_asr.corpusgen import GenConfig, generate_corpus
 from shona_asr.ctc import ctc_forward_logprob, ctc_loss, min_frames
 from shona_asr.decoder import beam_decode
-from shona_asr.features import MelConfig, frame_count, mel_spectrogram
+from shona_asr.features import frame_count, mel_spectrogram
 from shona_asr.lexicon import build_lexicon
 from shona_asr.lm import LmConfig, TokenVocab, build_lm, lm_score, lm_train, perplexity
 from shona_asr.manifest import split_corpus
@@ -161,14 +162,13 @@ def test_criterion_4_metric_oracle(announce):
 def test_criterion_5_mfcc_oracle(announce):
     with announce(5, "mel filterbank matches naive DFT oracle; frame formula exact"):
         rng = np.random.default_rng(55)
-        cfg = MelConfig()
         for _ in range(20):
             n = int(rng.integers(450, 1600))
             samples = rng.uniform(-1.0, 1.0, n)
             audio = AudioBuffer(samples, 16000)
-            got = mel_spectrogram(audio, cfg)
-            want = naive_mel_energies(samples, 16000, cfg.n_fft, cfg.n_mels, 0.0, 8000.0,
-                                      400, 160, cfg.pre_emphasis)
+            got = mel_spectrogram(audio)
+            want = naive_mel_energies(samples, 16000, features.N_FFT, features.N_MELS, 0.0, 8000.0,
+                                      400, 160, features.PRE_EMPHASIS)
             rms = float(np.sqrt(np.mean((got - want) ** 2)))
             assert rms < 1e-4, f"RMS {rms:.2e}"
         for _ in range(1000):

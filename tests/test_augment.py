@@ -4,7 +4,6 @@ import pytest
 from oracles import naive_dft_magnitude
 from shona_asr.audio import AudioBuffer
 from shona_asr.augment import AugmentPolicy, spec_augment, speed_perturb, volume_perturb
-from shona_asr.features import FeatureMatrix
 
 from conftest import make_tone
 
@@ -78,21 +77,21 @@ def test_gain_out_of_range(rng):
 
 
 def _feats(rng, t=98, d=39):
-    return FeatureMatrix(rng.normal(size=(t, d)), "stacked39")
+    return rng.normal(size=(t, d))
 
 
 def test_spec_augment_zero_widths_is_identity(rng):
     feats = _feats(rng)
     policy = AugmentPolicy(freq_mask_max=0, time_mask_max_fraction=0.0)
     out = spec_augment(feats, policy, np.random.default_rng(0))
-    assert np.array_equal(out.values, feats.values)
+    assert np.array_equal(out, feats)
 
 
 def test_spec_augment_bounded_change_count(rng):
     feats = _feats(rng)
     policy = AugmentPolicy(n_freq_masks=1, freq_mask_max=8, n_time_masks=0)
     out = spec_augment(feats, policy, np.random.default_rng(3))
-    changed = np.count_nonzero(out.values != feats.values)
+    changed = np.count_nonzero(out != feats)
     assert changed <= 98 * 8
 
 
@@ -101,14 +100,14 @@ def test_spec_augment_deterministic_per_seed(rng):
     policy = AugmentPolicy()
     a = spec_augment(feats, policy, np.random.default_rng(42))
     b = spec_augment(feats, policy, np.random.default_rng(42))
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
 
 
 def test_spec_augment_only_touches_mask_rectangles(rng):
     feats = _feats(rng)
     policy = AugmentPolicy(n_freq_masks=2, n_time_masks=2)
     out = spec_augment(feats, policy, np.random.default_rng(9))
-    diff = out.values != feats.values
+    diff = out != feats
     changed_rows = np.flatnonzero(diff.all(axis=1))
     changed_cols = np.flatnonzero(diff.all(axis=0))
     # everything outside full-row and full-column bands must be untouched
@@ -116,11 +115,11 @@ def test_spec_augment_only_touches_mask_rectangles(rng):
     residual[changed_rows, :] = False
     residual[:, changed_cols] = False
     assert not residual.any()
-    fill = feats.values.mean()
-    assert np.all(out.values[changed_rows, :] == fill)
+    fill = feats.mean()
+    assert np.all(out[changed_rows, :] == fill)
 
 
 def test_spec_augment_mask_wider_than_features_rejected(rng):
-    feats = FeatureMatrix(rng.normal(size=(10, 39)), "stacked39")
+    feats = rng.normal(size=(10, 39))
     with pytest.raises(ValueError):
         spec_augment(feats, AugmentPolicy(freq_mask_max=39), np.random.default_rng(0))

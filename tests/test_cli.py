@@ -5,10 +5,12 @@ import logging
 import numpy as np
 import pytest
 
+from shona_asr.audio import load_wav
 from shona_asr.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from shona_asr.cli import main
 from shona_asr.corpusgen import GenConfig, generate_corpus
 from shona_asr.errors import DataError
+from shona_asr.features import extract_features
 from shona_asr.train import restore_models
 
 from test_audio import write_pcm
@@ -53,12 +55,14 @@ def test_usage_error_exits_1(capsys):
 
 
 def test_features_command_writes_container(tmp_path):
-    write_pcm(tmp_path / "tone.wav", 0.4 * np.sin(2 * np.pi * 440 * np.arange(8000) / 16000))
+    wav = tmp_path / "tone.wav"
+    write_pcm(wav, 0.4 * np.sin(2 * np.pi * 440 * np.arange(8000) / 16000))
     out = tmp_path / "feats.bin"
-    assert main(["features", str(tmp_path / "tone.wav"), "--out", str(out)]) == 0
+    assert main(["features", str(wav), "--out", str(out)]) == 0
     ckpt = load_checkpoint(out)
     assert list(ckpt.tensors) == ["features"]
     assert ckpt.tensors["features"].shape == (1 + (8000 - 400) // 160, 39)
+    assert np.array_equal(ckpt.tensors["features"], extract_features(load_wav(wav)).astype(np.float32))
 
 
 def test_features_missing_wav_exits_2(tmp_path):

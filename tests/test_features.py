@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from oracles import naive_deltas, naive_mel_energies
+from shona_asr import features
 from shona_asr.audio import AudioBuffer
 from shona_asr.errors import DataError
-from shona_asr.features import (FeatureMatrix, MelConfig, compute_deltas, compute_mfcc,
-                                extract_features, frame_count, mel_filterbank, mel_spectrogram,
-                                stack_features)
+from shona_asr.features import (compute_deltas, compute_mfcc, extract_features, frame_count,
+                                mel_filterbank, mel_spectrogram, stack_features)
 
 from conftest import make_tone
 
@@ -28,27 +28,25 @@ def test_too_short_signal_rejected():
 
 def test_all_zero_audio_rows_identical():
     feats = compute_mfcc(AudioBuffer(np.zeros(16000), 16000))
-    assert feats.values.shape == (98, 13)
-    assert np.allclose(feats.values, feats.values[0])
+    assert feats.shape == (98, 13)
+    assert np.allclose(feats, feats[0])
 
 
 def test_mel_energies_match_naive_dft_oracle_tone(tone_1khz):
-    cfg = MelConfig()
-    got = mel_spectrogram(tone_1khz, cfg)
-    want = naive_mel_energies(tone_1khz.samples, 16000, cfg.n_fft, cfg.n_mels,
-                              0.0, 8000.0, 400, 160, cfg.pre_emphasis)
+    got = mel_spectrogram(tone_1khz)
+    want = naive_mel_energies(tone_1khz.samples, 16000, features.N_FFT, features.N_MELS,
+                              0.0, 8000.0, 400, 160, features.PRE_EMPHASIS)
     rms = np.sqrt(np.mean((got - want) ** 2))
     assert rms < 1e-4
 
 
 def test_mel_energies_match_oracle_random_signals(rng):
-    cfg = MelConfig()
     for _ in range(5):
         samples = rng.uniform(-1, 1, int(rng.integers(500, 1200)))
         audio = AudioBuffer(samples, 16000)
-        got = mel_spectrogram(audio, cfg)
-        want = naive_mel_energies(samples, 16000, cfg.n_fft, cfg.n_mels,
-                                  0.0, 8000.0, 400, 160, cfg.pre_emphasis)
+        got = mel_spectrogram(audio)
+        want = naive_mel_energies(samples, 16000, features.N_FFT, features.N_MELS,
+                                  0.0, 8000.0, 400, 160, features.PRE_EMPHASIS)
         assert np.sqrt(np.mean((got - want) ** 2)) < 1e-4
 
 
@@ -62,27 +60,27 @@ def test_mel_filterbank_is_built_once_and_read_only():
 def test_gain_shifts_only_coefficient_zero():
     loud = make_tone(700.0, amplitude=0.5)
     soft = AudioBuffer(loud.samples * (10.0 ** (-6.0 / 20.0)), 16000)
-    a = compute_mfcc(loud).values
-    b = compute_mfcc(soft).values
+    a = compute_mfcc(loud)
+    b = compute_mfcc(soft)
     assert np.max(np.abs(a[:, 1:] - b[:, 1:])) < 1e-6
     assert np.max(np.abs(a[:, 0] - b[:, 0])) > 1e-3
 
 
 def test_deltas_of_constant_are_zero():
-    feats = FeatureMatrix(np.full((20, 13), 3.7), "mfcc13")
-    assert np.all(compute_deltas(feats).values == 0.0)
+    feats = np.full((20, 13), 3.7)
+    assert np.all(compute_deltas(feats) == 0.0)
 
 
 def test_delta_of_linear_ramp_recovers_slope():
     slope = 0.25
     ramp = slope * np.arange(30)[:, None] * np.ones((1, 13))
-    deltas = compute_deltas(FeatureMatrix(ramp, "mfcc13")).values
+    deltas = compute_deltas(ramp)
     assert np.allclose(deltas[2:-2], slope)
 
 
 def test_deltas_match_direct_formula_oracle(rng):
     values = rng.normal(size=(10, 13))
-    got = compute_deltas(FeatureMatrix(values, "mfcc13"), window=2).values
+    got = compute_deltas(values)
     assert np.allclose(got, naive_deltas(values, 2), atol=1e-12)
 
 
@@ -93,30 +91,30 @@ def test_delta_of_delta_equals_delta2_stream():
     delta = compute_deltas(mfcc)
     delta2 = compute_deltas(delta)
     twice = compute_deltas(compute_deltas(mfcc))
-    assert np.array_equal(delta2.values, twice.values)
+    assert np.array_equal(delta2, twice)
     stacked = stack_features(mfcc, delta, delta2)
-    assert stacked.values.shape == (stacked.n_frames, 39)
+    assert stacked.shape == (stacked.shape[0], 39)
     full = extract_features(audio)
-    assert np.array_equal(full.values, stacked.values)
+    assert np.array_equal(full, stacked)
 
 
 def test_stack_shapes_and_normalization(rng):
-    base = FeatureMatrix(rng.normal(size=(98, 13)), "mfcc13")
+    base = rng.normal(size=(98, 13))
     stacked = stack_features(base, compute_deltas(base), compute_deltas(compute_deltas(base)))
-    assert stacked.values.shape == (98, 39)
-    assert np.all(np.abs(stacked.values.mean(axis=0)) < 1e-6)
-    assert np.all(np.abs(stacked.values.var(axis=0) - 1.0) < 1e-4)
+    assert stacked.shape == (98, 39)
+    assert np.all(np.abs(stacked.mean(axis=0)) < 1e-6)
+    assert np.all(np.abs(stacked.var(axis=0) - 1.0) < 1e-4)
 
 
 def test_stack_constant_column_zeroed_by_variance_floor():
-    const = FeatureMatrix(np.full((50, 13), 2.0), "mfcc13")
+    const = np.full((50, 13), 2.0)
     stacked = stack_features(const, const, const)
-    assert np.all(stacked.values == 0.0)
+    assert np.all(stacked == 0.0)
 
 
 def test_stack_shape_mismatch_rejected():
-    a = FeatureMatrix(np.zeros((10, 13)), "mfcc13")
-    b = FeatureMatrix(np.zeros((11, 13)), "mfcc13")
+    a = np.zeros((10, 13))
+    b = np.zeros((11, 13))
     with pytest.raises(ValueError, match="equal"):
         stack_features(a, b, b)
 
@@ -124,12 +122,17 @@ def test_stack_shape_mismatch_rejected():
 def test_stack_output_always_finite(rng):
     for _ in range(5):
         values = rng.normal(size=(30, 13)) * rng.uniform(0, 100)
-        f = FeatureMatrix(values, "mfcc13")
-        out = stack_features(f, compute_deltas(f), compute_deltas(compute_deltas(f)))
-        assert np.all(np.isfinite(out.values))
+        out = stack_features(values, compute_deltas(values), compute_deltas(compute_deltas(values)))
+        assert np.all(np.isfinite(out))
 
 
 def test_extract_features_end_to_end(tone_1khz):
     feats = extract_features(tone_1khz)
-    assert feats.kind == "stacked39"
-    assert feats.values.shape == (98, 39)
+    assert feats.shape == (98, 39)
+
+
+def test_extract_features_rejects_samples_that_overflow():
+    # finite samples whose pre-emphasis difference overflows to inf
+    audio = AudioBuffer(np.tile([1e308, -1e308], 8000), 16000)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
+        extract_features(audio)

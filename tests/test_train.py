@@ -88,6 +88,17 @@ def test_config_validates_values():
         TrainConfig.from_dict({"split_ratios": [0.5, 0.2, 0.2]})
 
 
+@pytest.mark.parametrize("augment", [{"gain_db_range": [-30.0, 30.0]}, {"gain_db_range": [6.0, -6.0]},
+                                     {"speed_factors": []}, {"freq_mask_max": -1},
+                                     {"n_time_masks": -2}],
+                         ids=["gain_outside_20db", "gain_range_reversed", "no_speed_factors",
+                              "negative_freq_mask_max", "negative_time_masks"])
+def test_config_rejects_augment_policy_that_fails_or_misbehaves_in_training(augment):
+    # each of these passed at load time and then raised mid-training or was silently ignored
+    with pytest.raises(DataError, match="config.augment"):
+        TrainConfig.from_dict({"augment": augment})
+
+
 def test_train_produces_checkpoint_and_log(tiny_result):
     cfg, result = tiny_result
     assert len(result.epoch_log) == 4
