@@ -11,7 +11,7 @@ from .audio import AudioBuffer, load_wav, save_wav
 from .features import compute_deltas, compute_mfcc, extract_features, stack_features
 from .augment import AugmentPolicy, spec_augment, speed_perturb, volume_perturb
 from .autodiff import Parameters, Tensor, backward
-from .optim import OptimizerState, optimizer_step
+from .optim import OptimizerConfig, OptimizerState, optimizer_step
 from .gradcheck import grad_check
 from .acoustic import AcousticConfig, PosteriorGrid, acoustic_forward, build_acoustic_model, posteriors
 from .ctc import ctc_greedy_decode, ctc_loss

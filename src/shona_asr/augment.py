@@ -42,7 +42,7 @@ class AugmentPolicy:
         """True when applying this policy can never change anything."""
         return (
             all(f == 1.0 for f in self.speed_factors)
-            and self.gain_db_range == (0.0, 0.0)
+            and all(g == 0.0 for g in self.gain_db_range)
             and (self.n_freq_masks == 0 or self.freq_mask_max == 0)
             and (self.n_time_masks == 0 or self.time_mask_max_fraction == 0.0)
         )

@@ -26,6 +26,10 @@ EXIT_VERIFY = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        # no abbreviated options: `gradcheck --seed 9` would otherwise mean `--seeds 9`
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -50,8 +54,9 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="asr", description="Shona speech recognition pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    def common(p, seed: bool = False):
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--verbose", action="store_true")
 
     p = sub.add_parser("features", help="extract stacked MFCC features from a WAV file")
@@ -62,14 +67,14 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("corpusgen", help="generate a synthetic CV-syllable corpus")
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", required=True)
-    common(p)
+    common(p, seed=True)
 
     p = sub.add_parser("train", help="train acoustic and language models")
     p.add_argument("--config", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--log", default=None, help="write the per-epoch log as JSON")
-    common(p)
+    common(p, seed=True)
 
     p = sub.add_parser("decode", help="decode one WAV file with a trained checkpoint")
     p.add_argument("--ckpt", required=True)
@@ -112,10 +117,7 @@ def _cmd_corpusgen(args) -> int:
     from .corpusgen import generate_corpus
     from .train import _config_from_dict
 
-    obj = _load_json(args.config)
-    if args.seed is not None:
-        obj["seed"] = args.seed
-    cfg = _config_from_dict(GenConfig, obj, path="config")
+    cfg = _config_from_dict(GenConfig, _load_config(args), path="config")
     manifest = generate_corpus(cfg, args.out_dir)
     print(f"generated {len(manifest)} utterances "
           f"({manifest.total_duration_s():.1f} s) under {args.out_dir}")
@@ -127,10 +129,7 @@ def _cmd_train(args) -> int:
     from .manifest import load_manifest
     from .train import TrainConfig, train
 
-    obj = _load_json(args.config)
-    if args.seed is not None:
-        obj["seed"] = args.seed
-    cfg = TrainConfig.from_dict(obj)
+    cfg = TrainConfig.from_dict(_load_config(args))
     manifest = load_manifest(args.manifest)
     result = train(cfg, manifest)
     log_text = None
@@ -214,8 +213,9 @@ def _cmd_gradcheck(args) -> int:
     return EXIT_OK
 
 
-def _load_json(path) -> dict:
-    p = Path(path)
+def _load_config(args) -> dict:
+    """The `--config` JSON object, its seed replaced by `--seed` when that is given."""
+    p = Path(args.config)
     if not p.exists():
         raise DataError(f"config file not found: {p}")
     try:
@@ -224,6 +224,8 @@ def _load_json(path) -> dict:
         raise DataError(f"{p}: invalid JSON ({exc})") from exc
     if not isinstance(obj, dict):
         raise DataError(f"{p}: config must be a JSON object")
+    if args.seed is not None:
+        obj["seed"] = args.seed
     return obj
 
 

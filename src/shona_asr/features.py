@@ -87,7 +87,7 @@ def mel_spectrogram(audio: AudioBuffer) -> np.ndarray:
     The filters span 0 Hz to the Nyquist frequency.
     """
     samples, rate = audio.samples, audio.sample_rate_hz
-    emphasized = np.concatenate(([samples[0]], samples[1:] - PRE_EMPHASIS * samples[:-1]))
+    emphasized = np.concatenate((samples[:1], samples[1:] - PRE_EMPHASIS * samples[:-1]))
     frame_len = int(round(FRAME_LEN_MS * rate / 1000.0))
     frames = frame_signal(emphasized, frame_len, int(round(HOP_MS * rate / 1000.0)))
     if frame_len > N_FFT:

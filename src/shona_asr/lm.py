@@ -222,7 +222,7 @@ def lm_train(params: Parameters, corpus: list[list[str]], vocab: TokenVocab,
     """Train in corpus order; returns mean per-token loss per epoch."""
     if len(corpus) == 0:
         raise ValueError("training corpus is empty")
-    optimizer = optimizer or OptimizerState(kind="adam", learning_rate=1e-3)
+    optimizer = optimizer or OptimizerState()
     indexed = [[vocab.index(t) for t in sent] for sent in corpus]
     trace = []
     for _ in range(epochs):

@@ -10,38 +10,44 @@ from .autodiff import Parameters
 
 
 @dataclass
-class OptimizerState:
+class OptimizerConfig:
     kind: str = "adam"  # "sgd" | "adam"
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+
+    def __post_init__(self):
+        if self.kind not in ("sgd", "adam"):
+            raise ValueError(f"unknown optimizer kind {self.kind!r}")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ValueError(f"beta1 and beta2 must be in [0, 1), got {self.beta1}, {self.beta2}")
+        if not self.eps > 0:
+            raise ValueError(f"eps must be > 0, got {self.eps}")
+
+
+@dataclass
+class OptimizerState:
+    config: OptimizerConfig = field(default_factory=OptimizerConfig)
     step_count: int = 0
-    frozen_prefixes: tuple[str, ...] = ()
     moments: dict = field(default_factory=dict)  # name -> (m, v), updated in place
     # two flat work buffers, as long as the largest parameter and in the widest
     # parameter dtype (float32 at least), reused by every update
     scratch: np.ndarray = field(default_factory=lambda: np.empty((2, 0)), repr=False)
 
-    def __post_init__(self):
-        if self.kind not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer kind {self.kind!r}")
-
-    def is_frozen(self, name: str) -> bool:
-        return any(name.startswith(p) for p in self.frozen_prefixes)
-
 
 def optimizer_step(state: OptimizerState, params: Parameters) -> None:
     """Apply one update from accumulated gradients, then zero all grads.
 
-    Frozen parameters keep their values but still get their grads cleared.
-    The update runs in place through `state.scratch`, in the operation
-    order of the expressions m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g
-    and w -= (lr*m_hat) / (sqrt(v_hat) + eps), so it is bit-identical to
-    evaluating them directly.
+    A tensor whose `requires_grad` is false keeps its value but still gets
+    its grad cleared. The update runs in place through `state.scratch`, in
+    the operation order of the expressions m = b1*m + (1-b1)*g,
+    v = b2*v + ((1-b2)*g)*g and w -= (lr*m_hat) / (sqrt(v_hat) + eps), so it
+    is bit-identical to evaluating them directly.
     """
-    missing = [name for name, t in params.items()
-               if t.grad is None and not state.is_frozen(name)]
+    missing = [name for name, t in params.items() if t.grad is None and t.requires_grad]
     if missing:
         raise ValueError(f"missing gradients for {missing}")
     state.step_count += 1
@@ -49,16 +55,17 @@ def optimizer_step(state: OptimizerState, params: Parameters) -> None:
     dtype = np.result_type(np.float32, *(t.data.dtype for _, t in params.items()))
     if state.scratch.shape[1] < largest or state.scratch.dtype != dtype:
         state.scratch = np.empty((2, largest), dtype=dtype)
-    b1, b2, lr = state.beta1, state.beta2, state.learning_rate
+    cfg = state.config
+    b1, b2, lr = cfg.beta1, cfg.beta2, cfg.learning_rate
     bias1 = 1.0 - b1 ** state.step_count
     bias2 = 1.0 - b2 ** state.step_count
     for name, t in params.items():
-        if state.is_frozen(name):
+        if not t.requires_grad:
             t.grad = None
             continue
         g = t.grad
         step, denom = (buf[:g.size].reshape(g.shape) for buf in state.scratch)
-        if state.kind == "sgd":
+        if cfg.kind == "sgd":
             np.multiply(g, lr, out=step)
         else:
             if name not in state.moments:
@@ -71,7 +78,7 @@ def optimizer_step(state: OptimizerState, params: Parameters) -> None:
             v += np.multiply(step, g, out=step)
             np.multiply(np.divide(m, bias1, out=step), lr, out=step)
             np.sqrt(np.divide(v, bias2, out=denom), out=denom)
-            denom += state.eps
+            denom += cfg.eps
             step /= denom
         t.data -= step
         t.grad = None

@@ -33,24 +33,10 @@ from .lexicon import Lexicon, build_lexicon
 from .lm import LmConfig, TokenVocab, build_lm, corpus_loss, lm_layout, lm_train, word_tokens
 from .manifest import CorpusManifest, split_corpus
 from .metrics import MetricsReport, normalize_text, per, report, wer
-from .optim import OptimizerState, optimizer_step
+from .optim import OptimizerConfig, OptimizerState, optimizer_step
 from .phones import PhoneInventory, default_inventory
 
 log = logging.getLogger(__name__)
-
-
-@dataclass
-class OptimizerConfig:
-    kind: str = "adam"
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def make(self, frozen_prefixes: tuple[str, ...] = ()) -> OptimizerState:
-        return OptimizerState(kind=self.kind, learning_rate=self.learning_rate,
-                              beta1=self.beta1, beta2=self.beta2, eps=self.eps,
-                              frozen_prefixes=frozen_prefixes)
 
 
 @dataclass
@@ -272,15 +258,6 @@ def _prepare_utterances(manifest: CorpusManifest, lexicon: Lexicon) -> tuple[lis
     return out, skipped
 
 
-def _collect_tensors(acoustic_params: ad.Parameters, lm_params: ad.Parameters) -> dict[str, np.ndarray]:
-    tensors = {}
-    for name, t in acoustic_params.items():
-        tensors["acoustic." + name] = t.data.copy()
-    for name, t in lm_params.items():
-        tensors["lm." + name] = t.data.copy()
-    return tensors
-
-
 def _lm_sentences(utts: list[Utterance], lexicon: Lexicon, granularity: str) -> list[list[str]]:
     return [[tok for w in utt.words
              for tok in word_tokens(w, lexicon.phone_symbols(w), granularity)]
@@ -331,10 +308,19 @@ def train(cfg: TrainConfig, manifest: CorpusManifest) -> TrainResult:
         lm_params = build_lm(vocab, cfg.lm, seeds[1])
         _to_float32(acoustic_params, lm_params)
 
-    ac_frozen = tuple(p[len("acoustic."):] for p in cfg.freeze if p.startswith("acoustic."))
-    lm_frozen = tuple(p[len("lm."):] for p in cfg.freeze if p.startswith("lm."))
-    ac_opt = cfg.optimizer.make(ac_frozen)
-    lm_opt = cfg.lm_optimizer.make(lm_frozen)
+    # both models' tensors under their checkpoint names
+    named = [*(("acoustic." + n, t) for n, t in acoustic_params.items()),
+             *(("lm." + n, t) for n, t in lm_params.items())]
+    # a frozen tensor gets no gradient, so the optimizer leaves it as it is
+    for prefix in cfg.freeze:
+        frozen = [t for name, t in named if name.startswith(prefix)]
+        if not frozen:
+            raise DataError(f"config.freeze: {prefix!r} matches no tensor (names look like "
+                            f"'acoustic.conv1.kernels' or 'lm.embed.W')")
+        for t in frozen:
+            t.requires_grad = False
+    ac_opt = OptimizerState(cfg.optimizer)
+    lm_opt = OptimizerState(cfg.lm_optimizer)
 
     train_utts, n_skipped = _prepare_utterances(train_m, lexicon)
     val_utts, _ = _prepare_utterances(val_m, lexicon)
@@ -428,7 +414,7 @@ def train(cfg: TrainConfig, manifest: CorpusManifest) -> TrainResult:
                 stopper.best_epoch = epoch
 
         if improved or reached_target:
-            best_tensors = _collect_tensors(acoustic_params, lm_params)
+            best_tensors = {name: t.data.copy() for name, t in named}
         epoch_log.append(entry)
         if reached_target:
             log.info("epoch %d: train PER %.4f reached target, stopping", epoch, train_per)
@@ -485,7 +471,8 @@ def restore_models(ckpt: Checkpoint) -> tuple[TrainConfig, PhoneInventory, Token
     layout shape, and the checkpoint may hold no other tensor; otherwise
     this is a DataError. The parameters hold read-only views of the
     checkpoint's float32 tensors, so decode and eval compute in float32;
-    no model is drawn.
+    no model is drawn. The views do not require grad, so a forward pass
+    over them builds no backward graph: the models are for inference only.
     """
     cfg = TrainConfig.from_dict(ckpt.config)
     inventory = PhoneInventory.from_lines(ckpt.inventory_lines)
@@ -503,7 +490,7 @@ def restore_models(ckpt: Checkpoint) -> tuple[TrainConfig, PhoneInventory, Token
                 continue
             view = stored.view()
             view.flags.writeable = False
-            params.add(name, view)
+            params.add(name, view).requires_grad = False
     if mismatched:
         raise DataError("checkpoint tensors missing or of the wrong shape for its config: "
                         + ", ".join(mismatched))
@@ -517,8 +504,7 @@ def restore_models(ckpt: Checkpoint) -> tuple[TrainConfig, PhoneInventory, Token
 
 
 def evaluate(ckpt: Checkpoint, split: CorpusManifest,
-             lm_weight: float | None = None, beam_width: int | None = None,
-             word_bonus: float | None = None) -> EvalResult:
+             lm_weight: float | None = None, beam_width: int | None = None) -> EvalResult:
     """Decode a split and score it; also reports no-LM greedy baselines.
 
     greedy_per comes from raw best-path CTC decoding; greedy_wer from a
@@ -529,7 +515,6 @@ def evaluate(ckpt: Checkpoint, split: CorpusManifest,
     cfg, inventory, vocab, acoustic_params, lm_params, lexicon = restore_models(ckpt)
     lam = cfg.decode.lm_weight if lm_weight is None else lm_weight
     beam = cfg.decode.beam_width if beam_width is None else beam_width
-    bonus = cfg.decode.word_bonus if word_bonus is None else word_bonus
 
     utts, n_skipped = _prepare_utterances(split, lexicon)
     if not utts:
@@ -545,7 +530,7 @@ def evaluate(ckpt: Checkpoint, split: CorpusManifest,
         feats = extract_features(utt.audio)
         grid = posteriors(acoustic_params, feats, cfg.acoustic)
         hyp = beam_decode(grid, lexicon, lm_params, vocab,
-                          lm_weight=lam, word_bonus=bonus, beam_width=beam)
+                          lm_weight=lam, word_bonus=cfg.decode.word_bonus, beam_width=beam)
         search.add(hyp.stats)
         incomplete += not hyp.complete
         greedy_words = beam_decode(grid, lexicon, None, None,

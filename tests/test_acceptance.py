@@ -30,7 +30,7 @@ from shona_asr.lexicon import build_lexicon
 from shona_asr.lm import LmConfig, TokenVocab, build_lm, lm_score, lm_train, perplexity
 from shona_asr.manifest import split_corpus
 from shona_asr.metrics import align, ser, wer
-from shona_asr.optim import OptimizerState
+from shona_asr.optim import OptimizerConfig, OptimizerState
 from shona_asr.phones import default_inventory
 from shona_asr.train import TrainConfig, evaluate, train
 from shona_asr.verify import TOLERANCE, run_gradient_suite
@@ -268,6 +268,6 @@ def test_criterion_10_lm_properties(announce):
 
         sentence = ["b", "a", "b", "a", "<wb>", "mh", "o", "r", "o"]
         trace = lm_train(model, [sentence], vocab, epochs=200,
-                         optimizer=OptimizerState(kind="adam", learning_rate=1e-2))
+                         optimizer=OptimizerState(OptimizerConfig(kind="adam", learning_rate=1e-2)))
         assert all(math.isfinite(v) for v in trace)
         assert trace[-1] < 0.1, f"final per-token loss {trace[-1]:.3f}"

@@ -7,7 +7,7 @@ from shona_asr.acoustic import (AcousticConfig, acoustic_forward, build_acoustic
                                 output_frames, posteriors)
 from shona_asr.autodiff import backward
 from shona_asr.ctc import ctc_loss
-from shona_asr.optim import OptimizerState, optimizer_step
+from shona_asr.optim import OptimizerConfig, OptimizerState, optimizer_step
 
 
 def test_paper_faithful_output_layer_shape():
@@ -122,7 +122,7 @@ def test_ctc_training_loss_decreases_over_50_steps(rng):
     params = build_acoustic_model(cfg, 6, seed=7)
     feats = rng.normal(size=(40, 39))
     target = [0, 3, 1, 4]
-    opt = OptimizerState(kind="adam", learning_rate=2e-3)
+    opt = OptimizerState(OptimizerConfig(kind="adam", learning_rate=2e-3))
     losses = []
     for _ in range(50):
         loss = ctc_loss(acoustic_forward(params, feats, cfg), target)

@@ -188,6 +188,19 @@ def test_bad_search_option_exits_1_before_loading(tmp_path, capsys, command, opt
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["features", "decode", "eval", "gradcheck"])
+def test_seed_is_rejected_where_nothing_reads_it(tmp_path, capsys, command):
+    # only corpusgen and train have a config seed for --seed to override
+    args = {"features": ["a.wav", "--out", "f.ckpt"],
+            "decode": ["--ckpt", "m.ckpt", "--wav", "a.wav"],
+            "eval": ["--ckpt", "m.ckpt", "--manifest", "m.jsonl", "--report", "r.json"],
+            "gradcheck": ["--seeds", "1"]}
+    with pytest.raises(SystemExit) as exc:
+        main([command, *args[command], "--seed", "1"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 def test_decode_prints_words(trained_ckpt, corpus_dir, capsys):
     wav = sorted((corpus_dir / "wav").glob("*.wav"))[0]
     assert main(["decode", "--ckpt", str(trained_ckpt), "--wav", str(wav),

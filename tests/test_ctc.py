@@ -109,11 +109,11 @@ def test_log_grid_gradient_is_minus_occupancy(rng):
 
 def test_loss_decreases_when_overfitting_single_grid(rng):
     # seeded smoke property: 50 gradient steps on one tiny instance
-    from shona_asr.optim import OptimizerState, optimizer_step
+    from shona_asr.optim import OptimizerConfig, OptimizerState, optimizer_step
     p = Parameters()
     logits = p.add("logits", rng.normal(size=(6, 5)) * 0.1)
     target = [0, 2]
-    opt = OptimizerState(kind="adam", learning_rate=5e-2)
+    opt = OptimizerState(OptimizerConfig(kind="adam", learning_rate=5e-2))
     losses = []
     for _ in range(50):
         loss = ctc_loss(ad.log_softmax(logits), target)

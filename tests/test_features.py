@@ -26,6 +26,13 @@ def test_too_short_signal_rejected():
         compute_mfcc(AudioBuffer(np.zeros(399), 16000))
 
 
+@pytest.mark.parametrize("n_samples", [0, 1])
+def test_empty_or_one_sample_signal_rejected(n_samples):
+    # an empty signal raised IndexError from the pre-emphasis filter
+    with pytest.raises(DataError, match="shorter than one"):
+        extract_features(AudioBuffer(np.zeros(n_samples), 16000))
+
+
 def test_all_zero_audio_rows_identical():
     feats = compute_mfcc(AudioBuffer(np.zeros(16000), 16000))
     assert feats.shape == (98, 13)

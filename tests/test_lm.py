@@ -8,7 +8,7 @@ from conftest import params_as
 from shona_asr.lm import (LmConfig, LmWeights, TokenVocab, build_lm,
                           lm_initial_state, lm_score, lm_step, lm_train, perplexity,
                           score_tokens, sentence_loss, word_tokens)
-from shona_asr.optim import OptimizerState
+from shona_asr.optim import OptimizerConfig, OptimizerState
 
 
 def phone_vocab(n=54):
@@ -187,7 +187,7 @@ def test_single_sentence_overfit_drives_loss_below_0_1():
     params = build_lm(vocab, LmConfig(embed_dim=16, lstm1_units=24, lstm2_units=16), seed=8)
     sentence = ["p0", "p3", "<wb>", "p5", "p1"]
     trace = lm_train(params, [sentence], vocab, epochs=200,
-                     optimizer=OptimizerState(kind="adam", learning_rate=5e-3))
+                     optimizer=OptimizerState(OptimizerConfig(kind="adam", learning_rate=5e-3)))
     assert all(math.isfinite(v) for v in trace)
     assert trace[-1] < 0.1
 
@@ -197,7 +197,7 @@ def test_perplexity_decreases_over_first_epochs():
     params = build_lm(vocab, LmConfig(embed_dim=12, lstm1_units=16, lstm2_units=12), seed=9)
     sentence = ["p2", "p4", "<wb>", "p1"]
     ppls = []
-    opt = OptimizerState(kind="adam", learning_rate=5e-3)
+    opt = OptimizerState(OptimizerConfig(kind="adam", learning_rate=5e-3))
     for _ in range(10):
         ppls.append(perplexity(params, [sentence], vocab))
         lm_train(params, [sentence], vocab, epochs=1, optimizer=opt)
@@ -210,7 +210,7 @@ def test_overfit_sentence_beats_single_edit_variants():
     params = build_lm(vocab, LmConfig(embed_dim=16, lstm1_units=16, lstm2_units=12), seed=10)
     sentence = ["p0", "p1", "<wb>", "p2", "p3"]
     lm_train(params, [sentence], vocab, epochs=150,
-             optimizer=OptimizerState(kind="adam", learning_rate=5e-3))
+             optimizer=OptimizerState(OptimizerConfig(kind="adam", learning_rate=5e-3)))
     base = lm_score(params, sentence, vocab)
     for pos in range(len(sentence)):
         for repl in ["p4", "p5"]:

@@ -9,14 +9,16 @@ import pytest
 from conftest import params_as
 from shona_asr import autodiff as ad
 from shona_asr.acoustic import AcousticConfig, acoustic_forward, build_acoustic_model
+from shona_asr.audio import load_wav
 from shona_asr.augment import AugmentPolicy
 from shona_asr.checkpoint import load_checkpoint, params_hash, save_checkpoint
 from shona_asr.corpusgen import GenConfig, generate_corpus
 from shona_asr.ctc import ctc_loss
 from shona_asr.errors import DataError, VerificationError
+from shona_asr.features import extract_features
 from shona_asr.lm import LmConfig, TokenVocab, build_lm, sentence_loss
 from shona_asr.manifest import split_corpus
-from shona_asr.optim import OptimizerState, optimizer_step
+from shona_asr.optim import OptimizerConfig, OptimizerState, optimizer_step
 from shona_asr.phones import default_inventory
 from shona_asr.train import (EarlyStopper, TrainConfig, _config_from_dict, _config_to_dict,
                              evaluate, restore_models, train, warm_start)
@@ -97,6 +99,20 @@ def test_config_rejects_augment_policy_that_fails_or_misbehaves_in_training(augm
     # each of these passed at load time and then raised mid-training or was silently ignored
     with pytest.raises(DataError, match="config.augment"):
         TrainConfig.from_dict({"augment": augment})
+
+
+@pytest.mark.parametrize("field, optimizer", [
+    ("optimizer", {"kind": "sgdd"}), ("optimizer", {"learning_rate": -0.1}),
+    ("optimizer", {"learning_rate": 0.0}), ("optimizer", {"learning_rate": math.inf}),
+    ("lm_optimizer", {"learning_rate": math.nan}), ("lm_optimizer", {"beta1": 1.0}),
+    ("optimizer", {"beta2": -0.1}), ("lm_optimizer", {"eps": 0.0})],
+    ids=["unknown_kind", "negative_lr", "zero_lr", "infinite_lr", "nan_lr", "beta1_one",
+         "negative_beta2", "zero_eps"])
+def test_config_rejects_optimizer_settings_that_fail_or_misbehave_in_training(field, optimizer):
+    # each of these loaded; then an unknown kind raised inside train(), a negative rate
+    # trained uphill and beta1 = 1 divided by 1 - 1**n = 0
+    with pytest.raises(DataError, match=f"config.{field}"):
+        TrainConfig.from_dict({field: optimizer})
 
 
 def test_train_produces_checkpoint_and_log(tiny_result):
@@ -264,6 +280,56 @@ def test_train_freezes_the_configured_warm_start_tensors(tiny_result, tiny_corpu
     assert not np.array_equal(frozen.tensors["acoustic.out.W"], warm.tensors["acoustic.out.W"])
 
 
+def test_frozen_tensors_get_no_gradient(tiny_result, tiny_corpus, monkeypatch):
+    cfg = dataclasses.replace(tiny_result[0], epochs_max=1, patience=1,
+                              freeze=("acoustic.conv1", "lm.embed"))
+    train_mod = importlib.import_module("shona_asr.train")
+    grads = {}
+
+    def recording_step(state, params):
+        for name, t in params.items():
+            grads.setdefault(name, set()).add(t.grad is None)
+        optimizer_step(state, params)
+
+    monkeypatch.setattr(train_mod, "optimizer_step", recording_step)
+    train(cfg, tiny_corpus)
+    assert grads["conv1.kernels"] == grads["conv1.bias"] == {True}
+    assert grads["conv2.kernels"] == grads["out.W"] == {False}
+
+
+@pytest.mark.parametrize("freeze", [("conv1",), ("acoustic.conv1", "lm.embedding")])
+def test_freeze_entry_that_matches_no_tensor_is_a_data_error(tiny_result, tiny_corpus, freeze):
+    # "conv1" lacks its model prefix; before, it trained with nothing frozen
+    cfg = dataclasses.replace(tiny_result[0], epochs_max=1, patience=1, freeze=freeze)
+    with pytest.raises(DataError, match=f"config.freeze: '{freeze[-1]}' matches no tensor"):
+        train(cfg, tiny_corpus)
+
+
+def test_identity_policy_from_lists_extracts_features_once_per_utterance(tiny_result,
+                                                                        tiny_corpus, monkeypatch):
+    policy = AugmentPolicy(speed_factors=[1.0], gain_db_range=[0.0, 0.0],
+                           n_freq_masks=0, n_time_masks=0)
+    assert policy.is_identity()
+    cfg = dataclasses.replace(tiny_result[0], epochs_max=2, patience=2, augment=policy)
+    train_mod = importlib.import_module("shona_asr.train")
+    calls = []
+    monkeypatch.setattr(train_mod, "extract_features",
+                        lambda audio: calls.append(audio) or extract_features(audio))
+    train(cfg, tiny_corpus)
+    train_m, val_m, _ = split_corpus(tiny_corpus, cfg.split_ratios, cfg.seed)
+    assert len(calls) == len(train_m) + len(val_m)
+
+
+def test_restored_models_build_no_graph(tiny_result, tiny_corpus):
+    _, result = tiny_result
+    cfg, _, _, acoustic, lm, _ = restore_models(result.checkpoint)
+    assert not any(t.requires_grad for params in (acoustic, lm) for _, t in params.items())
+    feats = extract_features(load_wav(tiny_corpus.records[0].audio))
+    out = acoustic_forward(acoustic, feats, cfg.acoustic)
+    assert not out.requires_grad
+    assert out._parents == () and out._backward is None
+
+
 def test_warm_start_mismatched_output_reinitialized(tiny_result):
     _, result = tiny_result
     ckpt = result.checkpoint
@@ -289,7 +355,9 @@ def test_frozen_tensors_unchanged_after_optimizer_steps(tiny_result):
     inv = default_inventory()
     ws = warm_start(ckpt, len(inv), TokenVocab(list(ckpt.vocab), "phone"),
                     AcousticConfig(), LmConfig())
-    opt = OptimizerState(kind="sgd", learning_rate=0.1, frozen_prefixes=("conv1",))
+    for name, t in ws.acoustic.items():
+        t.requires_grad = not name.startswith("conv1.")
+    opt = OptimizerState(OptimizerConfig(kind="sgd", learning_rate=0.1))
     before = {n: t.data.copy() for n, t in ws.acoustic.items()}
     for _ in range(5):
         for name, t in ws.acoustic.items():
