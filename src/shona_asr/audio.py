@@ -15,6 +15,9 @@ import numpy as np
 from .errors import DataError
 
 CANONICAL_RATE = 16000
+# Declared WAV rates outside this range are rejected before any sample is read.
+MIN_RATE_HZ = 8000
+MAX_RATE_HZ = 192000
 
 
 @dataclass
@@ -50,6 +53,14 @@ def resample_linear(samples: np.ndarray, src_rate: int, dst_rate: int) -> np.nda
     return np.interp(positions, np.arange(len(samples), dtype=np.float64), samples)
 
 
+def _declared_rate(path: Path, wf: wave.Wave_read) -> int:
+    rate = wf.getframerate()
+    if not MIN_RATE_HZ <= rate <= MAX_RATE_HZ:
+        raise DataError(f"{path}: declared sample rate {rate} Hz is outside "
+                        f"{MIN_RATE_HZ}-{MAX_RATE_HZ} Hz")
+    return rate
+
+
 def load_wav(path) -> AudioBuffer:
     """Load a mono 16-bit PCM WAV file, rescaled to [-1, 1] at 16 kHz.
 
@@ -63,7 +74,7 @@ def load_wav(path) -> AudioBuffer:
         with wave.open(str(path), "rb") as wf:
             n_channels = wf.getnchannels()
             sampwidth = wf.getsampwidth()
-            rate = wf.getframerate()
+            rate = _declared_rate(path, wf)
             n_frames = wf.getnframes()
             raw = wf.readframes(n_frames)
     except wave.Error as exc:
@@ -98,6 +109,6 @@ def wav_duration_s(path) -> float:
         raise DataError(f"audio file not found: {path}")
     try:
         with wave.open(str(path), "rb") as wf:
-            return wf.getnframes() / wf.getframerate()
+            return wf.getnframes() / _declared_rate(path, wf)
     except wave.Error as exc:
         raise DataError(f"{path}: not a readable PCM WAV file ({exc})") from exc

@@ -10,13 +10,14 @@ per-utterance derived seeds.
 
 from __future__ import annotations
 
+import functools
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .audio import AudioBuffer, save_wav
+from .audio import CANONICAL_RATE, AudioBuffer, save_wav
 from .errors import DataError, VerificationError
 from .lexicon import Lexicon
 from .manifest import CorpusManifest, load_manifest, save_manifest
@@ -31,6 +32,10 @@ VOWEL_FORMANTS = {
     "u": (320.0, 680.0),
 }
 
+PHONE_DURATION_MS = 80.0
+NOISE_BAND_HZ = 220.0
+NOISE_BAND_START_HZ = 600.0
+NOISE_BAND_STEP_HZ = 140.0
 EDGE_MS = 5.0
 
 
@@ -41,86 +46,81 @@ class GenConfig:
     n_utterances: int = 100
     words_per_sentence: tuple[int, int] = (2, 6)
     syllables_per_word: tuple[int, int] = (1, 4)
-    phone_duration_ms: float = 80.0
-    sample_rate: int = 16000
-    noise_band_hz: float = 220.0
-    noise_band_start_hz: float = 600.0
-    noise_band_step_hz: float = 140.0
 
     def __post_init__(self):
         if self.vocab_size < 2:
             raise ValueError("vocab_size must be >= 2")
-        if self.phone_duration_ms <= 0:
-            raise ValueError("phone duration must be positive")
-
-    def phone_samples(self) -> int:
-        return int(round(self.phone_duration_ms * self.sample_rate / 1000.0))
-
-
-def _consonant_band(inventory: PhoneInventory, index: int, cfg: GenConfig) -> tuple[float, float]:
-    """Narrow noise band for a consonant, distinct per consonant class."""
-    consonants = [p.index for p in inventory.phones if p.symbol not in VOWELS]
-    rank = consonants.index(index)
-    center = cfg.noise_band_start_hz + rank * cfg.noise_band_step_hz
-    half = cfg.noise_band_hz / 2.0
-    return center - half, center + half
+        if self.n_utterances < 1:
+            raise ValueError(f"n_utterances must be >= 1, got {self.n_utterances}")
+        for name in ("words_per_sentence", "syllables_per_word"):
+            low, high = getattr(self, name)
+            if not 1 <= low <= high:
+                raise ValueError(f"{name} must satisfy 1 <= low <= high, got {[low, high]}")
 
 
-def _edge_envelope(n: int, sample_rate: int) -> np.ndarray:
-    ramp_len = min(int(EDGE_MS * sample_rate / 1000.0), n // 2)
-    env = np.ones(n)
+@functools.lru_cache(maxsize=8)
+def phone_fixtures(inventory: PhoneInventory) -> np.ndarray:
+    """Every phone's fixed audio fixture, shape [P, 1280]; row i is phone i.
+
+    Consonant k, in inventory order, is noise in a band centred on
+    NOISE_BAND_START_HZ + k * NOISE_BAND_STEP_HZ. Built and checked for
+    separability once per inventory, and shared, so the table is read-only.
+    """
+    n = int(round(PHONE_DURATION_MS * CANONICAL_RATE / 1000.0))
+    t = np.arange(n) / CANONICAL_RATE
+    freqs = np.fft.rfftfreq(n, d=1.0 / CANONICAL_RATE)
+    ramp_len = min(int(EDGE_MS * CANONICAL_RATE / 1000.0), n // 2)
+    envelope = np.ones(n)
     if ramp_len > 0:
         ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(ramp_len) / ramp_len))
-        env[:ramp_len] = ramp
-        env[-ramp_len:] = ramp[::-1]
-    return env
-
-
-def render_phone(index: int, inventory: PhoneInventory, cfg: GenConfig) -> np.ndarray:
-    """One phone's fixed audio fixture; identical on every call."""
-    n = cfg.phone_samples()
-    symbol = inventory.phones[index].symbol
-    t = np.arange(n) / cfg.sample_rate
-    if symbol in VOWELS:
-        f1, f2 = VOWEL_FORMANTS[symbol]
-        seg = 0.35 * np.sin(2 * np.pi * f1 * t) + 0.35 * np.sin(2 * np.pi * f2 * t)
-    else:
-        lo, hi = _consonant_band(inventory, index, cfg)
-        class_seed = zlib.crc32(symbol.encode("utf-8"))
-        noise = np.random.default_rng(class_seed).standard_normal(n)
-        spectrum = np.fft.rfft(noise)
-        freqs = np.fft.rfftfreq(n, d=1.0 / cfg.sample_rate)
-        spectrum[(freqs < lo) | (freqs > hi)] = 0.0
-        seg = np.fft.irfft(spectrum, n)
-        peak = np.max(np.abs(seg))
-        if peak > 0:
-            seg = 0.5 * seg / peak
-    return seg * _edge_envelope(n, cfg.sample_rate)
+        envelope[:ramp_len] = ramp
+        envelope[-ramp_len:] = ramp[::-1]
+    table = np.empty((len(inventory), n))
+    rank = 0
+    for p in inventory.phones:
+        if p.symbol in VOWELS:
+            f1, f2 = VOWEL_FORMANTS[p.symbol]
+            seg = 0.35 * np.sin(2 * np.pi * f1 * t) + 0.35 * np.sin(2 * np.pi * f2 * t)
+        else:
+            center = NOISE_BAND_START_HZ + rank * NOISE_BAND_STEP_HZ
+            half = NOISE_BAND_HZ / 2.0
+            lo, hi = center - half, center + half
+            rank += 1
+            noise = np.random.default_rng(zlib.crc32(p.symbol.encode("utf-8"))).standard_normal(n)
+            spectrum = np.fft.rfft(noise)
+            spectrum[(freqs < lo) | (freqs > hi)] = 0.0
+            seg = np.fft.irfft(spectrum, n)
+            peak = np.max(np.abs(seg))
+            if peak > 0:
+                seg = 0.5 * seg / peak
+        table[p.index] = seg * envelope
+    table.flags.writeable = False
+    check_phone_separability(inventory, table)
+    return table
 
 
 def synth_utterance(phone_indices: list[int], cfg: GenConfig,
                     inventory: PhoneInventory | None = None) -> AudioBuffer:
-    """Concatenate phone fixtures; length is exactly len(phones) * duration."""
+    """Concatenate phone fixtures; length is exactly len(phones) * duration.
+
+    Nothing is read from `cfg`; it stays until the next benchmark change.
+    """
     inventory = inventory or default_inventory()
     if not phone_indices:
         raise ValueError("phone sequence is empty")
-    samples = np.concatenate([render_phone(i, inventory, cfg) for i in phone_indices])
-    return AudioBuffer(samples, cfg.sample_rate)
+    return AudioBuffer(phone_fixtures(inventory)[list(phone_indices)].ravel(), CANONICAL_RATE)
 
 
-def check_phone_separability(inventory: PhoneInventory, cfg: GenConfig) -> None:
-    """Every pair of phones must have distinct DFT peak-bin sets."""
-    peak_sets = {}
-    for p in inventory.phones:
-        seg = render_phone(p.index, inventory, cfg)
-        mag = np.abs(np.fft.rfft(seg))
-        peak_sets[p.symbol] = frozenset(np.flatnonzero(mag >= 0.5 * mag.max()).tolist())
+def check_phone_separability(inventory: PhoneInventory, table: np.ndarray) -> None:
+    """Every pair of phones must have distinct DFT peak-bin sets in the table's rows."""
     by_set: dict[frozenset, str] = {}
-    for symbol, peaks in peak_sets.items():
+    for p in inventory.phones:
+        mag = np.abs(np.fft.rfft(table[p.index]))
+        peaks = frozenset(np.flatnonzero(mag >= 0.5 * mag.max()).tolist())
         if peaks in by_set:
             raise VerificationError(
-                f"phones {by_set[peaks]!r} and {symbol!r} render to identical DFT peak sets")
-        by_set[peaks] = symbol
+                f"phones {by_set[peaks]!r} and {p.symbol!r} render to identical DFT peak sets")
+        by_set[peaks] = p.symbol
 
 
 def gen_word(rng: np.random.Generator, inventory: PhoneInventory,
@@ -152,7 +152,6 @@ def generate_corpus(cfg: GenConfig, out_dir) -> CorpusManifest:
     wav_dir = out_dir / "wav"
     wav_dir.mkdir(parents=True, exist_ok=True)
     inventory = default_inventory()
-    check_phone_separability(inventory, cfg)
 
     vocab_rng = _utterance_rng(cfg.seed, 0, 0)
     vocab: dict[str, list[int]] = {}
@@ -184,7 +183,7 @@ def generate_corpus(cfg: GenConfig, out_dir) -> CorpusManifest:
             "id": utt_id,
             "audio": f"wav/{utt_id}.wav",
             "text": " ".join(sentence),
-            "duration_s": len(audio.samples) / cfg.sample_rate,
+            "duration_s": len(audio.samples) / CANONICAL_RATE,
         })
 
     manifest_path = out_dir / "manifest.jsonl"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -67,14 +68,18 @@ def load_manifest(path) -> CorpusManifest:
         text = str(obj["text"]).strip()
         if not text:
             raise DataError(f"{path}:{lineno}: empty text for id {utt_id!r}")
+        if not isinstance(obj["audio"], str) or not obj["audio"]:
+            raise DataError(f"{path}:{lineno}: audio must be a non-empty path string, "
+                            f"got {obj['audio']!r}")
         audio = (root / obj["audio"]).resolve()
-        if not audio.exists():
+        if not audio.is_file():
             raise DataError(f"{path}:{lineno}: audio file not found: {audio}")
         duration = obj.get("duration_s")
         if duration is None:
             duration = wav_duration_s(audio)
-        elif not (isinstance(duration, (int, float)) and duration > 0):
-            raise DataError(f"{path}:{lineno}: duration_s must be positive")
+        elif type(duration) not in (int, float) or not 0 < duration < math.inf:
+            raise DataError(f"{path}:{lineno}: duration_s must be a finite number above 0, "
+                            f"got {duration!r}")
         records.append(ManifestRecord(utt_id, audio, text, float(duration)))
     if not records:
         raise DataError(f"{path}: manifest is empty")

@@ -329,8 +329,12 @@ def train(cfg: TrainConfig, manifest: CorpusManifest) -> TrainResult:
     if n_skipped > len(train_m) / 2:
         raise DataError(f"{n_skipped} of {len(train_m)} training utterances unusable; aborting")
 
-    base_feats = {u.utt_id: extract_features(u.audio) for u in train_utts + val_utts}
     identity_augment = cfg.augment.is_identity()
+    # an augmenting epoch extracts its own training features, so only the
+    # identity policy and the train-PER pass read the unaugmented ones
+    keep_train = identity_augment or cfg.target_train_per is not None
+    base_feats = {u.utt_id: extract_features(u.audio)
+                  for u in (train_utts if keep_train else []) + val_utts}
     lm_train_sents = _lm_sentences(train_utts, lexicon, vocab.granularity)
     lm_val_sents = _lm_sentences(val_utts, lexicon, vocab.granularity)
 

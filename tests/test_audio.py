@@ -1,3 +1,4 @@
+import struct
 import wave
 
 import numpy as np
@@ -87,3 +88,17 @@ def test_resample_length_formula(rng):
 def test_wav_duration_header_only(tmp_path):
     write_pcm(tmp_path / "a.wav", np.zeros(8000))
     assert wav_duration_s(tmp_path / "a.wav") == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("rate", [0, 500, 200_000])
+def test_declared_rate_out_of_range_is_a_data_error_naming_the_file(tmp_path, rate):
+    # before, 0 Hz divided by zero in both readers; a tiny payload keeps the
+    # low rates from resampling to a huge signal at the parent
+    path = tmp_path / "a.wav"
+    write_pcm(path, np.zeros(4))
+    raw = bytearray(path.read_bytes())
+    raw[24:32] = struct.pack("<II", rate, 2 * rate)  # fmt chunk: sample rate, byte rate
+    path.write_bytes(bytes(raw))
+    for read in (load_wav, wav_duration_s):
+        with pytest.raises(DataError, match=f"{path}: declared sample rate {rate} Hz"):
+            read(path)

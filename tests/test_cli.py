@@ -84,6 +84,35 @@ def test_corpusgen_unknown_config_key_exits_2(tmp_path):
     assert main(["corpusgen", "--config", str(cfg), "--out-dir", str(tmp_path / "c")]) == 2
 
 
+@pytest.mark.parametrize("key", ["phone_duration_ms", "sample_rate", "noise_band_hz",
+                                 "noise_band_start_hz", "noise_band_step_hz"])
+def test_corpusgen_rendering_settings_are_not_config_keys(tmp_path, capsys, key):
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps({"seed": 1, "n_utterances": 2, key: 100}))
+    assert main(["corpusgen", "--config", str(cfg), "--out-dir", str(tmp_path / "c")]) == 2
+    assert "unknown keys" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_utterances", 0),
+    ("words_per_sentence", [0, 2]),
+    ("words_per_sentence", [3, 2]),
+    ("syllables_per_word", [0, 2]),
+    ("syllables_per_word", [3, 2]),
+], ids=["no-utterances", "words-from-0", "words-reversed", "syllables-from-0",
+        "syllables-reversed"])
+def test_corpusgen_empty_or_reversed_range_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                                     field, value):
+    # before, these wrote some WAVs and then failed on an empty word, an empty
+    # sentence or an empty manifest, or in the RNG without naming the field
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps({"seed": 1, "vocab_size": 4, "n_utterances": 8, field: value}))
+    assert main(["corpusgen", "--config", str(cfg), "--out-dir", str(tmp_path / "c")]) == 2
+    assert f"config: {field} must" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
 @pytest.mark.parametrize("bad", [{"lexicon_words": [1, 2]}, {"seed": "x"}, {"seed": True}],
                          ids=["lexicon-ints", "seed-string", "seed-bool"])
 def test_train_config_value_of_wrong_type_exits_2(corpus_dir, tmp_path, capsys, bad):

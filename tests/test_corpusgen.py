@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from oracles import naive_dft_magnitude
+from shona_asr.audio import CANONICAL_RATE
 from shona_asr.corpusgen import (GenConfig, VOWEL_FORMANTS, check_phone_separability,
-                                 generate_corpus, render_phone, synth_utterance)
+                                 generate_corpus, phone_fixtures, synth_utterance)
+from shona_asr.errors import VerificationError
 from shona_asr.lexicon import Lexicon
 from shona_asr.phones import default_inventory, g2p
 
@@ -16,11 +18,10 @@ def test_four_phones_at_80ms_gives_5120_samples():
 
 def test_vowel_formant_peaks_match_config():
     inv = default_inventory()
-    cfg = GenConfig()
     for symbol, (f1, f2) in VOWEL_FORMANTS.items():
-        seg = render_phone(inv.by_symbol[symbol].index, inv, cfg)
+        seg = phone_fixtures(inv)[inv.by_symbol[symbol].index]
         mag = naive_dft_magnitude(seg, len(seg))
-        resolution = cfg.sample_rate / len(seg)
+        resolution = CANONICAL_RATE / len(seg)
         top = np.argsort(mag)[-2:] * resolution
         assert sorted(np.round(top / resolution)) == sorted(
             [round(f1 / resolution), round(f2 / resolution)])
@@ -34,7 +35,35 @@ def test_same_phones_bit_identical_audio():
 
 
 def test_phone_fixtures_spectrally_distinct():
-    check_phone_separability(default_inventory(), GenConfig())
+    inv = default_inventory()
+    check_phone_separability(inv, phone_fixtures(inv))
+
+
+def test_separability_check_rejects_two_equal_rows():
+    inv = default_inventory()
+    table = phone_fixtures(inv).copy()
+    table[1] = table[0]
+    with pytest.raises(VerificationError, match="identical DFT peak sets"):
+        check_phone_separability(inv, table)
+
+
+def test_phone_fixtures_built_once_read_only():
+    inv = default_inventory()
+    table = phone_fixtures(inv)
+    assert phone_fixtures(inv) is table
+    assert table.shape == (54, 1280)
+    assert not table.flags.writeable
+
+
+def test_synth_utterance_is_the_concatenated_fixture_rows():
+    phones = [3, 10, 2, 10, 53]
+    table = phone_fixtures(default_inventory())
+    audio = synth_utterance(phones, GenConfig())
+    assert np.array_equal(audio.samples, np.concatenate([table[i] for i in phones]))
+    # a pronunciation tuple indexes rows too, not one sample
+    assert np.array_equal(synth_utterance(tuple(phones[:2]), GenConfig()).samples,
+                          audio.samples[:2560])
+    assert audio.sample_rate_hz == CANONICAL_RATE
 
 
 def test_generate_corpus_counts_and_coverage(tmp_path):
@@ -87,3 +116,4 @@ def test_word_syllable_bounds(tmp_path):
     for word, phones in lex.pronunciations.items():
         assert 1 <= len(phones) // 2 <= 4
         assert len(phones) % 2 == 0  # strict CV alternation
+

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -111,3 +112,19 @@ def test_bad_ratios_rejected(tmp_path):
     m = load_manifest(make_corpus(tmp_path, 10))
     with pytest.raises(DataError, match="sum"):
         split_corpus(m, (0.5, 0.2, 0.2), seed=0)
+
+
+@pytest.mark.parametrize("bad", [
+    {"audio": 5}, {"audio": ""}, {"audio": "."},
+    {"duration_s": True}, {"duration_s": math.inf}, {"duration_s": math.nan},
+    {"duration_s": "2.5"}, {"duration_s": 0},
+], ids=["audio-int", "audio-empty", "audio-directory", "duration-bool", "duration-inf",
+        "duration-nan", "duration-string", "duration-zero"])
+def test_malformed_audio_or_duration_is_a_data_error_naming_the_line(tmp_path, bad):
+    # before, an int audio raised TypeError, an empty one or a directory
+    # IsADirectoryError, and a bool or infinite duration loaded
+    write_pcm(tmp_path / "a.wav", np.zeros(100))
+    path = write_manifest(tmp_path, [{"id": "u1", "audio": "a.wav", "text": "x"},
+                                     {"id": "u2", "audio": "a.wav", "text": "y", **bad}])
+    with pytest.raises(DataError, match=":2: (audio|duration_s)"):
+        load_manifest(path)

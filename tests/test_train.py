@@ -320,6 +320,21 @@ def test_identity_policy_from_lists_extracts_features_once_per_utterance(tiny_re
     assert len(calls) == len(train_m) + len(val_m)
 
 
+@pytest.mark.parametrize("target", [None, 0.0], ids=["no-target", "target"])
+def test_augmenting_policy_extracts_unaugmented_train_features_only_for_a_target(
+        tiny_result, tiny_corpus, monkeypatch, target):
+    cfg = dataclasses.replace(tiny_result[0], epochs_max=2, patience=2, augment=AugmentPolicy(),
+                              target_train_per=target)
+    train_mod = importlib.import_module("shona_asr.train")
+    calls = []
+    monkeypatch.setattr(train_mod, "extract_features",
+                        lambda audio: calls.append(audio) or extract_features(audio))
+    result = train(cfg, tiny_corpus)
+    train_m, val_m, _ = split_corpus(tiny_corpus, cfg.split_ratios, cfg.seed)
+    up_front = len(val_m) + (len(train_m) if target is not None else 0)
+    assert len(calls) == up_front + len(result.epoch_log) * len(train_m)
+
+
 def test_restored_models_build_no_graph(tiny_result, tiny_corpus):
     _, result = tiny_result
     cfg, _, _, acoustic, lm, _ = restore_models(result.checkpoint)
