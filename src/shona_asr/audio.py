@@ -6,6 +6,7 @@ Files are RIFF/WAVE, PCM signed 16-bit little-endian, one channel.
 
 from __future__ import annotations
 
+import contextlib
 import wave
 from dataclasses import dataclass
 from pathlib import Path
@@ -53,6 +54,23 @@ def resample_linear(samples: np.ndarray, src_rate: int, dst_rate: int) -> np.nda
     return np.interp(positions, np.arange(len(samples), dtype=np.float64), samples)
 
 
+@contextlib.contextmanager
+def _open_wav(path: Path):
+    """Open a WAV file for reading; any failure to read it is a DataError naming it.
+
+    `wave` reports a malformed header as `wave.Error`, `EOFError` or
+    `RuntimeError`, and a path it cannot read (a directory, say) as `OSError`.
+    """
+    if not path.exists():
+        raise DataError(f"audio file not found: {path}")
+    try:
+        with wave.open(str(path), "rb") as wf:
+            yield wf
+    except (wave.Error, EOFError, RuntimeError, OSError) as exc:
+        raise DataError(f"{path}: not a readable PCM WAV file "
+                        f"({exc or type(exc).__name__})") from exc
+
+
 def _declared_rate(path: Path, wf: wave.Wave_read) -> int:
     rate = wf.getframerate()
     if not MIN_RATE_HZ <= rate <= MAX_RATE_HZ:
@@ -65,26 +83,23 @@ def load_wav(path) -> AudioBuffer:
     """Load a mono 16-bit PCM WAV file, rescaled to [-1, 1] at 16 kHz.
 
     Sources at other rates are linearly resampled to 16 kHz. Multi-channel
-    files are rejected rather than downmixed.
+    files are rejected rather than downmixed. No more frames are read than
+    the file's size can hold, whatever its header declares.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"audio file not found: {path}")
-    try:
-        with wave.open(str(path), "rb") as wf:
-            n_channels = wf.getnchannels()
-            sampwidth = wf.getsampwidth()
-            rate = _declared_rate(path, wf)
-            n_frames = wf.getnframes()
-            raw = wf.readframes(n_frames)
-    except wave.Error as exc:
-        raise DataError(f"{path}: not a readable PCM WAV file ({exc})") from exc
-    if n_channels != 1:
-        raise DataError(f"{path}: expected mono audio, got {n_channels} channels")
-    if sampwidth != 2:
-        raise DataError(f"{path}: expected 16-bit PCM samples, got {8 * sampwidth}-bit")
-    if n_frames == 0 or len(raw) == 0:
+    with _open_wav(path) as wf:
+        n_channels = wf.getnchannels()
+        if n_channels != 1:
+            raise DataError(f"{path}: expected mono audio, got {n_channels} channels")
+        sampwidth = wf.getsampwidth()
+        if sampwidth != 2:
+            raise DataError(f"{path}: expected 16-bit PCM samples, got {8 * sampwidth}-bit")
+        rate = _declared_rate(path, wf)
+        raw = wf.readframes(min(wf.getnframes(), path.stat().st_size // 2))
+    if len(raw) == 0:
         raise DataError(f"{path}: zero-length payload")
+    if len(raw) % 2:
+        raise DataError(f"{path}: payload of {len(raw)} bytes is not whole 16-bit samples")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     if rate != CANONICAL_RATE:
         samples = resample_linear(samples, rate, CANONICAL_RATE)
@@ -105,10 +120,5 @@ def save_wav(path, audio: AudioBuffer) -> None:
 def wav_duration_s(path) -> float:
     """Read a WAV header and report its duration without loading samples."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"audio file not found: {path}")
-    try:
-        with wave.open(str(path), "rb") as wf:
-            return wf.getnframes() / _declared_rate(path, wf)
-    except wave.Error as exc:
-        raise DataError(f"{path}: not a readable PCM WAV file ({exc})") from exc
+    with _open_wav(path) as wf:
+        return wf.getnframes() / _declared_rate(path, wf)

@@ -148,10 +148,19 @@ def generate_corpus(cfg: GenConfig, out_dir) -> CorpusManifest:
 
     Deterministic: the same config yields byte-identical output trees.
     """
-    out_dir = Path(out_dir)
-    wav_dir = out_dir / "wav"
-    wav_dir.mkdir(parents=True, exist_ok=True)
     inventory = default_inventory()
+    # distinct pronunciations, (onset phones x vowels) ** syllables, counted
+    # over the syllable range until they cover the vocabulary
+    onsets = {inventory.by_spelling[o].index for o in inventory.onset_spellings()}
+    low, high = cfg.syllables_per_word
+    capacity = 0
+    for n_syllables in range(low, high + 1):
+        capacity += (len(onsets) * len(VOWELS)) ** n_syllables
+        if capacity >= cfg.vocab_size:
+            break
+    if cfg.vocab_size > capacity:
+        raise DataError(f"config.vocab_size: {cfg.vocab_size} words exceed the {capacity} "
+                        f"distinct pronunciations of {low}-{high} syllables")
 
     vocab_rng = _utterance_rng(cfg.seed, 0, 0)
     vocab: dict[str, list[int]] = {}
@@ -168,6 +177,9 @@ def generate_corpus(cfg: GenConfig, out_dir) -> CorpusManifest:
         seen_phones.add(tuple(phones))
     words = list(vocab)
 
+    out_dir = Path(out_dir)
+    wav_dir = out_dir / "wav"
+    wav_dir.mkdir(parents=True, exist_ok=True)
     records = []
     lo, hi = cfg.words_per_sentence
     for i in range(cfg.n_utterances):

@@ -2,20 +2,39 @@
 
 One epoch loop trains the acoustic model (CTC) and the language model
 (teacher forcing) with independent optimizers, monitors validation PER
-from greedy decoding, and early-stops with patience. Both models train in
-float32; the CTC recursion and the loss totals sum in float64. The best
-epoch is kept as a copy of its tensors, which its checkpoint holds. The
-whole run is a pure function of (config, manifest).
+from greedy decoding, and early-stops with patience. The two models share
+no tensor, optimizer or input, so they train side by side: a forked LM
+process owns the LM's parameters and Adam moments and runs each epoch's
+LM pass and LM validation while this process runs the acoustic ones, then
+sends the LM's tensors back for the best-epoch copy. Training therefore
+needs the `fork` start method (Linux). Both models train in float32; the
+CTC recursion and the loss totals sum in float64. The best epoch is kept
+as a copy of its tensors, which its checkpoint holds.
+
+The whole run is a pure function of (config, manifest), whatever the
+host's core count or `OPENBLAS_NUM_THREADS`: OpenBLAS is pinned to one
+thread for the duration of `train()` (and so in the forked LM process),
+and its previous thread count is restored afterwards. The sums of a
+multi-threaded BLAS depend on how it splits them, and one thread per
+process is also what two processes on a 2-core host can run without
+oversubscription.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import dataclasses
+import functools
 import logging
+import multiprocessing
+import signal
 import time
+import traceback
 import types
 import typing
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -278,6 +297,128 @@ def _finite_update(opt: OptimizerState, params: ad.Parameters, batch: int) -> in
     return batch
 
 
+@functools.lru_cache(maxsize=1)
+def _openblas_thread_calls():
+    """The loaded OpenBLAS's (get_num_threads, set_num_threads), or None.
+
+    The library is found among the files this process has mapped, and the
+    calls under the names numpy's wheels (`scipy_openblas*`) or a system
+    OpenBLAS give them. None when numpy runs on another BLAS.
+    """
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return None
+    libs = sorted({line.split()[-1] for line in maps.splitlines()
+                   if "openblas" in line.lower() and ".so" in line})
+    for lib in libs:
+        try:
+            dll = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                               ("openblas", "64_"), ("openblas", "")):
+            get = getattr(dll, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(dll, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with OpenBLAS on one thread; restore its thread count after."""
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    previous = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(previous)
+
+
+def _lm_epochs(conn, parent_end, params: ad.Parameters, opt: OptimizerState, vocab: TokenVocab,
+               train_sents: list[list[str]], val_sents: list[list[str]]) -> None:
+    """The LM process: one LM epoch and its validation loss per request.
+
+    Each request (any message) is answered with (train_lm_ce, val_lm_ce,
+    {name: array}), or with the exception the epoch raised; one that cannot
+    be pickled ends the process, which the parent reports. A closed pipe
+    ends the process. Ctrl-C is left to the parent, which kills the process.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    parent_end.close()  # so that a parent that dies closes the pipe
+    while True:
+        try:
+            conn.recv()
+        except EOFError:
+            return
+        try:
+            train_ce = lm_train(params, train_sents, vocab, epochs=1, optimizer=opt)[0]
+            reply = (train_ce, corpus_loss(params, val_sents, vocab),
+                     {name: t.data for name, t in params.items()})
+        except Exception as exc:
+            exc.add_note("in the LM training process:\n" + traceback.format_exc().rstrip())
+            reply = exc
+        conn.send(reply)
+
+
+class _LmTrainer:
+    """A forked process that trains the LM, one epoch per `start_epoch`.
+
+    The process inherits the parameters, the optimizer and the sentences.
+    `finish_epoch` waits for the epoch and copies its tensors into
+    `params`; an exception raised in the process is raised again here.
+    Leaving the `with` block ends the process: it is closed after a normal
+    exit and killed after an exception, and joined either way.
+    """
+
+    def __init__(self, params: ad.Parameters, opt: OptimizerState, vocab: TokenVocab,
+                 train_sents: list[list[str]], val_sents: list[list[str]]):
+        context = multiprocessing.get_context("fork")
+        self.params = params
+        self._conn, child_end = context.Pipe()
+        self._process = context.Process(
+            target=_lm_epochs, name="lm-train", daemon=True,
+            args=(child_end, self._conn, params, opt, vocab, train_sents, val_sents))
+        self._process.start()
+        child_end.close()
+
+    def __enter__(self) -> "_LmTrainer":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None:
+            self._process.kill()
+        self._conn.close()
+        self._process.join()
+
+    def start_epoch(self) -> None:
+        self._conn.send(True)
+
+    def finish_epoch(self) -> tuple[float, float]:
+        """Wait for the epoch; returns its (train_lm_ce, val_lm_ce)."""
+        try:
+            reply = self._conn.recv()
+        except EOFError:
+            self._process.join()
+            raise RuntimeError(f"the LM training process exited with code "
+                               f"{self._process.exitcode} without answering") from None
+        if isinstance(reply, BaseException):
+            raise reply
+        train_ce, val_ce, tensors = reply
+        for name, t in self.params.items():
+            t.data[...] = tensors[name]
+        return train_ce, val_ce
+
+
+@_one_blas_thread()
 def train(cfg: TrainConfig, manifest: CorpusManifest) -> TrainResult:
     """Joint training run; returns the checkpoint of the best epoch."""
     inventory = default_inventory()
@@ -343,93 +484,92 @@ def train(cfg: TrainConfig, manifest: CorpusManifest) -> TrainResult:
     epoch_log: list[dict] = []
     stopped_early = False
 
-    for epoch in range(1, cfg.epochs_max + 1):
-        # -- acoustic pass ---------------------------------------------------
-        epoch_ctc, n_scored, n_failed, n_nonfinite, pending = 0.0, 0, 0, 0, 0
-        for i, utt in enumerate(train_utts):
-            if identity_augment:
-                feats = base_feats[utt.utt_id]
-            else:
-                rng = np.random.default_rng(
-                    np.random.SeedSequence(cfg.seed, spawn_key=(cfg.augment.seed, epoch, i)))
-                audio = augment_audio(utt.audio, cfg.augment, rng)
-                feats = spec_augment(extract_features(audio), cfg.augment, rng)
-            if output_frames(feats.shape[0]) < min_frames(utt.phones):
-                n_failed += 1
-                continue
-            grid = acoustic_forward(acoustic_params, feats, cfg.acoustic)
-            loss = ctc_loss(grid, utt.phones)
-            if not np.isfinite(loss.data):
-                n_nonfinite += 1
-                continue
-            epoch_ctc += float(loss.data)
-            n_scored += 1
-            ad.backward(loss)
-            pending += 1
-            if pending >= cfg.batch_size:
+    with _LmTrainer(lm_params, lm_opt, vocab, lm_train_sents, lm_val_sents) as lm:
+        for epoch in range(1, cfg.epochs_max + 1):
+            lm.start_epoch()  # the LM's pass and validation run beside the acoustic ones
+            # -- acoustic pass -------------------------------------------------
+            epoch_ctc, n_scored, n_failed, n_nonfinite, pending = 0.0, 0, 0, 0, 0
+            for i, utt in enumerate(train_utts):
+                if identity_augment:
+                    feats = base_feats[utt.utt_id]
+                else:
+                    rng = np.random.default_rng(
+                        np.random.SeedSequence(cfg.seed, spawn_key=(cfg.augment.seed, epoch, i)))
+                    audio = augment_audio(utt.audio, cfg.augment, rng)
+                    feats = spec_augment(extract_features(audio), cfg.augment, rng)
+                if output_frames(feats.shape[0]) < min_frames(utt.phones):
+                    n_failed += 1
+                    continue
+                grid = acoustic_forward(acoustic_params, feats, cfg.acoustic)
+                loss = ctc_loss(grid, utt.phones)
+                if not np.isfinite(loss.data):
+                    n_nonfinite += 1
+                    continue
+                epoch_ctc += float(loss.data)
+                n_scored += 1
+                ad.backward(loss)
+                pending += 1
+                if pending >= cfg.batch_size:
+                    n_nonfinite += _finite_update(ac_opt, acoustic_params, pending)
+                    pending = 0
+            if pending:
                 n_nonfinite += _finite_update(ac_opt, acoustic_params, pending)
-                pending = 0
-        if pending:
-            n_nonfinite += _finite_update(ac_opt, acoustic_params, pending)
-        n_failed += n_nonfinite
-        if n_failed > len(train_utts) / 2:
-            message = f"epoch {epoch}: {n_failed}/{len(train_utts)} utterances failed"
-            if n_nonfinite:
-                raise VerificationError(f"{message}, {n_nonfinite} of them on a non-finite "
-                                        f"loss or gradient")
-            raise DataError(message)
+            n_failed += n_nonfinite
+            if n_failed > len(train_utts) / 2:
+                message = f"epoch {epoch}: {n_failed}/{len(train_utts)} utterances failed"
+                if n_nonfinite:
+                    raise VerificationError(f"{message}, {n_nonfinite} of them on a non-finite "
+                                            f"loss or gradient")
+                raise DataError(message)
 
-        # -- language model pass ---------------------------------------------
-        train_lm_ce = lm_train(lm_params, lm_train_sents, vocab, epochs=1, optimizer=lm_opt)[0]
+            # -- validation ----------------------------------------------------
+            val_ctc, n_val = 0.0, 0
+            val_pairs = []
+            for utt in val_utts:
+                feats = base_feats[utt.utt_id]
+                grid = acoustic_forward(acoustic_params, feats, cfg.acoustic)
+                if output_frames(feats.shape[0]) >= min_frames(utt.phones):
+                    val_ctc += float(ctc_loss(grid, utt.phones).data)
+                    n_val += 1
+                val_pairs.append((utt.phones, ctc_greedy_decode(grid.data)))
+            val_per = per(val_pairs)
+            train_lm_ce, val_lm = lm.finish_epoch()
 
-        # -- validation --------------------------------------------------------
-        val_ctc, n_val = 0.0, 0
-        val_pairs = []
-        for utt in val_utts:
-            feats = base_feats[utt.utt_id]
-            grid = acoustic_forward(acoustic_params, feats, cfg.acoustic)
-            if output_frames(feats.shape[0]) >= min_frames(utt.phones):
-                val_ctc += float(ctc_loss(grid, utt.phones).data)
-                n_val += 1
-            val_pairs.append((utt.phones, ctc_greedy_decode(grid.data)))
-        val_per = per(val_pairs)
-        val_lm = corpus_loss(lm_params, lm_val_sents, vocab)
+            entry = {
+                "epoch": epoch,
+                "train_ctc": epoch_ctc / max(n_scored, 1),
+                "train_lm_ce": train_lm_ce,
+                "val_ctc": val_ctc / max(n_val, 1),
+                "val_lm_ce": val_lm,
+                "val_per": val_per,
+                "skipped": n_failed,
+            }
 
-        entry = {
-            "epoch": epoch,
-            "train_ctc": epoch_ctc / max(n_scored, 1),
-            "train_lm_ce": train_lm_ce,
-            "val_ctc": val_ctc / max(n_val, 1),
-            "val_lm_ce": val_lm,
-            "val_per": val_per,
-            "skipped": n_failed,
-        }
+            improved = stopper.update(val_per, epoch)
+            reached_target = False
+            if cfg.target_train_per is not None:
+                train_pairs = [(utt.phones, ctc_greedy_decode(
+                    acoustic_forward(acoustic_params, base_feats[utt.utt_id], cfg.acoustic).data))
+                    for utt in train_utts]
+                entry["train_per"] = train_per = per(train_pairs)
+                reached_target = train_per <= cfg.target_train_per
+                if reached_target:
+                    stopper.best_value = val_per
+                    stopper.best_epoch = epoch
 
-        improved = stopper.update(val_per, epoch)
-        reached_target = False
-        if cfg.target_train_per is not None:
-            train_pairs = [(utt.phones, ctc_greedy_decode(
-                acoustic_forward(acoustic_params, base_feats[utt.utt_id], cfg.acoustic).data))
-                for utt in train_utts]
-            entry["train_per"] = train_per = per(train_pairs)
-            reached_target = train_per <= cfg.target_train_per
+            if improved or reached_target:
+                best_tensors = {name: t.data.copy() for name, t in named}
+            epoch_log.append(entry)
             if reached_target:
-                stopper.best_value = val_per
-                stopper.best_epoch = epoch
+                log.info("epoch %d: train PER %.4f reached target, stopping", epoch, train_per)
+                break
+            log.info("epoch %d: train_ctc=%.4f val_ctc=%.4f val_per=%.4f lm_ce=%.4f",
+                     epoch, entry["train_ctc"], entry["val_ctc"], val_per, entry["train_lm_ce"])
 
-        if improved or reached_target:
-            best_tensors = {name: t.data.copy() for name, t in named}
-        epoch_log.append(entry)
-        if reached_target:
-            log.info("epoch %d: train PER %.4f reached target, stopping", epoch, train_per)
-            break
-        log.info("epoch %d: train_ctc=%.4f val_ctc=%.4f val_per=%.4f lm_ce=%.4f",
-                 epoch, entry["train_ctc"], entry["val_ctc"], val_per, entry["train_lm_ce"])
-
-        if stopper.should_stop:
-            stopped_early = True
-            log.info("early stopping at epoch %d (best epoch %d)", epoch, stopper.best_epoch)
-            break
+            if stopper.should_stop:
+                stopped_early = True
+                log.info("early stopping at epoch %d (best epoch %d)", epoch, stopper.best_epoch)
+                break
 
     config_snapshot = cfg.to_dict()
     config_snapshot["lexicon_words"] = lexicon.words()

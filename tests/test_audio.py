@@ -1,5 +1,9 @@
+import os
 import struct
+import subprocess
+import sys
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,3 +106,51 @@ def test_declared_rate_out_of_range_is_a_data_error_naming_the_file(tmp_path, ra
     for read in (load_wav, wav_duration_s):
         with pytest.raises(DataError, match=f"{path}: declared sample rate {rate} Hz"):
             read(path)
+
+
+def test_every_single_byte_header_mutation_loads_or_is_a_data_error(tmp_path):
+    # before, a fmt chunk size (bytes 16-19) that wave cannot follow raised EOFError or
+    # RuntimeError, and a data size of an odd byte count a ValueError naming no file
+    path = tmp_path / "a.wav"
+    write_pcm(path, 0.3 * np.sin(np.arange(400) / 3.0))
+    original = path.read_bytes()
+    loaded = 0
+    for pos in range(44):
+        for value in range(256):
+            if value == original[pos]:
+                continue
+            mutated = bytearray(original)
+            mutated[pos] = value
+            path.write_bytes(bytes(mutated))
+            for read in (load_wav, wav_duration_s):
+                try:
+                    read(path)
+                    loaded += 1
+                except DataError as exc:
+                    assert str(path) in str(exc)
+    assert 0 < loaded < 2 * 44 * 255
+
+
+def test_declared_frames_beyond_the_file_read_only_what_it_holds(tmp_path):
+    # before, the reader asked for every declared byte at once: 4 GB for this header,
+    # a MemoryError under a 1 GB address-space limit
+    path = tmp_path / "a.wav"
+    write_pcm(path, np.full(100, 0.25))
+    raw = bytearray(path.read_bytes())
+    raw[4:8] = raw[40:44] = struct.pack("<I", 0xFFFFFFF0)  # RIFF and data sizes: about 4 GB
+    path.write_bytes(bytes(raw))
+    script = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+              "from shona_asr.audio import load_wav; print(load_wav(sys.argv[1]).samples.sum())")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
+           "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) == pytest.approx(25.0, abs=0.01)
+
+
+def test_a_directory_is_a_data_error_naming_it(tmp_path):
+    # before, both readers tested exists() and wave.open raised IsADirectoryError
+    for read in (load_wav, wav_duration_s):
+        with pytest.raises(DataError, match=f"{tmp_path}: not a readable PCM WAV file"):
+            read(tmp_path)

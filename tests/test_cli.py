@@ -69,6 +69,12 @@ def test_features_missing_wav_exits_2(tmp_path):
     assert main(["features", str(tmp_path / "nope.wav"), "--out", str(tmp_path / "o.bin")]) == 2
 
 
+def test_features_of_a_directory_exits_2_naming_it(tmp_path, capsys):
+    # before, IsADirectoryError escaped as a traceback with exit 1
+    assert main(["features", str(tmp_path), "--out", str(tmp_path / "o.bin")]) == 2
+    assert f"{tmp_path}: not a readable PCM WAV file" in capsys.readouterr().err
+
+
 def test_corpusgen_command(tmp_path):
     cfg = tmp_path / "gen.json"
     cfg.write_text(json.dumps({"seed": 1, "vocab_size": 4, "n_utterances": 3}))
@@ -110,6 +116,19 @@ def test_corpusgen_empty_or_reversed_range_exits_2_and_writes_nothing(tmp_path, 
     cfg.write_text(json.dumps({"seed": 1, "vocab_size": 4, "n_utterances": 8, field: value}))
     assert main(["corpusgen", "--config", str(cfg), "--out-dir", str(tmp_path / "c")]) == 2
     assert f"config: {field} must" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
+def test_corpusgen_vocabulary_beyond_the_syllable_range_exits_2_and_writes_nothing(tmp_path,
+                                                                                   capsys):
+    # 49 onsets x 5 vowels allow 245 one-syllable words; before, 300 drew for seconds,
+    # then failed and left an empty wav/ directory
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps({"vocab_size": 300, "syllables_per_word": [1, 1],
+                               "n_utterances": 2}))
+    assert main(["corpusgen", "--config", str(cfg), "--out-dir", str(tmp_path / "c")]) == 2
+    assert ("config.vocab_size: 300 words exceed the 245 distinct pronunciations of 1-1 "
+            "syllables") in capsys.readouterr().err
     assert not (tmp_path / "c").exists()
 
 
@@ -245,6 +264,13 @@ def test_decode_wav_too_short_for_any_word_exits_2(trained_ckpt, tmp_path, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "too short for any word (1 posterior frames" in captured.err
+
+
+def test_decode_wav_that_is_a_directory_exits_2(trained_ckpt, tmp_path, capsys):
+    assert main(["decode", "--ckpt", str(trained_ckpt), "--wav", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{tmp_path}: not a readable PCM WAV file" in captured.err
 
 
 def test_decode_incomplete_search_exits_3(trained_ckpt, corpus_dir, monkeypatch, capsys):

@@ -5,7 +5,7 @@ from oracles import naive_dft_magnitude
 from shona_asr.audio import CANONICAL_RATE
 from shona_asr.corpusgen import (GenConfig, VOWEL_FORMANTS, check_phone_separability,
                                  generate_corpus, phone_fixtures, synth_utterance)
-from shona_asr.errors import VerificationError
+from shona_asr.errors import DataError, VerificationError
 from shona_asr.lexicon import Lexicon
 from shona_asr.phones import default_inventory, g2p
 
@@ -117,3 +117,15 @@ def test_word_syllable_bounds(tmp_path):
         assert 1 <= len(phones) // 2 <= 4
         assert len(phones) % 2 == 0  # strict CV alternation
 
+
+
+def test_vocabulary_size_is_checked_against_the_pronunciations_the_range_allows(tmp_path):
+    # one syllable: 49 onset phones x 5 vowels; two syllables add 245 ** 2
+    generate_corpus(GenConfig(seed=2, vocab_size=245, n_utterances=1,
+                              syllables_per_word=(1, 1)), tmp_path / "full")
+    assert len(Lexicon.load(tmp_path / "full" / "lexicon.txt")) == 245
+    with pytest.raises(DataError, match="config.vocab_size: 246 words exceed the 245"):
+        generate_corpus(GenConfig(vocab_size=246, syllables_per_word=(1, 1)), tmp_path / "over")
+    assert not (tmp_path / "over").exists()
+    with pytest.raises(DataError, match="exceed the 60270 distinct"):
+        generate_corpus(GenConfig(vocab_size=60271, syllables_per_word=(1, 2)), tmp_path / "two")

@@ -2,6 +2,11 @@ import dataclasses
 import importlib
 import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,13 +21,14 @@ from shona_asr.corpusgen import GenConfig, generate_corpus
 from shona_asr.ctc import ctc_loss
 from shona_asr.errors import DataError, VerificationError
 from shona_asr.features import extract_features
-from shona_asr.lm import LmConfig, TokenVocab, build_lm, sentence_loss
+from shona_asr.lm import LmConfig, TokenVocab, build_lm, corpus_loss, lm_train, sentence_loss
 from shona_asr.manifest import split_corpus
 from shona_asr.optim import OptimizerConfig, OptimizerState, optimizer_step
 from shona_asr.phones import default_inventory
 from shona_asr.train import (EarlyStopper, TrainConfig, _config_from_dict, _config_to_dict,
                              evaluate, restore_models, train, warm_start)
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 QUIET_AUGMENT = dict(speed_factors=[1.0], gain_db_range=(0.0, 0.0),
                      n_freq_masks=0, n_time_masks=0)
 
@@ -431,3 +437,112 @@ def test_non_finite_losses_in_most_utterances_raise_verification_error(tiny_resu
                         lambda grid, target: ad.scale(ctc_loss(grid, target), math.nan))
     with pytest.raises(VerificationError, match="non-finite"):
         train(dataclasses.replace(tiny_result[0], epochs_max=1, patience=1), tiny_corpus)
+
+
+# -- the LM training process ---------------------------------------------------
+
+def test_lm_epochs_and_tensors_equal_an_in_process_replay(tiny_result, tiny_corpus):
+    # the forked LM process runs the same lm_train/corpus_loss calls as one process would
+    cfg, result = tiny_result
+    train_mod = importlib.import_module("shona_asr.train")
+    ckpt = result.checkpoint
+    lexicon = train_mod.build_lexicon(ckpt.config["lexicon_words"], default_inventory())
+    vocab = TokenVocab(list(ckpt.vocab), "phone")
+    train_m, val_m, _ = split_corpus(tiny_corpus, cfg.split_ratios, cfg.seed)
+    sentences = [train_mod._lm_sentences(train_mod._prepare_utterances(m, lexicon)[0], lexicon,
+                                         "phone") for m in (train_m, val_m)]
+    lm_seed = int(np.random.SeedSequence(cfg.seed).spawn(2)[1].generate_state(1)[0])
+    lm = build_lm(vocab, cfg.lm, lm_seed)
+    train_mod._to_float32(lm)
+    opt = OptimizerState(cfg.lm_optimizer)
+    for entry in result.epoch_log:
+        assert entry["train_lm_ce"] == lm_train(lm, sentences[0], vocab, 1, optimizer=opt)[0]
+        assert entry["val_lm_ce"] == corpus_loss(lm, sentences[1], vocab)
+        if entry["epoch"] == result.best_epoch:
+            best = {"lm." + name: t.data.copy() for name, t in lm.items()}
+    assert set(best) == {name for name in ckpt.tensors if name.startswith("lm.")}
+    for name, data in best.items():
+        assert data.dtype == ckpt.tensors[name].dtype
+        assert np.array_equal(data, ckpt.tensors[name])
+
+
+def test_an_error_in_the_lm_process_is_raised_by_train(tiny_result, tiny_corpus, monkeypatch):
+    def failing(*args, **kwargs):
+        raise DataError("sentence 3 holds an unknown token")
+
+    monkeypatch.setattr(importlib.import_module("shona_asr.train"), "lm_train", failing)
+    with pytest.raises(DataError) as caught:
+        train(dataclasses.replace(tiny_result[0], epochs_max=2, patience=2), tiny_corpus)
+    assert str(caught.value) == "sentence 3 holds an unknown token"
+    assert "in the LM training process" in "\n".join(caught.value.__notes__)
+    assert multiprocessing.active_children() == []
+
+
+def test_an_lm_process_that_dies_without_answering_is_an_error(tiny_result, tiny_corpus,
+                                                               monkeypatch):
+    monkeypatch.setattr(importlib.import_module("shona_asr.train"), "lm_train",
+                        lambda *args, **kwargs: os._exit(7))
+    with pytest.raises(RuntimeError, match="exited with code 7 without answering"):
+        train(dataclasses.replace(tiny_result[0], epochs_max=2, patience=2), tiny_corpus)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("ending", ["epochs_max", "early_stop", "target", "verification_error"])
+def test_no_process_outlives_train(tiny_result, tiny_corpus, monkeypatch, ending):
+    train_mod = importlib.import_module("shona_asr.train")
+    cfg = dataclasses.replace(tiny_result[0], epochs_max=3, patience=3)
+    if ending == "early_stop":
+        monkeypatch.setattr(train_mod, "per", lambda pairs: 0.5)  # never improves after epoch 1
+        cfg = dataclasses.replace(cfg, patience=1)
+    elif ending == "target":
+        cfg = dataclasses.replace(cfg, target_train_per=100.0)
+    elif ending == "verification_error":
+        monkeypatch.setattr(train_mod, "ctc_loss",
+                            lambda grid, target: ad.scale(ctc_loss(grid, target), math.nan))
+    if ending == "verification_error":
+        with pytest.raises(VerificationError):
+            train(cfg, tiny_corpus)
+    else:
+        result = train(cfg, tiny_corpus)
+        assert len(result.epoch_log) == {"epochs_max": 3, "early_stop": 2, "target": 1}[ending]
+        assert result.stopped_early == (ending == "early_stop")
+    assert multiprocessing.active_children() == []
+
+
+def test_blas_runs_on_one_thread_during_train_and_is_restored_after(tiny_result, tiny_corpus,
+                                                                    monkeypatch):
+    train_mod = importlib.import_module("shona_asr.train")
+    calls = train_mod._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy is not linked against OpenBLAS")
+    get, put = calls
+    seen = []
+    monkeypatch.setattr(train_mod, "extract_features",
+                        lambda audio: seen.append(get()) or extract_features(audio))
+    previous = get()
+    put(2)
+    try:
+        before = get()  # 2, unless this OpenBLAS cannot grow its pool
+        train(dataclasses.replace(tiny_result[0], epochs_max=1, patience=1), tiny_corpus)
+        assert get() == before
+    finally:
+        put(previous)
+    assert seen and set(seen) == {1}
+
+
+def test_best_hash_does_not_depend_on_the_blas_thread_count(tiny_corpus, tmp_path):
+    # before the pin, 1 and 2 OpenBLAS threads gave different sums, so different hashes
+    script = ("import sys; from shona_asr.manifest import load_manifest; "
+              "from shona_asr.train import TrainConfig, train; "
+              "print(train(TrainConfig(seed=1, epochs_max=2, patience=2), "
+              "load_manifest(sys.argv[1])).best_hash)")
+    manifest = tiny_corpus.records[0].audio.parent.parent / "manifest.jsonl"
+    hashes = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", script, str(manifest)], env=env,
+                              capture_output=True, text=True, timeout=300, cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        hashes.add(done.stdout.split()[-1])
+    assert len(hashes) == 1
