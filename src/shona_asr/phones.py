@@ -9,6 +9,7 @@ without touching code.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -82,16 +83,11 @@ class PhoneInventory:
         Path(path).write_text("\n".join(self.to_lines()) + "\n", encoding="utf-8")
 
 
-_DEFAULT: PhoneInventory | None = None
-
-
+@functools.lru_cache(maxsize=1)
 def default_inventory() -> PhoneInventory:
     """The packaged 54-phone Shona inventory."""
-    global _DEFAULT
-    if _DEFAULT is None:
-        text = resources.files("shona_asr").joinpath("data/phones_sn.txt").read_text(encoding="utf-8")
-        _DEFAULT = PhoneInventory.from_lines(text.splitlines())
-    return _DEFAULT
+    text = resources.files("shona_asr").joinpath("data/phones_sn.txt").read_text(encoding="utf-8")
+    return PhoneInventory.from_lines(text.splitlines())
 
 
 class G2pError(DataError):

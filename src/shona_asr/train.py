@@ -7,7 +7,10 @@ no tensor, optimizer or input, so they train side by side: a forked LM
 process owns the LM's parameters and Adam moments and runs each epoch's
 LM pass and LM validation while this process runs the acoustic ones, then
 sends the LM's tensors back for the best-epoch copy. Training therefore
-needs the `fork` start method (Linux). Both models train in float32; the
+needs the `fork` start method (Linux). While a function of the LM's code
+is replaced (by a tracer's wrapper, say), the LM trains in this process
+after each acoustic pass instead, so that the wrapper sees its calls; the
+results are the same. Both models train in float32; the
 CTC recursion and the loss totals sum in float64. The best epoch is kept
 as a copy of its tensors, which its checkpoint holds.
 
@@ -38,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
+from . import autodiff as ad, lm as lm_module, optim as optim_module
 from .acoustic import (AcousticConfig, acoustic_forward, acoustic_layout, build_acoustic_model,
                        output_frames, posteriors)
 from .audio import AudioBuffer, load_wav
@@ -343,9 +346,27 @@ def _one_blas_thread():
         put(previous)
 
 
-def _lm_epochs(conn, parent_end, params: ad.Parameters, opt: OptimizerState, vocab: TokenVocab,
-               train_sents: list[list[str]], val_sents: list[list[str]]) -> None:
-    """The LM process: one LM epoch and its validation loss per request.
+def _functions(*modules: types.ModuleType) -> dict:
+    return {(mod.__name__, name): value for mod in modules for name, value in vars(mod).items()
+            if isinstance(value, types.FunctionType)}
+
+
+# The functions an LM epoch runs through, as imported. A tracer or profiler
+# replaces them with wrappers that record into the memory of the process
+# that calls them, which a forked process's records never reach.
+_LM_CODE = (lm_module, ad, optim_module)
+_LM_FUNCTIONS = _functions(*_LM_CODE)
+
+
+def _lm_epoch(params: ad.Parameters, opt: OptimizerState, vocab: TokenVocab,
+              train_sents: list[list[str]], val_sents: list[list[str]]) -> tuple[float, float]:
+    """One LM epoch and its validation loss: (train_lm_ce, val_lm_ce)."""
+    return (lm_train(params, train_sents, vocab, epochs=1, optimizer=opt)[0],
+            corpus_loss(params, val_sents, vocab))
+
+
+def _lm_epochs(conn, parent_end, params: ad.Parameters, run_epoch) -> None:
+    """The LM process: one `run_epoch()` per request.
 
     Each request (any message) is answered with (train_lm_ce, val_lm_ce,
     {name: array}), or with the exception the epoch raised; one that cannot
@@ -360,9 +381,7 @@ def _lm_epochs(conn, parent_end, params: ad.Parameters, opt: OptimizerState, voc
         except EOFError:
             return
         try:
-            train_ce = lm_train(params, train_sents, vocab, epochs=1, optimizer=opt)[0]
-            reply = (train_ce, corpus_loss(params, val_sents, vocab),
-                     {name: t.data for name, t in params.items()})
+            reply = (*run_epoch(), {name: t.data for name, t in params.items()})
         except Exception as exc:
             exc.add_note("in the LM training process:\n" + traceback.format_exc().rstrip())
             reply = exc
@@ -377,16 +396,24 @@ class _LmTrainer:
     `params`; an exception raised in the process is raised again here.
     Leaving the `with` block ends the process: it is closed after a normal
     exit and killed after an exception, and joined either way.
+
+    When a function of the LM's code has been replaced since import (a
+    tracer's wrapper, say), no process is forked: `finish_epoch` runs the
+    epoch here, so that what the wrappers record stays in this process.
+    The epoch's results are the same either way.
     """
 
     def __init__(self, params: ad.Parameters, opt: OptimizerState, vocab: TokenVocab,
                  train_sents: list[list[str]], val_sents: list[list[str]]):
-        context = multiprocessing.get_context("fork")
         self.params = params
+        self._run_epoch = functools.partial(_lm_epoch, params, opt, vocab, train_sents, val_sents)
+        self._process = None
+        if _functions(*_LM_CODE) != _LM_FUNCTIONS:
+            return
+        context = multiprocessing.get_context("fork")
         self._conn, child_end = context.Pipe()
-        self._process = context.Process(
-            target=_lm_epochs, name="lm-train", daemon=True,
-            args=(child_end, self._conn, params, opt, vocab, train_sents, val_sents))
+        self._process = context.Process(target=_lm_epochs, name="lm-train", daemon=True,
+                                        args=(child_end, self._conn, params, self._run_epoch))
         self._process.start()
         child_end.close()
 
@@ -394,16 +421,21 @@ class _LmTrainer:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
+        if self._process is None:
+            return
         if exc_type is not None:
             self._process.kill()
         self._conn.close()
         self._process.join()
 
     def start_epoch(self) -> None:
-        self._conn.send(True)
+        if self._process is not None:
+            self._conn.send(True)
 
     def finish_epoch(self) -> tuple[float, float]:
         """Wait for the epoch; returns its (train_lm_ce, val_lm_ce)."""
+        if self._process is None:
+            return self._run_epoch()
         try:
             reply = self._conn.recv()
         except EOFError:

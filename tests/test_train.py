@@ -487,6 +487,24 @@ def test_an_lm_process_that_dies_without_answering_is_an_error(tiny_result, tiny
     assert multiprocessing.active_children() == []
 
 
+def test_replaced_lm_code_trains_the_lm_in_this_process(tiny_result, tiny_corpus, monkeypatch):
+    # a tracer's wrapper records only the calls made in the process that installed it
+    lm_mod = importlib.import_module("shona_asr.lm")
+    cfg = dataclasses.replace(tiny_result[0], epochs_max=2, patience=2)
+    forked = train(cfg, tiny_corpus)
+    callers = []
+
+    def recording(*args, **kwargs):
+        callers.append(os.getpid())
+        return sentence_loss(*args, **kwargs)
+
+    monkeypatch.setattr(lm_mod, "sentence_loss", recording)
+    in_process = train(cfg, tiny_corpus)
+    assert callers and set(callers) == {os.getpid()}
+    assert in_process.epoch_log == forked.epoch_log
+    assert in_process.best_hash == forked.best_hash
+
+
 @pytest.mark.parametrize("ending", ["epochs_max", "early_stop", "target", "verification_error"])
 def test_no_process_outlives_train(tiny_result, tiny_corpus, monkeypatch, ending):
     train_mod = importlib.import_module("shona_asr.train")
