@@ -13,7 +13,7 @@ from .augment import AugmentPolicy, spec_augment, speed_perturb, volume_perturb
 from .autodiff import Parameters, Tensor, backward
 from .optim import OptimizerConfig, OptimizerState, optimizer_step
 from .gradcheck import grad_check
-from .acoustic import AcousticConfig, PosteriorGrid, acoustic_forward, build_acoustic_model, posteriors
+from .acoustic import AcousticConfig, acoustic_forward, build_acoustic_model
 from .ctc import ctc_greedy_decode, ctc_loss
 from .lm import LmConfig, TokenVocab, build_lm, lm_score, lm_train, perplexity
 from .phones import PhoneInventory, default_inventory, g2p

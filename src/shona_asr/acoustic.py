@@ -1,10 +1,11 @@
-"""CNN acoustic model: stacked features in, per-frame phone log-posteriors out.
+"""CNN acoustic model: stacked features in, per-frame phone log-probabilities out.
 
 Two blocks of same-padded 3x3 convolution -> 2x2 max pooling -> ReLU,
 then a 128-unit dense layer per downsampled frame, optional self-attention
 over the frame sequence, and a log-softmax output over the phone set plus
-the blank symbol. Both time and feature axes are pooled, so the grid has
-floor(floor(T/2)/2) rows and the feature axis shrinks 39 -> 19 -> 9.
+the blank symbol, which is the last column. Both time and feature axes are
+pooled, so the grid has floor(floor(T/2)/2) rows and the feature axis
+shrinks 39 -> 19 -> 9.
 
 Pooling before the ReLU equals the usual ReLU-then-pool: ReLU is
 monotone, so the maximum commutes with it, and the gradient reaches the
@@ -33,19 +34,8 @@ class AcousticConfig:
     use_attention: bool = True
 
 
-@dataclass
-class PosteriorGrid:
-    """[T', P+1] matrix of phone(+blank) log-probabilities, one row per frame."""
-
-    log_probs: np.ndarray
-
-    @property
-    def probs(self) -> np.ndarray:
-        return np.exp(self.log_probs)
-
-    @property
-    def n_frames(self) -> int:
-        return self.log_probs.shape[0]
+# Only bench/workloads.py reads this name; it goes with the next benchmark change.
+PosteriorGrid = np.asarray
 
 
 def output_frames(n_frames: int) -> int:
@@ -98,8 +88,3 @@ def acoustic_forward(params: Parameters, feats, cfg: AcousticConfig | None = Non
         rows = ad.attention_layer(rows, params["attn.Wq"], params["attn.Wk"], params["attn.Wv"])
     logits = ad.dense(rows, params["out.W"], params["out.b"])
     return ad.log_softmax(logits)
-
-
-def posteriors(params: Parameters, feats, cfg: AcousticConfig | None = None) -> PosteriorGrid:
-    """Inference wrapper returning a plain log-posterior grid."""
-    return PosteriorGrid(acoustic_forward(params, feats, cfg).data)

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .acoustic import FEATURE_DIM
 from .audio import AudioBuffer
 
 
@@ -35,6 +36,9 @@ class AugmentPolicy:
             raise ValueError(f"gain_db_range {self.gain_db_range} needs -20 <= low <= high <= 20")
         if min(self.n_freq_masks, self.freq_mask_max, self.n_time_masks) < 0:
             raise ValueError("n_freq_masks, freq_mask_max and n_time_masks must be >= 0")
+        if self.freq_mask_max >= FEATURE_DIM:
+            raise ValueError(f"freq_mask_max {self.freq_mask_max} must be < the feature width "
+                             f"{FEATURE_DIM}")
         if not 0.0 <= self.time_mask_max_fraction < 1.0:
             raise ValueError("time_mask_max_fraction must be in [0, 1)")
 

@@ -104,7 +104,8 @@ def load_checkpoint(path) -> Checkpoint:
         raise ChecksumError(f"{path}: header extends past end of file")
     try:
         header = json.loads(blob[header_start:header_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError,
+            RecursionError) as exc:  # RecursionError: nested too deep
         raise DataError(f"{path}: unreadable header ({exc})") from exc
     if not isinstance(header, dict):
         raise DataError(f"{path}: header is not a JSON object")

@@ -150,7 +150,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    from .acoustic import posteriors
+    from .acoustic import acoustic_forward
     from .audio import load_wav
     from .checkpoint import load_checkpoint
     from .decoder import beam_decode
@@ -163,7 +163,7 @@ def _cmd_decode(args) -> int:
     beam = cfg.decode.beam_width if args.beam is None else args.beam
     started = time.perf_counter()
     wav = load_wav(args.wav)
-    grid = posteriors(acoustic_params, extract_features(wav), cfg.acoustic)
+    grid = acoustic_forward(acoustic_params, extract_features(wav), cfg.acoustic).data
     hyp = beam_decode(grid, lexicon, lm_params, vocab, lm_weight=lam,
                       word_bonus=cfg.decode.word_bonus, beam_width=beam)
     wall_s = time.perf_counter() - started
@@ -171,8 +171,8 @@ def _cmd_decode(args) -> int:
         "decoded %.2f s of audio in %.3f s, real-time factor %.3f; search: %s",
         wav.duration_s, wall_s, wall_s / wav.duration_s, hyp.stats)
     if not hyp.complete:
-        if grid.n_frames < lexicon.min_frames:
-            raise DataError(f"{args.wav}: the audio is too short for any word ({grid.n_frames} "
+        if len(grid) < lexicon.min_frames:
+            raise DataError(f"{args.wav}: the audio is too short for any word ({len(grid)} "
                             f"posterior frames; the shortest word needs {lexicon.min_frames})")
         raise VerificationError(f"no hypothesis at a word boundary at beam {beam}")
     print(hyp.text())
@@ -220,7 +220,7 @@ def _load_config(args) -> dict:
         raise DataError(f"config file not found: {p}")
     try:
         obj = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise DataError(f"{p}: invalid JSON ({exc})") from exc
     if not isinstance(obj, dict):
         raise DataError(f"{p}: config must be a JSON object")

@@ -1,7 +1,10 @@
 """Alignment-free sequence loss and greedy decoding over log-posterior grids.
 
+A grid is a [T, K] array of per-frame log-probabilities whose last column,
+K - 1, is the blank; the other columns are the phones.
+
 The loss sums, over every blank-augmented monotonic alignment of the
-target, the product of per-frame posteriors, in log space. Its gradient
+target, the product of per-frame probabilities, in log space. Its gradient
 comes from the standard forward-backward recursion and plugs into the
 autodiff graph as a single primitive.
 
@@ -94,15 +97,15 @@ def _alpha(log_grid: np.ndarray, label: np.ndarray, one: np.ndarray, two: np.nda
     return alpha[:, :-1]
 
 
-def ctc_forward_logprob(log_grid: np.ndarray, targets: list[list[int]],
-                        blank: int) -> list[float]:
+def ctc_forward_logprob(log_grid: np.ndarray, targets: list[list[int]]) -> list[float]:
     """Log-probability of each target, from one forward recursion over their prefix tree.
 
-    log_grid: [T, K] log posteriors. Returns one float per target, in input
+    log_grid: [T, K] log-probabilities. Returns one float per target, in input
     order: -inf when the alignment is infeasible. A state's value depends
     only on the states of its own prefix, so a target scores the same,
     bit for bit, alone or among others.
     """
+    blank = log_grid.shape[1] - 1
     scores = [NEG_INF] * len(targets)
     tree = []
     for i, target in enumerate(targets):
@@ -118,24 +121,24 @@ def ctc_forward_logprob(log_grid: np.ndarray, targets: list[list[int]],
     return scores
 
 
-def ctc_loss(log_grid: Tensor, target: list[int], blank: int | None = None) -> Tensor:
+def ctc_loss(log_grid: Tensor, target: list[int]) -> Tensor:
     """Negative log-likelihood of the target under a [T, K] log-posterior grid.
 
-    The grid rows are finite log-probabilities, as a log-softmax emits;
-    blank defaults to the last column. Raises when the target cannot be
-    aligned within T frames. The gradient with respect to log_grid[t, c]
-    is minus the posterior occupancy of class c at frame t, so chained
-    through log_softmax it is softmax - occupancy with respect to logits.
-    The recursions, the loss and the occupancy are float64 whatever the
-    grid's dtype; the gradient lands in the grid's dtype.
+    The grid rows are finite log-probabilities, as a log-softmax emits.
+    Raises when the target cannot be aligned within T frames. The gradient
+    with respect to log_grid[t, c] is minus the posterior occupancy of
+    class c at frame t, so chained through log_softmax it is softmax -
+    occupancy with respect to logits. The recursions, the loss and the
+    occupancy are float64 whatever the grid's dtype; the gradient lands in
+    the grid's dtype.
     """
     t_frames, k = log_grid.data.shape
-    blank = k - 1 if blank is None else blank
+    blank = k - 1
     target = [int(p) for p in target]
     if len(target) < 1:
         raise ValueError("target must contain at least one label")
     for p in target:
-        if not 0 <= p < k or p == blank:
+        if not 0 <= p < blank:
             raise ValueError(f"target label {p} invalid for {k} classes with blank={blank}")
     needed = min_frames(target)
     if t_frames < needed:
@@ -159,11 +162,10 @@ def ctc_loss(log_grid: Tensor, target: list[int], blank: int | None = None) -> T
     return _node(np.array(-log_p), (log_grid,), bwd)
 
 
-def ctc_greedy_decode(grid, blank: int | None = None) -> list[int]:
+def ctc_greedy_decode(log_grid: np.ndarray) -> list[int]:
     """Best-path decode: per-frame argmax, collapse repeats, drop blanks."""
-    grid = np.asarray(getattr(grid, "log_probs", grid))
-    blank = grid.shape[1] - 1 if blank is None else blank
-    path = grid.argmax(axis=1)
+    blank = log_grid.shape[1] - 1
+    path = log_grid.argmax(axis=1)
     out: list[int] = []
     prev = -1
     for p in path:

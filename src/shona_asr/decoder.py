@@ -1,4 +1,4 @@
-"""Word-sequence search over CTC log-posteriors with language-model fusion.
+"""Word-sequence search over a CTC log-probability grid with language-model fusion.
 
 beam_decode runs a lexicon-constrained CTC prefix beam search (Hannun et
 al. 2014, arXiv:1408.2873): hypotheses are (committed words, position in
@@ -21,7 +21,6 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .acoustic import PosteriorGrid
 from .autodiff import Parameters
 from .ctc import ctc_forward_logprob
 from .lexicon import Lexicon
@@ -171,18 +170,18 @@ def _prune(score: np.ndarray, hist: np.ndarray, node: np.ndarray,
     return np.concatenate((above, tied))
 
 
-def beam_decode(grid: PosteriorGrid | np.ndarray, lexicon: Lexicon,
+def beam_decode(log_y: np.ndarray, lexicon: Lexicon,
                 lm_params: Parameters | None = None, vocab: TokenVocab | None = None,
                 lm_weight: float = 1.0, word_bonus: float = 0.0,
                 beam_width: int = 16) -> Transcript:
-    """Lexicon-constrained CTC prefix beam search with LM fusion over log-posteriors.
+    """Lexicon-constrained CTC prefix beam search with LM fusion over a log-probability grid.
 
+    log_y is the [T, K] log-posterior grid, the blank in its last column.
     The beam is held as arrays (history id, trie node, p_blank, p_nonblank);
     each frame expands every hypothesis along its precomputed trie arcs
     (`Lexicon.flat`) in one gather, and the words completed in that frame
     are scored by one batched LM run.
     """
-    log_y = grid.log_probs if isinstance(grid, PosteriorGrid) else np.asarray(grid)
     if log_y.shape[0] < 1:
         raise ValueError("posterior grid is empty")
     if beam_width < 1:
@@ -252,8 +251,7 @@ def beam_decode(grid: PosteriorGrid | np.ndarray, lexicon: Lexicon,
     finalists.update(hists.extend(hist[owner], trie.word_ids[entry]).tolist())
     finalists = sorted(finalists, key=hists.words.__getitem__)
     acoustics = ctc_forward_logprob(
-        log_y, [[p for w in hists.words[h] for p in lexicon.pronunciations[w]] for h in finalists],
-        blank)
+        log_y, [[p for w in hists.words[h] for p in lexicon.pronunciations[w]] for h in finalists])
     feasible = [(h, acoustic) for h, acoustic in zip(finalists, acoustics) if acoustic != NEG_INF]
     lm_final = hists.final_totals([h for h, _ in feasible])
     best: tuple[float, int] | None = None

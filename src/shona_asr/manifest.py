@@ -51,7 +51,7 @@ def load_manifest(path) -> CorpusManifest:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
             raise DataError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
         if not isinstance(obj, dict):
             raise DataError(f"{path}:{lineno}: record must be a JSON object")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from dataclasses import dataclass
 
@@ -105,16 +106,7 @@ class MetricsReport:
     n_ref_phones: int
 
     def to_dict(self) -> dict:
-        return {
-            "wer": self.wer,
-            "per": self.per,
-            "ser": self.ser,
-            "word_accuracy": self.word_accuracy,
-            "sentence_accuracy": self.sentence_accuracy,
-            "n_utts": self.n_utts,
-            "n_ref_words": self.n_ref_words,
-            "n_ref_phones": self.n_ref_phones,
-        }
+        return dataclasses.asdict(self)
 
     def to_table(self) -> str:
         rows = [(k, f"{v:.4f}" if isinstance(v, float) else str(v))

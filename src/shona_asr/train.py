@@ -43,7 +43,7 @@ import numpy as np
 
 from . import autodiff as ad, lm as lm_module, optim as optim_module
 from .acoustic import (AcousticConfig, acoustic_forward, acoustic_layout, build_acoustic_model,
-                       output_frames, posteriors)
+                       output_frames)
 from .audio import AudioBuffer, load_wav
 from .augment import AugmentPolicy, augment_audio, spec_augment
 from .checkpoint import Checkpoint, load_checkpoint, params_hash
@@ -96,24 +96,11 @@ class TrainConfig:
             raise ValueError(f"split ratios must sum to 1, got {self.split_ratios}")
 
     def to_dict(self) -> dict:
-        return _config_to_dict(self)
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TrainConfig":
         return _config_from_dict(cls, obj, path="config")
-
-
-def _config_to_dict(cfg) -> dict:
-    out = {}
-    for f in dataclasses.fields(cfg):
-        value = getattr(cfg, f.name)
-        if dataclasses.is_dataclass(value):
-            out[f.name] = _config_to_dict(value)
-        elif isinstance(value, tuple):
-            out[f.name] = list(value)
-        else:
-            out[f.name] = value
-    return out
 
 
 def _config_from_dict(cls, obj, path: str):
@@ -704,7 +691,7 @@ def evaluate(ckpt: Checkpoint, split: CorpusManifest,
     started = time.perf_counter()
     for utt in utts:
         feats = extract_features(utt.audio)
-        grid = posteriors(acoustic_params, feats, cfg.acoustic)
+        grid = acoustic_forward(acoustic_params, feats, cfg.acoustic).data
         hyp = beam_decode(grid, lexicon, lm_params, vocab,
                           lm_weight=lam, word_bonus=cfg.decode.word_bonus, beam_width=beam)
         search.add(hyp.stats)

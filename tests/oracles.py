@@ -133,13 +133,16 @@ def collapse_path(path, blank: int) -> tuple:
     return tuple(out)
 
 
-def brute_force_ctc_logprob(grid: np.ndarray, target, blank: int) -> float:
-    """-log of the summed probability over every path that collapses to target."""
+def brute_force_ctc_logprob(grid: np.ndarray, target) -> float:
+    """-log of the summed probability over every path that collapses to target.
+
+    grid holds probabilities, the blank in its last column.
+    """
     t_frames, n_classes = grid.shape
     target = tuple(target)
     total = 0.0
     for path in itertools.product(range(n_classes), repeat=t_frames):
-        if collapse_path(path, blank) == target:
+        if collapse_path(path, n_classes - 1) == target:
             prob = 1.0
             for t, p in enumerate(path):
                 prob *= grid[t, p]
@@ -147,7 +150,7 @@ def brute_force_ctc_logprob(grid: np.ndarray, target, blank: int) -> float:
     return float("-inf") if total == 0.0 else math.log(total)
 
 
-def slice_ctc_loss(log_grid: np.ndarray, target, blank: int) -> tuple[float, np.ndarray]:
+def slice_ctc_loss(log_grid: np.ndarray, target) -> tuple[float, np.ndarray]:
     """The sequence loss and its log-grid gradient from one blank-augmented chain.
 
     The forward recursion reads the previous row through shifted slices
@@ -156,6 +159,7 @@ def slice_ctc_loss(log_grid: np.ndarray, target, blank: int) -> tuple[float, np.
     are the same recursion on the reversed grid and chain.
     """
     t_frames, k = log_grid.shape
+    blank = k - 1
     ext = np.full(2 * len(target) + 1, blank, dtype=np.int64)
     ext[1::2] = target
 
@@ -334,7 +338,7 @@ def reference_beam_decode(log_y: np.ndarray, lexicon, lm_params=None, vocab=None
     best = None
     for cand in sorted(finalists):
         phones = [p for w in cand for p in lexicon.pronunciations[w]]
-        acoustic = ctc_forward_logprob(log_y, [phones], blank)[0]
+        acoustic = ctc_forward_logprob(log_y, [phones])[0]
         if acoustic == neg_inf:
             continue
         score = acoustic + lm_weight * fusion.final_total(cand) + word_bonus * len(cand)
@@ -359,7 +363,6 @@ def exhaustive_decode(log_grid: np.ndarray, lexicon, lm_params=None, vocab=None,
     if len(lexicon) > 5 or t_frames > 8 or max_words > 3:
         raise ValueError(f"guard rail: lexicon<=5, frames<=8, max_words<=3; "
                          f"got {len(lexicon)}, {t_frames}, {max_words}")
-    blank = log_grid.shape[1] - 1
     words = lexicon.words()
     fusion = (_ReferenceLm(lm_params, vocab, lexicon)
               if lm_params is not None and lm_weight != 0.0 else _NoLm())
@@ -369,7 +372,7 @@ def exhaustive_decode(log_grid: np.ndarray, lexicon, lm_params=None, vocab=None,
     while stack:
         seq = stack.pop()
         phones = [p for w in seq for p in lexicon.pronunciations[w]]
-        acoustic = ctc_forward_logprob(log_grid, [phones], blank)[0]
+        acoustic = ctc_forward_logprob(log_grid, [phones])[0]
         if acoustic != -math.inf:
             score = acoustic + lm_weight * fusion.final_total(seq) + word_bonus * len(seq)
             if best is None or score > best[0] or (score == best[0] and seq < best[1]):

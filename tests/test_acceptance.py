@@ -104,18 +104,18 @@ def test_criterion_2_ctc_oracle(announce):
                 log_grid = np.log(grid)
                 for length in (1, 2, 3):
                     for target in itertools.product(range(blank), repeat=length):
-                        want = brute_force_ctc_logprob(grid, target, blank)
-                        got = ctc_forward_logprob(log_grid, [list(target)], blank)[0]
+                        want = brute_force_ctc_logprob(grid, target)
+                        got = ctc_forward_logprob(log_grid, [list(target)])[0]
                         if want == -math.inf:
                             assert got == -math.inf
                         else:
                             assert abs(got - want) < 1e-6
                         if min_frames(list(target)) <= t_frames:
-                            loss = ctc_loss(Tensor(log_grid), list(target), blank)
+                            loss = ctc_loss(Tensor(log_grid), list(target))
                             assert abs(float(loss.data) + want) < 1e-6
                         else:
                             with pytest.raises(ValueError):
-                                ctc_loss(Tensor(log_grid), list(target), blank)
+                                ctc_loss(Tensor(log_grid), list(target))
         assert time.time() - started < 60.0
 
 

@@ -3,10 +3,9 @@ import pytest
 
 from conftest import params_as
 from shona_asr import autodiff as ad
-from shona_asr.acoustic import (AcousticConfig, acoustic_forward, build_acoustic_model,
-                                output_frames, posteriors)
+from shona_asr.acoustic import AcousticConfig, acoustic_forward, build_acoustic_model, output_frames
 from shona_asr.autodiff import backward
-from shona_asr.ctc import ctc_loss
+from shona_asr.ctc import ctc_greedy_decode, ctc_loss
 from shona_asr.optim import OptimizerConfig, OptimizerState, optimizer_step
 
 
@@ -109,12 +108,15 @@ def test_grid_dtype_follows_the_parameters(rng):
                           acoustic_forward(p64, feats32.astype(np.float64)).data)
 
 
-def test_posterior_grid_wrapper(rng):
+def test_extra_output_row_is_the_blank_column(rng):
     params = build_acoustic_model(AcousticConfig(), 6, seed=5)
-    grid = posteriors(params, rng.normal(size=(20, 39)))
-    assert grid.n_frames == 5
-    assert grid.log_probs.shape[1] == 7  # six phones, then the blank in column 6
-    assert grid.n_frames == output_frames(20)
+    feats = rng.normal(size=(20, 39))
+    params["out.b"].data[6] = 50.0  # six phones, then the blank in column 6
+    grid = acoustic_forward(params, feats).data
+    assert grid.shape == (output_frames(20), 7)
+    assert ctc_greedy_decode(grid) == []
+    params["out.b"].data[2] = 100.0
+    assert ctc_greedy_decode(acoustic_forward(params, feats).data) == [2]
 
 
 def test_ctc_training_loss_decreases_over_50_steps(rng):

@@ -26,12 +26,16 @@ def sample_ckpt(rng):
     )
 
 
-def rewrite_header(path, edit):
-    """Replace the JSON header with edit(header), recomputing the CRC so it still passes."""
+def rewrite_header(path, edit, raw=False):
+    """Replace the JSON header with edit(header), recomputing the CRC so it still passes.
+
+    With raw, edit maps the header's bytes to new bytes instead of its parsed JSON.
+    """
     blob = path.read_bytes()
     header_len = struct.unpack("<I", blob[8:12])[0]
-    header = edit(json.loads(blob[12:12 + header_len]))
-    new_header = json.dumps(header, ensure_ascii=False, separators=(",", ":")).encode()
+    header = blob[12:12 + header_len]
+    new_header = (edit(header) if raw else json.dumps(
+        edit(json.loads(header)), ensure_ascii=False, separators=(",", ":")).encode())
     body = blob[:8] + struct.pack("<I", len(new_header)) + new_header + blob[12 + header_len:-4]
     path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
 
@@ -105,6 +109,19 @@ def test_forged_header_is_data_error(tmp_path, rng, edit, message):
     save_checkpoint(sample_ckpt(rng), path)
     rewrite_header(path, edit)
     with pytest.raises(DataError, match=message):
+        load_checkpoint(path)
+    wav = tmp_path / "tone.wav"
+    save_wav(wav, AudioBuffer(0.1 * np.ones(8000), 16000))
+    assert main(["decode", "--ckpt", str(path), "--wav", str(wav)]) == 2
+
+
+def test_header_nested_too_deep_is_data_error(tmp_path, rng):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(sample_ckpt(rng), path)
+    deep = b"[" * 100_000 + b"]" * 100_000
+    rewrite_header(path, lambda h: h.replace(b'"config":{', b'"config":{"augment":' + deep + b",",
+                                             1), raw=True)
+    with pytest.raises(DataError, match=f"{path}: unreadable header"):
         load_checkpoint(path)
     wav = tmp_path / "tone.wav"
     save_wav(wav, AudioBuffer(0.1 * np.ones(8000), 16000))

@@ -145,6 +145,16 @@ def test_train_config_value_of_wrong_type_exits_2(corpus_dir, tmp_path, capsys, 
     assert not (tmp_path / "model.ckpt").exists()
 
 
+def test_train_config_nested_too_deep_exits_2_naming_the_file(corpus_dir, tmp_path, capsys):
+    cfg_path = tmp_path / "train.json"
+    cfg_path.write_text('{"augment": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    code = main(["train", "--config", str(cfg_path),
+                 "--manifest", str(corpus_dir / "manifest.jsonl"),
+                 "--out", str(tmp_path / "model.ckpt")])
+    assert code == 2
+    assert f"{cfg_path}: invalid JSON" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field, value", [("lexicon_words", [1, 2]), ("seed", "x")],
                          ids=["lexicon-ints", "seed-string"])
 def test_checkpoint_config_value_of_wrong_type_exits_2(trained_ckpt, corpus_dir, tmp_path,

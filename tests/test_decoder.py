@@ -123,7 +123,7 @@ def test_lambda_scaling_invariance_of_argmax(rng):
     scored = []
     for seq in candidates:
         phones = [p for w in seq for p in lex.pronunciations[w]]
-        ac = ctc_forward_logprob(log_grid, [phones], 54)[0]
+        ac = ctc_forward_logprob(log_grid, [phones])[0]
         if ac == float("-inf"):
             continue
         tokens = [t for w in seq for t in word_tokens(w, lex.phone_symbols(w), "phone")]
@@ -287,15 +287,15 @@ def test_batched_rescoring_decodes_like_one_recursion_per_finalist(rng, monkeypa
 
     batch_sizes = []
 
-    def recording(log_grid, targets, blank):
+    def recording(log_grid, targets):
         batch_sizes.append(len(targets))
-        return batched(log_grid, targets, blank)
+        return batched(log_grid, targets)
 
     batched = decoder.ctc_forward_logprob
     monkeypatch.setattr(decoder, "ctc_forward_logprob", recording)
     got = run()
-    monkeypatch.setattr(decoder, "ctc_forward_logprob", lambda log_grid, targets, blank: [
-        batched(log_grid, [target], blank)[0] for target in targets])
+    monkeypatch.setattr(decoder, "ctc_forward_logprob", lambda log_grid, targets: [
+        batched(log_grid, [target])[0] for target in targets])
     want = run()
     assert got == want  # words, score, complete and stats
     assert [repr(t.score) for t in got] == [repr(t.score) for t in want]

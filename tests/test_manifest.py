@@ -66,6 +66,14 @@ def test_malformed_json_reports_line(tmp_path):
         load_manifest(path)
 
 
+def test_json_nested_too_deep_reports_line(tmp_path):
+    path = make_corpus(tmp_path, 2)
+    with open(path, "a") as fh:
+        fh.write("[" * 100_000 + "]" * 100_000 + "\n")
+    with pytest.raises(DataError, match=f"{path}:3: invalid JSON"):
+        load_manifest(path)
+
+
 def test_unknown_keys_rejected(tmp_path):
     write_pcm(tmp_path / "a.wav", np.zeros(100))
     path = write_manifest(tmp_path, [{"id": "u1", "audio": "a.wav", "text": "x", "extra": 1}])

@@ -25,8 +25,8 @@ from shona_asr.lm import LmConfig, TokenVocab, build_lm, corpus_loss, lm_train, 
 from shona_asr.manifest import split_corpus
 from shona_asr.optim import OptimizerConfig, OptimizerState, optimizer_step
 from shona_asr.phones import default_inventory
-from shona_asr.train import (EarlyStopper, TrainConfig, _config_from_dict, _config_to_dict,
-                             evaluate, restore_models, train, warm_start)
+from shona_asr.train import (EarlyStopper, TrainConfig, _config_from_dict, evaluate,
+                             restore_models, train, warm_start)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 QUIET_AUGMENT = dict(speed_factors=[1.0], gain_db_range=(0.0, 0.0),
@@ -76,7 +76,7 @@ def test_config_json_round_trip():
     back = TrainConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
     assert back == cfg
     gen = GenConfig(seed=4, words_per_sentence=(3, 5), syllables_per_word=(2, 3))
-    back = _config_from_dict(GenConfig, json.loads(json.dumps(_config_to_dict(gen))), "config")
+    back = _config_from_dict(GenConfig, json.loads(json.dumps(dataclasses.asdict(gen))), "config")
     assert back == gen
 
 
@@ -98,9 +98,11 @@ def test_config_validates_values():
 
 @pytest.mark.parametrize("augment", [{"gain_db_range": [-30.0, 30.0]}, {"gain_db_range": [6.0, -6.0]},
                                      {"speed_factors": []}, {"freq_mask_max": -1},
-                                     {"n_time_masks": -2}],
+                                     {"n_time_masks": -2}, {"freq_mask_max": 39},
+                                     {"n_freq_masks": 0, "freq_mask_max": 39}],
                          ids=["gain_outside_20db", "gain_range_reversed", "no_speed_factors",
-                              "negative_freq_mask_max", "negative_time_masks"])
+                              "negative_freq_mask_max", "negative_time_masks",
+                              "freq_mask_as_wide_as_features", "unused_freq_mask_too_wide"])
 def test_config_rejects_augment_policy_that_fails_or_misbehaves_in_training(augment):
     # each of these passed at load time and then raised mid-training or was silently ignored
     with pytest.raises(DataError, match="config.augment"):
