@@ -337,28 +337,58 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     if bias.data.shape != (c_out,):
         raise ValueError(f"bias shape {bias.data.shape} != ({c_out},)")
     ph, pw = kh // 2, kw // 2
-    padded = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw)))
-    patches = np.empty((c_in, kh, kw, h, w), dtype=x.data.dtype)
+    # Each channel is one flat buffer: ph zero rows, the image, ph zero rows,
+    # all at the image's own row pitch w, plus pw zeros at either end. The
+    # shift (di, dj) of the padded image is then the contiguous run
+    # flat[di*w + dj:][:h*w], so each im2col copy, and each col2im add of the
+    # backward, is one contiguous pass. Where a shift crosses the left or
+    # right edge the run wraps into the neighbouring row; `_zero_wrapped`
+    # zeroes those columns, which is what padding would have put there.
+    n = h * w
+    flat = np.zeros((c_in, (h + 2 * ph) * w + 2 * pw), dtype=x.data.dtype)
+    flat[:, ph * w + pw:ph * w + pw + n] = x.data.reshape(c_in, n)
+    patches = np.empty((c_in, kh, kw, n), dtype=x.data.dtype)
     for di in range(kh):
         for dj in range(kw):
-            patches[:, di, dj] = padded[:, di:di + h, dj:dj + w]
-    pm = patches.reshape(c_in * kh * kw, h * w)
+            patches[:, di, dj] = flat[:, di * w + dj:di * w + dj + n]
+    _zero_wrapped(patches, w)
+    pm = patches.reshape(c_in * kh * kw, n)
     km = kernels.data.reshape(c_out, c_in * kh * kw)
-    out_data = (km @ pm).reshape(c_out, h, w) + bias.data[:, None, None]
+    out = km @ pm
+    out += bias.data[:, None]
 
     def bwd(g):
-        gm = g.reshape(c_out, h * w)
+        gm = g.reshape(c_out, n)
         _accumulate(bias, gm.sum(axis=1))
-        _accumulate(kernels, (gm @ pm.T).reshape(kernels.data.shape))
+        _accumulate(kernels, (pm @ gm.T).T.reshape(kernels.data.shape))
         if x.requires_grad:
-            dpm = (km.T @ gm).reshape(c_in, kh, kw, h, w)
-            dpadded = np.zeros_like(padded)
+            # The forward is done with `flat`, so it collects the input
+            # gradient. Each position sums its terms in (di, dj) order from
+            # +0, as a padded-image col2im does; the wrapped columns add
+            # +0, which leaves a sum that starts at +0 unchanged.
+            dpm = (km.T @ gm).reshape(c_in, kh, kw, n)
+            _zero_wrapped(dpm, w)
+            flat.fill(0)
             for di in range(kh):
                 for dj in range(kw):
-                    dpadded[:, di:di + h, dj:dj + w] += dpm[:, di, dj]
-            _accumulate(x, dpadded[:, ph:ph + h, pw:pw + w])
+                    flat[:, di * w + dj:di * w + dj + n] += dpm[:, di, dj]
+            _accumulate(x, flat[:, ph * w + pw:ph * w + pw + n].reshape(c_in, h, w))
 
-    return _node(out_data, (x, kernels, bias), bwd)
+    return _node(out.reshape(c_out, h, w), (x, kernels, bias), bwd)
+
+
+def _zero_wrapped(cols: np.ndarray, w: int) -> None:
+    """Zero the entries of a [C_in, kH, kW, H*W] shift stack that wrapped across a row edge.
+
+    For output column j, shift dj reads input column j + dj - kW//2, which
+    is off the row when it is below 0 or at least w.
+    """
+    c_in, kh, kw, n = cols.shape
+    grid = cols.reshape(c_in, kh, kw, n // w, w)
+    for dj in range(kw):
+        shift = dj - kw // 2
+        grid[:, :, dj, :, :max(-shift, 0)] = 0
+        grid[:, :, dj, :, max(w - shift, 0):] = 0
 
 
 def max_pool2d(x: Tensor) -> Tensor:
@@ -380,12 +410,17 @@ def max_pool2d(x: Tensor) -> Tensor:
     np.maximum(out_data, views[3], out=out_data)
 
     def bwd(g):
-        dx = np.zeros_like(x.data)
-        taken = np.zeros(out_data.shape, dtype=bool)
-        for s, view in zip(slices, views):
-            first = (view == out_data) & ~taken
-            taken |= first
-            np.multiply(g, first, out=dx[s])
+        dx = np.empty_like(x.data)
+        dx[:, 2 * oh:] = 0
+        dx[:, :, 2 * ow:] = 0
+        # A view's element is its window's first maximum when it equals the
+        # maximum and no earlier view's element did: hit > taken on booleans.
+        taken = views[0] == out_data
+        np.multiply(g, taken, out=dx[slices[0]])
+        for s, view in zip(slices[1:], views[1:]):
+            hit = view == out_data
+            np.multiply(g, hit > taken, out=dx[s])
+            taken |= hit
         _accumulate(x, dx)
 
     return _node(out_data, (x,), bwd)

@@ -35,10 +35,12 @@ def frame_count(n_samples: int, frame_len: int, hop: int) -> int:
 
 
 def frame_signal(samples: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
-    """Slice a signal into overlapping frames, shape [T, frame_len]."""
-    t = frame_count(len(samples), frame_len, hop)
-    idx = np.arange(frame_len)[None, :] + hop * np.arange(t)[:, None]
-    return samples[idx]
+    """Overlapping frames of a signal, shape [T, frame_len].
+
+    The frames are a read-only strided view of `samples`, not a copy.
+    """
+    frame_count(len(samples), frame_len, hop)  # rejects a signal shorter than one frame
+    return np.lib.stride_tricks.sliding_window_view(samples, frame_len)[::hop]
 
 
 def hz_to_mel(f):
@@ -71,14 +73,27 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate_hz: int,
     return fbank
 
 
+@functools.lru_cache(maxsize=8)
 def dct_matrix(n_out: int, n_in: int) -> np.ndarray:
-    """Orthonormal DCT-II matrix, rows are the first n_out basis vectors."""
+    """Orthonormal DCT-II matrix, rows are the first n_out basis vectors.
+
+    Built once per argument pair and shared, so the array is read-only.
+    """
     n = np.arange(n_in)
     k = np.arange(n_out)[:, None]
     mat = np.cos(np.pi * k * (2 * n + 1) / (2 * n_in))
     mat *= np.sqrt(2.0 / n_in)
     mat[0] *= np.sqrt(0.5)
+    mat.flags.writeable = False
     return mat
+
+
+@functools.lru_cache(maxsize=8)
+def hamming_window(n: int) -> np.ndarray:
+    """`np.hamming(n)`, built once per length and shared, so read-only."""
+    window = np.hamming(n)
+    window.flags.writeable = False
+    return window
 
 
 def mel_spectrogram(audio: AudioBuffer) -> np.ndarray:
@@ -92,7 +107,7 @@ def mel_spectrogram(audio: AudioBuffer) -> np.ndarray:
     frames = frame_signal(emphasized, frame_len, int(round(HOP_MS * rate / 1000.0)))
     if frame_len > N_FFT:
         raise ValueError(f"frame length {frame_len} exceeds n_fft {N_FFT}")
-    spectrum = np.abs(np.fft.rfft(frames * np.hamming(frame_len), n=N_FFT, axis=1))
+    spectrum = np.abs(np.fft.rfft(frames * hamming_window(frame_len), n=N_FFT, axis=1))
     return spectrum @ mel_filterbank(N_MELS, N_FFT, rate, 0.0, rate / 2.0).T
 
 
@@ -106,15 +121,14 @@ def compute_deltas(c: np.ndarray) -> np.ndarray:
     """Regression deltas d_t = sum_n n*(c_{t+n} - c_{t-n}) / (2 sum_n n^2), n <= DELTA_WINDOW.
 
     Frames past either edge are replaced by the nearest real frame
-    (index clamping).
+    (edge padding).
     """
-    t = c.shape[0]
+    t, k = c.shape[0], DELTA_WINDOW
+    padded = np.concatenate((np.repeat(c[:1], k, axis=0), c, np.repeat(c[-1:], k, axis=0)))
     out = np.zeros_like(c)
-    denom = 2.0 * sum(n * n for n in range(1, DELTA_WINDOW + 1))
-    for n in range(1, DELTA_WINDOW + 1):
-        ahead = c[np.minimum(np.arange(t) + n, t - 1)]
-        behind = c[np.maximum(np.arange(t) - n, 0)]
-        out += n * (ahead - behind)
+    denom = 2.0 * sum(n * n for n in range(1, k + 1))
+    for n in range(1, k + 1):
+        out += n * (padded[k + n:k + n + t] - padded[k - n:k - n + t])
     out /= denom
     return out
 

@@ -131,7 +131,9 @@ def _decode_value(hint, value, path: str):
 
     Handles dataclasses (decoded recursively), bool, int, float (an int is
     accepted), str, `X | None`, `list[X]` and `tuple[...]` (a JSON list
-    becomes a tuple). A bool is not accepted as an int or a float.
+    becomes a tuple). A bool is not accepted as an int or a float. An error
+    names the field and the value's type, never the value itself, which
+    can be arbitrarily long or deep.
     """
     if dataclasses.is_dataclass(hint):
         return _config_from_dict(hint, value, path)
@@ -143,7 +145,7 @@ def _decode_value(hint, value, path: str):
         return _decode_value(inner, value, path)
     if origin in (list, tuple):
         if not isinstance(value, (list, tuple)):
-            raise DataError(f"{path}: expected a list, got {value!r}")
+            raise DataError(f"{path}: expected a list, got {_type_name(value)}")
         if origin is list or args[-1:] == (Ellipsis,):
             items = [args[0]] * len(value)
         elif len(value) != len(args):
@@ -155,8 +157,13 @@ def _decode_value(hint, value, path: str):
         return decoded if origin is list else tuple(decoded)
     kinds = _SCALARS[hint]
     if isinstance(value, bool) != (hint is bool) or not isinstance(value, kinds):
-        raise DataError(f"{path}: expected {hint.__name__}, got {value!r}")
+        raise DataError(f"{path}: expected {hint.__name__}, got {_type_name(value)}")
     return value
+
+
+def _type_name(value) -> str:
+    """The type of a JSON value, for an error message that must stay short whatever the value."""
+    return "null" if value is None else type(value).__name__
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,15 @@
 Each oracle takes the dumbest correct route: O(N^2) DFT matrices, 4-loop
 convolution, exhaustive path enumeration for the sequence loss, plain
 recursion for edit distance. They deliberately share no code with the
-package internals they check, with one exception: the two search
+package internals they check, with two exceptions. The two search
 oracles (the exhaustive decoder and the reference beam search) score
 words with the package's LM step and exact CTC forward recursion, which
-have oracles of their own, so that they check only the search.
+have oracles of their own, so that they check only the search. And the
+kernel references (`im2col_conv2d`, `masked_max_pool2d`, `gather_frames`,
+`clamped_deltas`) are earlier, plainer implementations of package
+functions, kept to check that the faster ones give the same bits; the two
+autodiff ops among them build the package's graph nodes, so they can
+stand in for `autodiff.conv2d` and `autodiff.max_pool2d` in a training run.
 """
 
 import itertools
@@ -14,6 +19,7 @@ import math
 
 import numpy as np
 
+from shona_asr.autodiff import Tensor, _accumulate, _node
 from shona_asr.ctc import ctc_forward_logprob
 from shona_asr.decoder import Transcript
 from shona_asr.lm import (LmWeights, lm_initial_state, score_tokens, sequence_logprob_end,
@@ -120,6 +126,78 @@ def reference_max_pool2d(x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.n
     dcrop = dwin.reshape(c, oh, ow, 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, oh * 2, ow * 2)
     dx[:, :oh * 2, :ow * 2] = dcrop
     return out, dx
+
+
+def im2col_conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
+    """`autodiff.conv2d` as an im2col over an `np.pad`ded image, col2im by a zeroed copy."""
+    c_in, h, w = x.data.shape
+    c_out, _, kh, kw = kernels.data.shape
+    ph, pw = kh // 2, kw // 2
+    padded = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw)))
+    patches = np.empty((c_in, kh, kw, h, w), dtype=x.data.dtype)
+    for di in range(kh):
+        for dj in range(kw):
+            patches[:, di, dj] = padded[:, di:di + h, dj:dj + w]
+    pm = patches.reshape(c_in * kh * kw, h * w)
+    km = kernels.data.reshape(c_out, c_in * kh * kw)
+    out_data = (km @ pm).reshape(c_out, h, w) + bias.data[:, None, None]
+
+    def bwd(g):
+        gm = g.reshape(c_out, h * w)
+        _accumulate(bias, gm.sum(axis=1))
+        _accumulate(kernels, (gm @ pm.T).reshape(kernels.data.shape))
+        if x.requires_grad:
+            dpm = (km.T @ gm).reshape(c_in, kh, kw, h, w)
+            dpadded = np.zeros_like(padded)
+            for di in range(kh):
+                for dj in range(kw):
+                    dpadded[:, di:di + h, dj:dj + w] += dpm[:, di, dj]
+            _accumulate(x, dpadded[:, ph:ph + h, pw:pw + w])
+
+    return _node(out_data, (x, kernels, bias), bwd)
+
+
+def masked_max_pool2d(x: Tensor) -> Tensor:
+    """`autodiff.max_pool2d` with a zero-initialised `taken` mask tested at every view."""
+    c, h, w = x.data.shape
+    oh, ow = h // 2, w // 2
+    slices = [(slice(None), slice(i, 2 * oh, 2), slice(j, 2 * ow, 2))
+              for i in (0, 1) for j in (0, 1)]
+    views = [x.data[s] for s in slices]
+    out_data = np.maximum(views[0], views[1])
+    np.maximum(out_data, views[2], out=out_data)
+    np.maximum(out_data, views[3], out=out_data)
+
+    def bwd(g):
+        dx = np.zeros_like(x.data)
+        taken = np.zeros(out_data.shape, dtype=bool)
+        for s, view in zip(slices, views):
+            first = (view == out_data) & ~taken
+            taken |= first
+            np.multiply(g, first, out=dx[s])
+        _accumulate(x, dx)
+
+    return _node(out_data, (x,), bwd)
+
+
+def gather_frames(samples: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
+    """`features.frame_signal` as a copy gathered through an index matrix."""
+    t = 1 + (len(samples) - frame_len) // hop
+    idx = np.arange(frame_len)[None, :] + hop * np.arange(t)[:, None]
+    return samples[idx]
+
+
+def clamped_deltas(c: np.ndarray, window: int) -> np.ndarray:
+    """`features.compute_deltas` over frames gathered through clamped index arrays."""
+    t = c.shape[0]
+    out = np.zeros_like(c)
+    denom = 2.0 * sum(n * n for n in range(1, window + 1))
+    for n in range(1, window + 1):
+        ahead = c[np.minimum(np.arange(t) + n, t - 1)]
+        behind = c[np.maximum(np.arange(t) - n, 0)]
+        out += n * (ahead - behind)
+    out /= denom
+    return out
 
 
 def collapse_path(path, blank: int) -> tuple:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import naive_conv2d, reference_max_pool2d
+from oracles import im2col_conv2d, masked_max_pool2d, naive_conv2d, reference_max_pool2d
 from shona_asr import autodiff as ad
 from shona_asr.autodiff import Parameters, Tensor, backward
 from shona_asr.gradcheck import grad_check
@@ -122,6 +122,73 @@ def test_conv_all_ones_2x2_case():
     x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]])[None])
     out = ad.conv2d(x, Tensor(np.ones((1, 1, 3, 3))), Tensor(np.zeros(1)))
     assert np.allclose(out.data[0], naive_conv2d(x.data, np.ones((1, 1, 3, 3)), np.zeros(1))[0])
+
+
+def _assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    """Equal dtype, shape and bytes: stricter than np.array_equal, which takes -0.0 for 0.0."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _op_and_grads(op, arrays, x_grad, g):
+    """op on fresh tensors of arrays (the first being x), its output and every gradient."""
+    tensors = [Tensor(a, requires_grad=x_grad or i > 0) for i, a in enumerate(arrays)]
+    out = op(*tensors)
+    backward(ad.tsum(ad.mul(out, Tensor(g))))
+    return out.data, [t.grad for t in tensors if t.requires_grad]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("c_in", [1, 32])
+@pytest.mark.parametrize("h, w", [(6, 8), (7, 9), (6, 9), (7, 8), (1, 1)])
+@pytest.mark.parametrize("x_grad", [True, False], ids=["x_grad", "no_x_grad"])
+def test_conv_is_bit_equal_to_the_im2col_reference(rng, dtype, c_in, h, w, x_grad):
+    for kh, kw in ((3, 3), (1, 5), (5, 3)):
+        arrays = [rng.normal(size=shape).astype(dtype)
+                  for shape in ((c_in, h, w), (4, c_in, kh, kw), (4,))]
+        g = rng.normal(size=(4, h, w)).astype(dtype)
+        out, grads = _op_and_grads(ad.conv2d, arrays, x_grad, g)
+        want_out, want_grads = _op_and_grads(im2col_conv2d, arrays, x_grad, g)
+        _assert_same_bits(out, want_out)
+        assert len(grads) == len(want_grads) == 2 + x_grad
+        for got, want in zip(grads, want_grads):
+            _assert_same_bits(got, want)
+
+
+# window positions (row-major) holding a tied maximum: every pair, and all four
+TIES = [(a, b) for a in range(4) for b in range(a + 1, 4)] + [(0, 1, 2, 3)]
+
+
+def _tied_windows(dtype):
+    """A [1, 2, 2 * len(TIES)] row of 2x2 windows, window k holding 1 at the positions TIES[k]."""
+    x = np.zeros((1, 2, 2 * len(TIES)), dtype=dtype)
+    for k, tie in enumerate(TIES):
+        for pos in tie:
+            x[0, pos // 2, 2 * k + pos % 2] = 1.0
+    return x
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_max_pool_is_bit_equal_to_the_masked_reference(rng, dtype):
+    inputs = [(x.astype(dtype), g.astype(dtype)) for x, g in _pool_inputs(rng)]
+    tied = _tied_windows(dtype)
+    # negated, the zeros are the maxima, so the complementary positions tie
+    inputs += [(tied, rng.normal(size=(1, 1, len(TIES))).astype(dtype)),
+               (-tied, -np.ones((1, 1, len(TIES)), dtype=dtype))]
+    for x, g in inputs:
+        out, (dx,) = _op_and_grads(ad.max_pool2d, [x], True, g)
+        want_out, (want_dx,) = _op_and_grads(masked_max_pool2d, [x], True, g)
+        _assert_same_bits(out, want_out)
+        _assert_same_bits(dx, want_dx)
+
+
+def test_tied_pool_windows_route_to_the_first_maximum():
+    x = _tied_windows(np.float64)
+    _, (dx,) = _op_and_grads(ad.max_pool2d, [x], True, np.ones((1, 1, len(TIES))))
+    want = np.zeros_like(x)
+    for k, tie in enumerate(TIES):
+        want[0, tie[0] // 2, 2 * k + tie[0] % 2] = 1.0
+    assert np.array_equal(dx, want)
 
 
 def test_max_pool_basic():

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from oracles import naive_deltas, naive_mel_energies
+from oracles import clamped_deltas, gather_frames, naive_deltas, naive_mel_energies
 from shona_asr import features
 from shona_asr.audio import AudioBuffer
 from shona_asr.errors import DataError
-from shona_asr.features import (compute_deltas, compute_mfcc, extract_features, frame_count,
-                                mel_filterbank, mel_spectrogram, stack_features)
+from shona_asr.features import (compute_deltas, compute_mfcc, dct_matrix, extract_features,
+                                frame_count, frame_signal, hamming_window, mel_filterbank,
+                                mel_spectrogram, stack_features)
 
 from conftest import make_tone
 
@@ -62,6 +63,36 @@ def test_mel_filterbank_is_built_once_and_read_only():
     assert mel_filterbank(26, 512, 16000, 0.0, 8000.0) is fbank
     with pytest.raises(ValueError):
         fbank[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("build, args", [(dct_matrix, (13, 26)), (hamming_window, (400,))],
+                         ids=["dct_matrix", "hamming_window"])
+def test_dct_matrix_and_window_are_built_once_and_read_only(build, args):
+    table = build(*args)
+    assert build(*args) is table
+    with pytest.raises(ValueError):
+        table.flat[0] = 1.0
+
+
+def test_hamming_window_is_numpys():
+    assert hamming_window(400).tobytes() == np.hamming(400).tobytes()
+
+
+@pytest.mark.parametrize("n_frames", [1, 2, 3, 5, 200])
+def test_frames_are_bit_equal_to_an_index_gather(rng, n_frames):
+    for extra in (0, 1, 159):  # samples past the last full frame are left out
+        samples = rng.uniform(-1, 1, 400 + 160 * (n_frames - 1) + extra)
+        frames = frame_signal(samples, 400, 160)
+        assert frames.shape == (n_frames, 400) and not frames.flags.writeable
+        assert frames.tobytes() == gather_frames(samples, 400, 160).tobytes()
+
+
+@pytest.mark.parametrize("n_frames", [0, 1, 2, 3, 5, 200])
+def test_deltas_are_bit_equal_to_clamped_index_gathers(rng, n_frames):
+    values = rng.normal(size=(n_frames, 13))
+    got = compute_deltas(values)
+    assert got.tobytes() == clamped_deltas(values, features.DELTA_WINDOW).tobytes()
+    assert compute_deltas(got).tobytes() == clamped_deltas(got, features.DELTA_WINDOW).tobytes()
 
 
 def test_gain_shifts_only_coefficient_zero():

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import params_as
+from oracles import im2col_conv2d, masked_max_pool2d
 from shona_asr import autodiff as ad
 from shona_asr.acoustic import AcousticConfig, acoustic_forward, build_acoustic_model
 from shona_asr.audio import load_wav
@@ -94,6 +95,21 @@ def test_config_validates_values():
         TrainConfig.from_dict({"epochs_max": 0})
     with pytest.raises(DataError):
         TrainConfig.from_dict({"split_ratios": [0.5, 0.2, 0.2]})
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"seed": json.loads("[" * 900 + "]" * 900)}, "config.seed: expected int, got list"),
+    ({"lexicon_words": "ku" * 5000}, "config.lexicon_words: expected a list, got str"),
+    ({"lexicon_words": list(range(5000))}, "config.lexicon_words[0]: expected str, got int"),
+    ({"augment": {"speed_factors": {"x" * 5000: 1}}},
+     "config.augment.speed_factors: expected a list, got dict"),
+], ids=["nested_900_deep", "long_string_for_a_list", "long_list_of_ints", "long_object_for_a_list"])
+def test_config_type_error_names_the_field_and_type_in_a_short_message(obj, message):
+    # the whole offending value used to be printed, an 1,800-character line at depth 900
+    with pytest.raises(DataError) as info:
+        TrainConfig.from_dict(obj)
+    assert str(info.value) == message
+    assert len(str(info.value)) < 200
 
 
 @pytest.mark.parametrize("augment", [{"gain_db_range": [-30.0, 30.0]}, {"gain_db_range": [6.0, -6.0]},
@@ -505,6 +521,20 @@ def test_replaced_lm_code_trains_the_lm_in_this_process(tiny_result, tiny_corpus
     assert callers and set(callers) == {os.getpid()}
     assert in_process.epoch_log == forked.epoch_log
     assert in_process.best_hash == forked.best_hash
+
+
+def test_training_with_the_reference_kernels_gives_the_same_bits(tmp_path, monkeypatch):
+    # conv2d and max_pool2d against their earlier forms, through a default-augmented
+    # run; replacing autodiff functions also moves the LM into this process,
+    # which gives the same results by design
+    corpus = generate_corpus(GenConfig(seed=7, vocab_size=10, n_utterances=12), tmp_path)
+    cfg = TrainConfig(seed=3, epochs_max=2, patience=2)
+    fast = train(cfg, corpus)
+    monkeypatch.setattr(ad, "conv2d", im2col_conv2d)
+    monkeypatch.setattr(ad, "max_pool2d", masked_max_pool2d)
+    reference = train(cfg, corpus)
+    assert reference.epoch_log == fast.epoch_log
+    assert reference.best_hash == fast.best_hash
 
 
 @pytest.mark.parametrize("ending", ["epochs_max", "early_stop", "target", "verification_error"])
