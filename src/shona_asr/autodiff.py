@@ -45,13 +45,22 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
+    """Add the gradient g to t.grad.
+
+    `owned` says that the caller made g for this call and keeps no other
+    reference to it, so a first gradient of t's dtype becomes t.grad as it
+    is. Any other first gradient is copied, since g may be a view, or a
+    gradient passed through that another tensor holds too.
+    """
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype)  # a copy: g may be a view
-    else:
+    if t.grad is not None:
         t.grad += g
+    elif owned and type(g) is np.ndarray and g.dtype == t.data.dtype:
+        t.grad = g
+    else:
+        t.grad = np.array(g, dtype=t.data.dtype)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -179,8 +188,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data * b.data
 
     def bwd(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        _accumulate(a, _unbroadcast(g * b.data, a.data.shape), owned=True)
+        _accumulate(b, _unbroadcast(g * a.data, b.data.shape), owned=True)
 
     return _node(out_data, (a, b), bwd)
 
@@ -196,8 +205,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data @ b.data
 
     def bwd(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        _accumulate(a, g @ b.data.T, owned=True)
+        _accumulate(b, a.data.T @ g, owned=True)
 
     return _node(out_data, (a, b), bwd)
 
@@ -213,14 +222,14 @@ def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
 
     def bwd(g):
-        _accumulate(a, g * mask)
+        _accumulate(a, g * mask, owned=True)
 
     return _node(a.data * mask, (a,), bwd)
 
 
 def tsum(a: Tensor) -> Tensor:
     def bwd(g):
-        _accumulate(a, np.full_like(a.data, float(g)))
+        _accumulate(a, np.full_like(a.data, float(g)), owned=True)
 
     return _node(a.data.sum(), (a,), bwd)
 
@@ -232,7 +241,7 @@ def row(a: Tensor, i: int) -> Tensor:
         if a.requires_grad:
             grad = np.zeros_like(a.data)
             grad[i] = g
-            _accumulate(a, grad)
+            _accumulate(a, grad, owned=True)
 
     return _node(a.data[i], (a,), bwd)
 
@@ -245,7 +254,7 @@ def gather_rows(a: Tensor, indices: np.ndarray) -> Tensor:
         if a.requires_grad:
             grad = np.zeros_like(a.data)
             np.add.at(grad, indices, g)
-            _accumulate(a, grad)
+            _accumulate(a, grad, owned=True)
 
     return _node(a.data[indices], (a,), bwd)
 
@@ -259,7 +268,7 @@ def take_per_row(a: Tensor, cols: np.ndarray) -> Tensor:
         if a.requires_grad:
             grad = np.zeros_like(a.data)
             grad[rows_idx, cols] = g
-            _accumulate(a, grad)
+            _accumulate(a, grad, owned=True)
 
     return _node(a.data[rows_idx, cols], (a,), bwd)
 
@@ -276,7 +285,7 @@ def softmax(a: Tensor) -> Tensor:
 
     def bwd(g):
         inner = (g * y).sum(axis=-1, keepdims=True)
-        _accumulate(a, y * (g - inner))
+        _accumulate(a, y * (g - inner), owned=True)
 
     return _node(y, (a,), bwd)
 
@@ -294,7 +303,7 @@ def log_softmax(a: Tensor) -> Tensor:
     out_data = log_softmax_values(a.data)
 
     def bwd(g):
-        _accumulate(a, g - np.exp(out_data) * g.sum(axis=-1, keepdims=True))
+        _accumulate(a, g - np.exp(out_data) * g.sum(axis=-1, keepdims=True), owned=True)
 
     return _node(out_data, (a,), bwd)
 
@@ -313,7 +322,7 @@ def row_pick(a: Tensor, i: int) -> Tensor:
         if a.requires_grad:
             grad = np.zeros_like(a.data)
             grad[i] = float(g)
-            _accumulate(a, grad)
+            _accumulate(a, grad, owned=True)
 
     return _node(a.data[i], (a,), bwd)
 
@@ -359,13 +368,15 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
 
     def bwd(g):
         gm = g.reshape(c_out, n)
-        _accumulate(bias, gm.sum(axis=1))
-        _accumulate(kernels, (pm @ gm.T).T.reshape(kernels.data.shape))
+        _accumulate(bias, gm.sum(axis=1), owned=True)
+        _accumulate(kernels, (pm @ gm.T).T.reshape(kernels.data.shape), owned=True)
         if x.requires_grad:
             # The forward is done with `flat`, so it collects the input
-            # gradient. Each position sums its terms in (di, dj) order from
-            # +0, as a padded-image col2im does; the wrapped columns add
-            # +0, which leaves a sum that starts at +0 unchanged.
+            # gradient, which `_accumulate` copies out of it (a fresh
+            # buffer per backward pass costs more in page faults). Each
+            # position sums its terms in (di, dj) order from +0, as a
+            # padded-image col2im does; the wrapped columns add +0, which
+            # leaves a sum that starts at +0 unchanged.
             dpm = (km.T @ gm).reshape(c_in, kh, kw, n)
             _zero_wrapped(dpm, w)
             flat.fill(0)
@@ -421,7 +432,7 @@ def max_pool2d(x: Tensor) -> Tensor:
             hit = view == out_data
             np.multiply(g, hit > taken, out=dx[s])
             taken |= hit
-        _accumulate(x, dx)
+        _accumulate(x, dx, owned=True)
 
     return _node(out_data, (x,), bwd)
 
@@ -437,9 +448,9 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
     def bwd(g):
         rows = g.reshape(-1, m)
-        _accumulate(weight, rows.T @ x.data.reshape(-1, n))
-        _accumulate(bias, rows.sum(axis=0))
-        _accumulate(x, g @ weight.data)
+        _accumulate(weight, rows.T @ x.data.reshape(-1, n), owned=True)
+        _accumulate(bias, rows.sum(axis=0), owned=True)
+        _accumulate(x, g @ weight.data, owned=True)
 
     return _node(out_data, (x, weight, bias), bwd)
 
@@ -505,12 +516,12 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w_ih: Tensor, w_hh: Tensor,
             d_g * (1.0 - g_g * g_g),
             d_o * o_g * (1.0 - o_g),
         ])
-        _accumulate(w_ih, np.outer(da, x.data))
-        _accumulate(w_hh, np.outer(da, h.data))
+        _accumulate(w_ih, np.outer(da, x.data), owned=True)
+        _accumulate(w_hh, np.outer(da, h.data), owned=True)
         _accumulate(b, da)
-        _accumulate(x, w_ih.data.T @ da)
-        _accumulate(h, w_hh.data.T @ da)
-        _accumulate(c, dc_total * f_g)
+        _accumulate(x, w_ih.data.T @ da, owned=True)
+        _accumulate(h, w_hh.data.T @ da, owned=True)
+        _accumulate(c, dc_total * f_g, owned=True)
 
     pair = _node(np.stack([h_new, c_new]), (x, h, c, w_ih, w_hh, b), bwd)
     return row(pair, 0), row(pair, 1)
@@ -560,10 +571,10 @@ def lstm_layer(xs: Tensor, w_ih: Tensor, w_hh: Tensor, b: Tensor) -> Tensor:
             np.multiply(dh, via_dh[t], out=d_a[t, 3 * k:])
             dh_next = d_a[t] @ u
             dc_next = dc * f_s[t]
-        _accumulate(w_ih, d_a.T @ xs.data)
-        _accumulate(w_hh, d_a[1:].T @ h_s[:-1])
-        _accumulate(b, d_a.sum(axis=0))
-        _accumulate(xs, d_a @ w_ih.data)
+        _accumulate(w_ih, d_a.T @ xs.data, owned=True)
+        _accumulate(w_hh, d_a[1:].T @ h_s[:-1], owned=True)
+        _accumulate(b, d_a.sum(axis=0), owned=True)
+        _accumulate(xs, d_a @ w_ih.data, owned=True)
 
     return _node(h_s, (xs, w_ih, w_hh, b), bwd)
 

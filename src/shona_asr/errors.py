@@ -19,3 +19,14 @@ class VerificationError(AsrError):
 
 class ChecksumError(VerificationError):
     """Checkpoint payload does not match its recorded CRC."""
+
+
+def unknown_keys(keys) -> str:
+    """Name the count of an input object's unknown keys and the first, shortened.
+
+    The keys come from an input file, so the text stays short whatever
+    their number or length.
+    """
+    first = min(map(str, keys))
+    shown = repr(first) if len(first) <= 40 else f"{first[:40]!r}... ({len(first)} characters)"
+    return f"unknown keys ({len(keys)}), the first {shown}"

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import wav_duration_s
-from .errors import DataError
+from .errors import DataError, unknown_keys
 
 _RECORD_KEYS = {"id", "audio", "text", "duration_s"}
 
@@ -57,7 +57,7 @@ def load_manifest(path) -> CorpusManifest:
             raise DataError(f"{path}:{lineno}: record must be a JSON object")
         unknown = set(obj) - _RECORD_KEYS
         if unknown:
-            raise DataError(f"{path}:{lineno}: unknown keys {sorted(unknown)}")
+            raise DataError(f"{path}:{lineno}: {unknown_keys(unknown)}")
         for key in ("id", "audio", "text"):
             if key not in obj:
                 raise DataError(f"{path}:{lineno}: missing key {key!r}")

@@ -2,25 +2,37 @@
 
 One epoch loop trains the acoustic model (CTC) and the language model
 (teacher forcing) with independent optimizers, monitors validation PER
-from greedy decoding, and early-stops with patience. The two models share
-no tensor, optimizer or input, so they train side by side: a forked LM
-process owns the LM's parameters and Adam moments and runs each epoch's
-LM pass and LM validation while this process runs the acoustic ones, then
-sends the LM's tensors back for the best-epoch copy. Training therefore
-needs the `fork` start method (Linux). While a function of the LM's code
-is replaced (by a tracer's wrapper, say), the LM trains in this process
-after each acoustic pass instead, so that the wrapper sees its calls; the
-results are the same. Both models train in float32; the
-CTC recursion and the loss totals sum in float64. The best epoch is kept
-as a copy of its tensors, which its checkpoint holds.
+from greedy decoding, and early-stops with patience. Training runs in up
+to three processes, forked once per run (so it needs the `fork` start
+method, which Linux has), with both models' tensors in one shared memory
+mapping made before the forks:
+
+- an LM process owns the LM's Adam moments and runs each epoch's LM pass
+  and LM validation while this process runs the acoustic ones. The two
+  models share no tensor, optimizer or input.
+- an acoustic worker takes part of each batch. The training utterances
+  that can complete the pending batch are split in two: this process runs
+  the first half and the worker the rest, at the same time and with the
+  same parameters, each through augment, features, forward, CTC and
+  backward. This process merges the outcomes in utterance order (too
+  short, non-finite, or a loss and that utterance's gradients), so the
+  counts, the loss sums, the update boundaries and each gradient sum are
+  those of one serial loop, bit for bit. It then runs the optimizer step,
+  whose in-place update the worker reads through the shared mapping. A
+  batch of one has nothing to split, and forks no worker.
+
+While a function of a process's code is replaced (by a tracer's wrapper,
+say), this process does that process's work itself, so that the wrapper
+sees its calls; the results are the same. Both models train in float32;
+the CTC recursion and the loss totals sum in float64. The best epoch is
+kept as a copy of its tensors, which its checkpoint holds.
 
 The whole run is a pure function of (config, manifest), whatever the
 host's core count or `OPENBLAS_NUM_THREADS`: OpenBLAS is pinned to one
-thread for the duration of `train()` (and so in the forked LM process),
+thread for the duration of `train()` (and so in the forked processes),
 and its previous thread count is restored afterwards. The sums of a
 multi-threaded BLAS depend on how it splits them, and one thread per
-process is also what two processes on a 2-core host can run without
-oversubscription.
+process is also what a 2-core host can run without oversubscription.
 """
 
 from __future__ import annotations
@@ -30,6 +42,7 @@ import ctypes
 import dataclasses
 import functools
 import logging
+import mmap
 import multiprocessing
 import signal
 import time
@@ -41,7 +54,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad, lm as lm_module, optim as optim_module
+from . import (acoustic as acoustic_module, augment as augment_module, autodiff as ad,
+               ctc as ctc_module, features as features_module, lm as lm_module,
+               optim as optim_module)
 from .acoustic import (AcousticConfig, acoustic_forward, acoustic_layout, build_acoustic_model,
                        output_frames)
 from .audio import AudioBuffer, load_wav
@@ -49,7 +64,7 @@ from .augment import AugmentPolicy, augment_audio, spec_augment
 from .checkpoint import Checkpoint, load_checkpoint, params_hash
 from .ctc import ctc_greedy_decode, ctc_loss, min_frames
 from .decoder import DecodeStats, beam_decode
-from .errors import DataError, VerificationError
+from .errors import DataError, VerificationError, unknown_keys
 from .features import extract_features
 from .lexicon import Lexicon, build_lexicon
 from .lm import LmConfig, TokenVocab, build_lm, corpus_loss, lm_layout, lm_train, word_tokens
@@ -114,7 +129,7 @@ def _config_from_dict(cls, obj, path: str):
     hints = typing.get_type_hints(cls)
     unknown = set(obj) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
-        raise DataError(f"{path}: unknown keys {sorted(unknown)}")
+        raise DataError(f"{path}: {unknown_keys(unknown)}")
     kwargs = {name: _decode_value(hints[name], value, f"{path}.{name}")
               for name, value in obj.items()}
     try:
@@ -340,78 +355,88 @@ def _one_blas_thread():
         put(previous)
 
 
-def _functions(*modules: types.ModuleType) -> dict:
-    return {(mod.__name__, name): value for mod in modules for name, value in vars(mod).items()
-            if isinstance(value, types.FunctionType)}
+class _Code:
+    """The functions a worker runs through, as bound when this module was imported.
+
+    They are every function of `modules`, and the functions of this
+    module's namespace that `caller` names. A tracer or profiler replaces
+    them with wrappers that record into the memory of the process that
+    calls them, which a forked process's records never reach.
+    """
+
+    def __init__(self, modules: tuple[types.ModuleType, ...], caller=None):
+        self._modules, self._caller = modules, caller
+        self._imported = self._bound()
+
+    def _bound(self) -> dict:
+        found = {(mod.__name__, name): value for mod in self._modules
+                 for name, value in vars(mod).items() if isinstance(value, types.FunctionType)}
+        if self._caller is not None:
+            named = self._caller.__globals__
+            found.update({(__name__, name): named[name] for name in self._caller.__code__.co_names
+                          if isinstance(named.get(name), types.FunctionType)})
+        return found
+
+    def replaced(self) -> bool:
+        return self._bound() != self._imported
 
 
-# The functions an LM epoch runs through, as imported. A tracer or profiler
-# replaces them with wrappers that record into the memory of the process
-# that calls them, which a forked process's records never reach.
-_LM_CODE = (lm_module, ad, optim_module)
-_LM_FUNCTIONS = _functions(*_LM_CODE)
+def _serve(conn, parent_end, name: str, serve) -> None:
+    """A worker process: answers each request, a tuple of arguments, with `serve(*request)`.
 
-
-def _lm_epoch(params: ad.Parameters, opt: OptimizerState, vocab: TokenVocab,
-              train_sents: list[list[str]], val_sents: list[list[str]]) -> tuple[float, float]:
-    """One LM epoch and its validation loss: (train_lm_ce, val_lm_ce)."""
-    return (lm_train(params, train_sents, vocab, epochs=1, optimizer=opt)[0],
-            corpus_loss(params, val_sents, vocab))
-
-
-def _lm_epochs(conn, parent_end, params: ad.Parameters, run_epoch) -> None:
-    """The LM process: one `run_epoch()` per request.
-
-    Each request (any message) is answered with (train_lm_ce, val_lm_ce,
-    {name: array}), or with the exception the epoch raised; one that cannot
-    be pickled ends the process, which the parent reports. A closed pipe
-    ends the process. Ctrl-C is left to the parent, which kills the process.
+    An exception `serve` raises is sent as the reply, with a note that holds
+    its traceback; a reply that cannot be pickled ends the process, which
+    the caller reports. A closed pipe ends the process. Ctrl-C is left to
+    the caller, which kills the process.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    parent_end.close()  # so that a parent that dies closes the pipe
+    parent_end.close()  # so that a caller that dies closes the pipe
     while True:
         try:
-            conn.recv()
+            request = conn.recv()
         except EOFError:
             return
         try:
-            reply = (*run_epoch(), {name: t.data for name, t in params.items()})
+            reply = serve(*request)
         except Exception as exc:
-            exc.add_note("in the LM training process:\n" + traceback.format_exc().rstrip())
+            exc.add_note(f"in the {name} process:\n" + traceback.format_exc().rstrip())
             reply = exc
         conn.send(reply)
 
 
-class _LmTrainer:
-    """A forked process that trains the LM, one epoch per `start_epoch`.
+class _Worker:
+    """Calls `serve(*request)` in a forked process, one call per `submit(*request)`.
 
-    The process inherits the parameters, the optimizer and the sentences.
-    `finish_epoch` waits for the epoch and copies its tensors into
-    `params`; an exception raised in the process is raised again here.
-    Leaving the `with` block ends the process: it is closed after a normal
-    exit and killed after an exception, and joined either way.
+    The process inherits everything `serve` reads. `result()` waits for
+    the reply to the last request; an exception raised in the process is
+    raised again here, and a process that exits without answering is a
+    RuntimeError naming its exit code. Leaving the `with` block ends the
+    process: it is closed after a normal exit and killed after an
+    exception, and joined either way.
 
-    When a function of the LM's code has been replaced since import (a
-    tracer's wrapper, say), no process is forked: `finish_epoch` runs the
-    epoch here, so that what the wrappers record stays in this process.
-    The epoch's results are the same either way.
+    While a function of `code` has been replaced since import (a tracer's
+    wrapper, say), no process is forked (`forked` is false): `result()`
+    calls `serve` here, so that what the wrappers record stays in this
+    process. The replies are the same either way.
     """
 
-    def __init__(self, params: ad.Parameters, opt: OptimizerState, vocab: TokenVocab,
-                 train_sents: list[list[str]], val_sents: list[list[str]]):
-        self.params = params
-        self._run_epoch = functools.partial(_lm_epoch, params, opt, vocab, train_sents, val_sents)
-        self._process = None
-        if _functions(*_LM_CODE) != _LM_FUNCTIONS:
+    def __init__(self, name: str, serve, code: _Code):
+        self.name, self._serve = name, serve
+        self._process = self._request = None
+        if code.replaced():
             return
         context = multiprocessing.get_context("fork")
         self._conn, child_end = context.Pipe()
-        self._process = context.Process(target=_lm_epochs, name="lm-train", daemon=True,
-                                        args=(child_end, self._conn, params, self._run_epoch))
+        self._process = context.Process(target=_serve, name=name, daemon=True,
+                                        args=(child_end, self._conn, name, serve))
         self._process.start()
         child_end.close()
 
-    def __enter__(self) -> "_LmTrainer":
+    @property
+    def forked(self) -> bool:
+        return self._process is not None
+
+    def __enter__(self) -> "_Worker":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -422,26 +447,153 @@ class _LmTrainer:
         self._conn.close()
         self._process.join()
 
-    def start_epoch(self) -> None:
-        if self._process is not None:
-            self._conn.send(True)
-
-    def finish_epoch(self) -> tuple[float, float]:
-        """Wait for the epoch; returns its (train_lm_ce, val_lm_ce)."""
+    def submit(self, *request) -> None:
         if self._process is None:
-            return self._run_epoch()
+            self._request = request
+        else:
+            self._conn.send(request)
+
+    def result(self):
+        if self._process is None:
+            return self._serve(*self._request)
         try:
             reply = self._conn.recv()
         except EOFError:
             self._process.join()
-            raise RuntimeError(f"the LM training process exited with code "
+            raise RuntimeError(f"the {self.name} process exited with code "
                                f"{self._process.exitcode} without answering") from None
         if isinstance(reply, BaseException):
             raise reply
-        train_ce, val_ce, tensors = reply
-        for name, t in self.params.items():
-            t.data[...] = tensors[name]
-        return train_ce, val_ce
+        return reply
+
+
+def _shared_arrays(templates: list[np.ndarray]) -> list[np.ndarray]:
+    """Zeroed arrays shaped and typed like `templates`, in one MAP_SHARED anonymous mapping.
+
+    A process forked afterwards maps the same pages, so each process reads
+    what the other writes there, with no copy. Each array starts at a
+    multiple of 64 bytes.
+    """
+    offsets, end = [], 0
+    for a in templates:
+        offsets.append(end)
+        end += -(-a.nbytes // 64) * 64
+    mapping = mmap.mmap(-1, max(end, 1), flags=mmap.MAP_SHARED)
+    return [np.frombuffer(mapping, a.dtype, a.size, offset).reshape(a.shape)
+            for a, offset in zip(templates, offsets)]
+
+
+def _share(*models: ad.Parameters) -> None:
+    """Move every tensor of the models into shared memory (see `_shared_arrays`)."""
+    tensors = [t for params in models for _, t in params.items()]
+    for t, shared in zip(tensors, _shared_arrays([t.data for t in tensors])):
+        shared[...] = t.data
+        t.data = shared
+
+
+def _lm_epoch(params: ad.Parameters, opt: OptimizerState, vocab: TokenVocab,
+              train_sents: list[list[str]], val_sents: list[list[str]]) -> tuple[float, float]:
+    """One LM epoch and its validation loss: (train_lm_ce, val_lm_ce)."""
+    return (lm_train(params, train_sents, vocab, epochs=1, optimizer=opt)[0],
+            corpus_loss(params, val_sents, vocab))
+
+
+_TOO_SHORT, _NON_FINITE = "too short", "non-finite"
+
+
+def _acoustic_outcomes(params: ad.Parameters, cfg: TrainConfig, utts: list[Utterance],
+                       base_feats: dict | None, epoch: int, indices, slots=None) -> list:
+    """Augment, extract, forward, CTC and backward for the training utterances `indices`, in order.
+
+    `base_feats` holds the unaugmented features, which an identity augment
+    policy trains on; None means augmenting. Each outcome is _TOO_SHORT,
+    _NON_FINITE (no backward pass then) or the loss, and the gradients
+    accumulate in the parameters' `.grad`. With `slots` (see
+    `_gradient_slots`), the gradients of the k-th utterance move into
+    `slots[k]` instead, and its outcome is (loss, their names).
+    """
+    outcomes = []
+    for k, i in enumerate(indices):
+        utt = utts[i]
+        if base_feats is not None:
+            feats = base_feats[utt.utt_id]
+        else:
+            rng = np.random.default_rng(
+                np.random.SeedSequence(cfg.seed, spawn_key=(cfg.augment.seed, epoch, i)))
+            audio = augment_audio(utt.audio, cfg.augment, rng)
+            feats = spec_augment(extract_features(audio), cfg.augment, rng)
+        if output_frames(feats.shape[0]) < min_frames(utt.phones):
+            outcomes.append(_TOO_SHORT)
+            continue
+        loss = ctc_loss(acoustic_forward(params, feats, cfg.acoustic), utt.phones)
+        if not np.isfinite(loss.data):
+            outcomes.append(_NON_FINITE)
+            continue
+        ad.backward(loss)
+        if slots is None:
+            outcomes.append(float(loss.data))
+            continue
+        names = []
+        for name, t in params.items():
+            if t.grad is not None:
+                np.copyto(slots[k][name], t.grad)
+                names.append(name)
+        params.zero_grad()
+        outcomes.append((float(loss.data), names))
+    return outcomes
+
+
+def _gradient_slots(params: ad.Parameters, n: int) -> list[dict]:
+    """`n` shared {name: array} sets shaped like the parameters, one per utterance of a request.
+
+    The acoustic worker hands its gradients over in them, so that a reply
+    carries only losses and names.
+    """
+    names = params.names()
+    arrays = _shared_arrays([params[name].data for name in names] * n)
+    return [dict(zip(names, arrays[k * len(names):(k + 1) * len(names)])) for k in range(n)]
+
+
+@dataclass
+class _AcousticTally:
+    """An epoch's acoustic outcomes, merged in utterance order, and the pending batch's count.
+
+    The pending batch's gradient sums are the parameters' `.grad`. A worker
+    utterance's gradients, read from its slot, are added to them as its
+    backward pass would have added them here: a backward pass adds to each
+    acoustic tensor once, so the sums stay ((G1 + G2) + G3) + G4.
+    """
+
+    loss_sum: float = 0.0
+    scored: int = 0
+    too_short: int = 0
+    non_finite: int = 0  # a non-finite loss, or in a batch with a non-finite gradient
+    pending: int = 0
+
+    def add(self, outcomes: list, params: ad.Parameters | None = None, slots=None) -> None:
+        for k, outcome in enumerate(outcomes):
+            if outcome == _TOO_SHORT:
+                self.too_short += 1
+            elif outcome == _NON_FINITE:
+                self.non_finite += 1
+            else:
+                if slots is not None:
+                    outcome, names = outcome
+                    for name in names:
+                        ad._accumulate(params[name], slots[k][name])
+                self.loss_sum += outcome
+                self.scored += 1
+                self.pending += 1
+
+    def update(self, opt: OptimizerState, params: ad.Parameters) -> None:
+        """One optimizer step from the pending gradients (see `_finite_update`)."""
+        self.non_finite += _finite_update(opt, params, self.pending)
+        self.pending = 0
+
+
+_LM_CODE = _Code((lm_module, ad, optim_module))
+_ACOUSTIC_CODE = _Code((acoustic_module, ad, ctc_module, features_module, augment_module),
+                       _acoustic_outcomes)
 
 
 @_one_blas_thread()
@@ -510,42 +662,49 @@ def train(cfg: TrainConfig, manifest: CorpusManifest) -> TrainResult:
     epoch_log: list[dict] = []
     stopped_early = False
 
-    with _LmTrainer(lm_params, lm_opt, vocab, lm_train_sents, lm_val_sents) as lm:
+    _share(acoustic_params, lm_params)  # before any fork, so that the workers see each update
+    run_utterances = functools.partial(_acoustic_outcomes, acoustic_params, cfg, train_utts,
+                                       base_feats if identity_augment else None)
+    with contextlib.ExitStack() as workers:
+        lm = workers.enter_context(_Worker("LM training", functools.partial(
+            _lm_epoch, lm_params, lm_opt, vocab, lm_train_sents, lm_val_sents), _LM_CODE))
+        # a batch of one has nothing to split, so it needs no acoustic worker
+        split = False
+        if cfg.batch_size > 1:
+            slots = _gradient_slots(acoustic_params, cfg.batch_size // 2)
+            acoustic = workers.enter_context(_Worker(
+                "acoustic training", functools.partial(run_utterances, slots=slots),
+                _ACOUSTIC_CODE))
+            split = acoustic.forked
         for epoch in range(1, cfg.epochs_max + 1):
-            lm.start_epoch()  # the LM's pass and validation run beside the acoustic ones
+            lm.submit()  # the LM's pass and validation run beside the acoustic ones
             # -- acoustic pass -------------------------------------------------
-            epoch_ctc, n_scored, n_failed, n_nonfinite, pending = 0.0, 0, 0, 0, 0
-            for i, utt in enumerate(train_utts):
-                if identity_augment:
-                    feats = base_feats[utt.utt_id]
-                else:
-                    rng = np.random.default_rng(
-                        np.random.SeedSequence(cfg.seed, spawn_key=(cfg.augment.seed, epoch, i)))
-                    audio = augment_audio(utt.audio, cfg.augment, rng)
-                    feats = spec_augment(extract_features(audio), cfg.augment, rng)
-                if output_frames(feats.shape[0]) < min_frames(utt.phones):
-                    n_failed += 1
-                    continue
-                grid = acoustic_forward(acoustic_params, feats, cfg.acoustic)
-                loss = ctc_loss(grid, utt.phones)
-                if not np.isfinite(loss.data):
-                    n_nonfinite += 1
-                    continue
-                epoch_ctc += float(loss.data)
-                n_scored += 1
-                ad.backward(loss)
-                pending += 1
-                if pending >= cfg.batch_size:
-                    n_nonfinite += _finite_update(ac_opt, acoustic_params, pending)
-                    pending = 0
-            if pending:
-                n_nonfinite += _finite_update(ac_opt, acoustic_params, pending)
-            n_failed += n_nonfinite
+            # The utterances that can complete the pending batch are split in
+            # two: this process runs the first half while the acoustic worker
+            # runs the rest with the same parameters. Merging the outcomes in
+            # utterance order gives the serial loop's counts, sums and updates.
+            tally = _AcousticTally()
+            start = 0
+            while start < len(train_utts):
+                group = range(start, min(start + cfg.batch_size - tally.pending, len(train_utts)))
+                start = group.stop
+                half = (len(group) + 1) // 2 if split else len(group)
+                mine, theirs = group[:half], group[half:]
+                if theirs:
+                    acoustic.submit(epoch, theirs)
+                tally.add(run_utterances(epoch, mine))
+                if theirs:
+                    tally.add(acoustic.result(), acoustic_params, slots)
+                if tally.pending >= cfg.batch_size:
+                    tally.update(ac_opt, acoustic_params)
+            if tally.pending:
+                tally.update(ac_opt, acoustic_params)
+            n_failed = tally.too_short + tally.non_finite
             if n_failed > len(train_utts) / 2:
                 message = f"epoch {epoch}: {n_failed}/{len(train_utts)} utterances failed"
-                if n_nonfinite:
-                    raise VerificationError(f"{message}, {n_nonfinite} of them on a non-finite "
-                                            f"loss or gradient")
+                if tally.non_finite:
+                    raise VerificationError(f"{message}, {tally.non_finite} of them on a "
+                                            f"non-finite loss or gradient")
                 raise DataError(message)
 
             # -- validation ----------------------------------------------------
@@ -559,11 +718,11 @@ def train(cfg: TrainConfig, manifest: CorpusManifest) -> TrainResult:
                     n_val += 1
                 val_pairs.append((utt.phones, ctc_greedy_decode(grid.data)))
             val_per = per(val_pairs)
-            train_lm_ce, val_lm = lm.finish_epoch()
+            train_lm_ce, val_lm = lm.result()
 
             entry = {
                 "epoch": epoch,
-                "train_ctc": epoch_ctc / max(n_scored, 1),
+                "train_ctc": tally.loss_sum / max(tally.scored, 1),
                 "train_lm_ce": train_lm_ce,
                 "val_ctc": val_ctc / max(n_val, 1),
                 "val_lm_ce": val_lm,

@@ -3,8 +3,11 @@ import pytest
 
 from oracles import im2col_conv2d, masked_max_pool2d, naive_conv2d, reference_max_pool2d
 from shona_asr import autodiff as ad
+from shona_asr.acoustic import AcousticConfig, acoustic_forward, build_acoustic_model
 from shona_asr.autodiff import Parameters, Tensor, backward
+from shona_asr.ctc import ctc_loss
 from shona_asr.gradcheck import grad_check
+from shona_asr.lm import LmConfig, TokenVocab, build_lm, sentence_loss
 from shona_asr.optim import OptimizerConfig, OptimizerState, optimizer_step
 from shona_asr.errors import VerificationError
 from shona_asr.verify import CHECKS, TOLERANCE
@@ -522,3 +525,40 @@ def test_every_op_passes_gradient_check_50_seeds(op_name):
     check = CHECKS[op_name]
     worst = max(check(seed) for seed in range(50))
     assert worst < TOLERANCE, f"{op_name}: worst relative error {worst:.3e}"
+
+
+def graph_tensors(root: Tensor) -> list[Tensor]:
+    """Every tensor a backward pass from root reaches, root included."""
+    found, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in found:
+            found[id(node)] = node
+            stack.extend(node._parents)
+    return list(found.values())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_no_gradient_shares_memory_with_another_array_of_the_graph(rng, dtype):
+    # an op's first gradient is kept without a copy only where nothing else holds it
+    acoustic = build_acoustic_model(AcousticConfig(), 5, seed=1)
+    vocab = TokenVocab.build(["a", "b", "c"])
+    lm = build_lm(vocab, LmConfig(embed_dim=6, lstm1_units=5, lstm2_units=4), seed=2)
+    for params in (acoustic, lm):
+        for _, t in params.items():
+            t.data = t.data.astype(dtype)
+    feats = rng.standard_normal((40, 39))
+    losses = [ctc_loss(acoustic_forward(acoustic, feats), [1, 2, 1]),
+              sentence_loss(lm, [4, 5, 6, 4], vocab)]
+    for loss in losses:
+        backward(loss)
+        tensors = graph_tensors(loss)
+        assert all(t.grad is not None for t in tensors if t.requires_grad)
+        for t in tensors:
+            if t.grad is None:
+                continue
+            assert t.grad.dtype == t.data.dtype
+            for other in tensors:
+                arrays = [other.data] + ([other.grad] if other is not t and other.grad is not None
+                                         else [])
+                assert not any(np.shares_memory(t.grad, a) for a in arrays), t

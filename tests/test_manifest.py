@@ -81,6 +81,14 @@ def test_unknown_keys_rejected(tmp_path):
         load_manifest(path)
 
 
+def test_unknown_key_error_is_short_whatever_the_key(tmp_path):
+    write_pcm(tmp_path / "a.wav", np.zeros(100))
+    path = write_manifest(tmp_path, [{"id": "u1", "audio": "a.wav", "text": "x", "k" * 5000: 1}])
+    with pytest.raises(DataError, match=r":1: unknown keys \(1\), the first 'kkkk") as info:
+        load_manifest(path)
+    assert len(str(info.value)) < 200 + len(str(path))
+
+
 def test_explicit_duration_respected(tmp_path):
     write_pcm(tmp_path / "a.wav", np.zeros(100))
     path = write_manifest(tmp_path, [{"id": "u1", "audio": "a.wav", "text": "x", "duration_s": 2.5}])

@@ -14,12 +14,13 @@ import pytest
 from conftest import params_as
 from oracles import im2col_conv2d, masked_max_pool2d
 from shona_asr import autodiff as ad
-from shona_asr.acoustic import AcousticConfig, acoustic_forward, build_acoustic_model
-from shona_asr.audio import load_wav
-from shona_asr.augment import AugmentPolicy
+from shona_asr.acoustic import (AcousticConfig, acoustic_forward, build_acoustic_model,
+                                output_frames)
+from shona_asr.audio import AudioBuffer, load_wav, save_wav
+from shona_asr.augment import AugmentPolicy, augment_audio, spec_augment
 from shona_asr.checkpoint import load_checkpoint, params_hash, save_checkpoint
 from shona_asr.corpusgen import GenConfig, generate_corpus
-from shona_asr.ctc import ctc_loss
+from shona_asr.ctc import ctc_loss, min_frames
 from shona_asr.errors import DataError, VerificationError
 from shona_asr.features import extract_features
 from shona_asr.lm import LmConfig, TokenVocab, build_lm, corpus_loss, lm_train, sentence_loss
@@ -86,6 +87,20 @@ def test_config_rejects_unknown_keys():
         TrainConfig.from_dict({"seed": 1, "bogus": 2})
     with pytest.raises(DataError, match="config.acoustic"):
         TrainConfig.from_dict({"acoustic": {"n_layers": 3}})
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"x" * 5000: 1}, f"config: unknown keys (1), the first '{'x' * 40}'... (5000 characters)"),
+    ({"seed": 1, "zz": 2, "bogus": 3}, "config: unknown keys (2), the first 'bogus'"),
+    ({"lm": {"y" * 5000: 1}},
+     f"config.lm: unknown keys (1), the first '{'y' * 40}'... (5000 characters)"),
+], ids=["one_long_key", "two_keys", "long_nested_key"])
+def test_unknown_keys_error_is_short_whatever_the_keys(obj, message):
+    # every unknown key used to be printed in full, a 5,025-character line for one long key
+    with pytest.raises(DataError) as info:
+        TrainConfig.from_dict(obj)
+    assert str(info.value) == message
+    assert len(str(info.value)) < 200
 
 
 def test_config_validates_values():
@@ -537,8 +552,35 @@ def test_training_with_the_reference_kernels_gives_the_same_bits(tmp_path, monke
     assert reference.best_hash == fast.best_hash
 
 
+class ForkedNames(list):
+    """The names of the worker processes forked, and of each request to a forked one."""
+
+    requests: list
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    train_mod = importlib.import_module("shona_asr.train")
+    names = ForkedNames()
+    names.requests = []
+
+    class Recording(train_mod._Worker):
+        def __init__(self, name, serve, code):
+            super().__init__(name, serve, code)
+            if self.forked:
+                names.append(name)
+
+        def submit(self, *request):
+            if self.forked:
+                names.requests.append(self.name)
+            super().submit(*request)
+
+    monkeypatch.setattr(train_mod, "_Worker", Recording)
+    return names
+
+
 @pytest.mark.parametrize("ending", ["epochs_max", "early_stop", "target", "verification_error"])
-def test_no_process_outlives_train(tiny_result, tiny_corpus, monkeypatch, ending):
+def test_no_process_outlives_train(tiny_result, tiny_corpus, monkeypatch, forked, ending):
     train_mod = importlib.import_module("shona_asr.train")
     cfg = dataclasses.replace(tiny_result[0], epochs_max=3, patience=3)
     if ending == "early_stop":
@@ -556,6 +598,124 @@ def test_no_process_outlives_train(tiny_result, tiny_corpus, monkeypatch, ending
         result = train(cfg, tiny_corpus)
         assert len(result.epoch_log) == {"epochs_max": 3, "early_stop": 2, "target": 1}[ending]
         assert result.stopped_early == (ending == "early_stop")
+    # a replaced ctc_loss keeps the acoustic utterances in this process
+    assert forked == ["LM training"] + ["acoustic training"] * (ending != "verification_error")
+    assert multiprocessing.active_children() == []
+
+
+# -- the acoustic worker -------------------------------------------------------
+
+def corpus_with_replaced_audio(tmp_path, cfg, positions, samples):
+    """A corpus whose training utterances at `positions` (in training order) hold `samples`."""
+    corpus = generate_corpus(GenConfig(seed=7, vocab_size=8, n_utterances=16), tmp_path)
+    train_m, _, _ = split_corpus(corpus, cfg.split_ratios, cfg.seed)
+    for i in positions:
+        save_wav(train_m.records[i].audio, AudioBuffer(samples(load_wav(train_m.records[i].audio)),
+                                                       16000))
+    return corpus
+
+
+@pytest.mark.parametrize("batch_size", [3, 4])
+def test_parallel_and_serial_schedules_give_the_same_bytes(tmp_path, monkeypatch, forked,
+                                                           batch_size):
+    # training positions 2 and 5 keep a third of their audio, too short for their phones:
+    # 2 falls to the worker in the first batch and 5 to this process in a later one
+    cfg = TrainConfig(seed=3, epochs_max=2, patience=2, batch_size=batch_size)
+    corpus = corpus_with_replaced_audio(tmp_path, cfg, [2, 5],
+                                        lambda audio: audio.samples[:len(audio.samples) // 3])
+    parallel = train(cfg, corpus)
+    assert forked == ["LM training", "acoustic training"]
+    assert forked.requests.count("acoustic training") >= 4
+    train_mod = importlib.import_module("shona_asr.train")
+    monkeypatch.setattr(train_mod, "acoustic_forward", lambda *args: acoustic_forward(*args))
+    serial = train(cfg, corpus)
+    assert forked == ["LM training", "acoustic training", "LM training"]
+    assert all(entry["skipped"] == 2 for entry in parallel.epoch_log)
+    assert parallel.epoch_log == serial.epoch_log
+    save_checkpoint(parallel.checkpoint, tmp_path / "parallel.ckpt")
+    save_checkpoint(serial.checkpoint, tmp_path / "serial.ckpt")
+    assert (tmp_path / "parallel.ckpt").read_bytes() == (tmp_path / "serial.ckpt").read_bytes()
+
+
+@pytest.mark.parametrize("batch_size", [3, 4])
+def test_acoustic_epoch_equals_a_serial_replay(tmp_path, forked, batch_size):
+    # one backward pass per utterance accumulating into .grad, an update per batch_size scored
+    cfg = TrainConfig(seed=3, epochs_max=1, patience=1, batch_size=batch_size)
+    corpus = corpus_with_replaced_audio(tmp_path, cfg, [2, 5],
+                                        lambda audio: audio.samples[:len(audio.samples) // 3])
+    result = train(cfg, corpus)
+    assert forked == ["LM training", "acoustic training"]
+    train_mod = importlib.import_module("shona_asr.train")
+    inventory = default_inventory()
+    lexicon = train_mod.build_lexicon(result.checkpoint.config["lexicon_words"], inventory)
+    utts = train_mod._prepare_utterances(split_corpus(corpus, cfg.split_ratios, cfg.seed)[0],
+                                         lexicon)[0]
+    seed = int(np.random.SeedSequence(cfg.seed).spawn(2)[0].generate_state(1)[0])
+    params = build_acoustic_model(cfg.acoustic, len(inventory), seed)
+    train_mod._to_float32(params)
+    opt, pending, losses = OptimizerState(cfg.optimizer), 0, []
+    for i, utt in enumerate(utts):
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed,
+                                                           spawn_key=(cfg.augment.seed, 1, i)))
+        audio = augment_audio(utt.audio, cfg.augment, rng)
+        feats = spec_augment(extract_features(audio), cfg.augment, rng)
+        if output_frames(len(feats)) < min_frames(utt.phones):
+            continue
+        loss = ctc_loss(acoustic_forward(params, feats, cfg.acoustic), utt.phones)
+        losses.append(float(loss.data))
+        ad.backward(loss)
+        pending += 1
+        if pending == batch_size:
+            optimizer_step(opt, params)
+            pending = 0
+    if pending:
+        optimizer_step(opt, params)
+    assert result.epoch_log[0]["skipped"] == len(utts) - len(losses) == 2
+    assert result.epoch_log[0]["train_ctc"] == sum(losses) / len(losses)
+    for name, t in params.items():
+        assert np.array_equal(t.data, result.checkpoint.tensors["acoustic." + name]), name
+
+
+def test_a_batch_of_one_forks_no_acoustic_worker(tiny_corpus, forked):
+    train(TrainConfig(seed=3, epochs_max=1, patience=1, batch_size=1,
+                      augment=AugmentPolicy(**QUIET_AUGMENT)), tiny_corpus)
+    assert forked == ["LM training"]
+
+
+def test_an_error_in_the_acoustic_worker_is_raised_by_train(tmp_path, forked):
+    # training position 2, which the worker runs, holds less audio than one frame
+    cfg = TrainConfig(seed=3, epochs_max=1, patience=1, batch_size=4)
+    corpus = corpus_with_replaced_audio(tmp_path, cfg, [2], lambda audio: audio.samples[:100])
+    with pytest.raises(DataError, match="shorter than one frame") as caught:
+        train(cfg, corpus)
+    assert forked == ["LM training", "acoustic training"]
+    note = "\n".join(caught.value.__notes__)
+    assert "in the acoustic training process" in note and "extract_features" in note
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_exception_is_raised_with_its_type_message_and_traceback():
+    train_mod = importlib.import_module("shona_asr.train")
+
+    def failing(n):
+        raise KeyError(f"no utterance {n}")
+
+    with pytest.raises(KeyError, match="no utterance 7") as caught:
+        with train_mod._Worker("probe", failing, train_mod._Code(())) as worker:
+            worker.submit(7)
+            worker.result()
+    note = "\n".join(caught.value.__notes__)
+    assert note.startswith("in the probe process:") and "in failing" in note
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_exits_without_answering_is_an_error():
+    train_mod = importlib.import_module("shona_asr.train")
+    with pytest.raises(RuntimeError,
+                       match="the probe process exited with code 7 without answering"):
+        with train_mod._Worker("probe", lambda: os._exit(7), train_mod._Code(())) as worker:
+            worker.submit()
+            worker.result()
     assert multiprocessing.active_children() == []
 
 
