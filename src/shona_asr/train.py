@@ -501,46 +501,53 @@ def _lm_epoch(params: ad.Parameters, opt: OptimizerState, vocab: TokenVocab,
 _TOO_SHORT, _NON_FINITE = "too short", "non-finite"
 
 
-def _acoustic_outcomes(params: ad.Parameters, cfg: TrainConfig, utts: list[Utterance],
-                       base_feats: dict | None, epoch: int, indices, slots=None) -> list:
-    """Augment, extract, forward, CTC and backward for the training utterances `indices`, in order.
+def _acoustic_outcome(params: ad.Parameters, cfg: TrainConfig, utts: list[Utterance],
+                      base_feats: dict | None, kept: list, epoch: int, i: int,
+                      slot: dict | None = None):
+    """Augment, extract, forward, CTC and backward for training utterance `i`.
 
     `base_feats` holds the unaugmented features, which an identity augment
-    policy trains on; None means augmenting. Each outcome is _TOO_SHORT,
-    _NON_FINITE (no backward pass then) or the loss, and the gradients
-    accumulate in the parameters' `.grad`. With `slots` (see
-    `_gradient_slots`), the gradients of the k-th utterance move into
-    `slots[k]` instead, and its outcome is (loss, their names).
+    policy trains on; None means augmenting. Returns _TOO_SHORT,
+    _NON_FINITE (no backward pass then) or the loss, whose gradients
+    accumulate in the parameters' `.grad`. With a `slot` (see
+    `_gradient_slots`), the gradients move into it instead, and the
+    outcome is (loss, their names).
+
+    `kept` holds the last utterance's graph until the next one's forward
+    pass is built, as a plain loop's variables would. Freed earlier, it
+    leaves the heap top free, which glibc hands back to the OS and the next
+    utterance faults in again; held through the next backward pass, it
+    raises the peak memory.
     """
-    outcomes = []
-    for k, i in enumerate(indices):
-        utt = utts[i]
-        if base_feats is not None:
-            feats = base_feats[utt.utt_id]
-        else:
-            rng = np.random.default_rng(
-                np.random.SeedSequence(cfg.seed, spawn_key=(cfg.augment.seed, epoch, i)))
-            audio = augment_audio(utt.audio, cfg.augment, rng)
-            feats = spec_augment(extract_features(audio), cfg.augment, rng)
-        if output_frames(feats.shape[0]) < min_frames(utt.phones):
-            outcomes.append(_TOO_SHORT)
-            continue
-        loss = ctc_loss(acoustic_forward(params, feats, cfg.acoustic), utt.phones)
-        if not np.isfinite(loss.data):
-            outcomes.append(_NON_FINITE)
-            continue
-        ad.backward(loss)
-        if slots is None:
-            outcomes.append(float(loss.data))
-            continue
-        names = []
-        for name, t in params.items():
-            if t.grad is not None:
-                np.copyto(slots[k][name], t.grad)
-                names.append(name)
-        params.zero_grad()
-        outcomes.append((float(loss.data), names))
-    return outcomes
+    utt = utts[i]
+    if base_feats is not None:
+        feats = base_feats[utt.utt_id]
+    else:
+        rng = np.random.default_rng(
+            np.random.SeedSequence(cfg.seed, spawn_key=(cfg.augment.seed, epoch, i)))
+        audio = augment_audio(utt.audio, cfg.augment, rng)
+        feats = spec_augment(extract_features(audio), cfg.augment, rng)
+    if output_frames(feats.shape[0]) < min_frames(utt.phones):
+        return _TOO_SHORT
+    loss = ctc_loss(acoustic_forward(params, feats, cfg.acoustic), utt.phones)
+    kept[:] = [loss]
+    if not np.isfinite(loss.data):
+        return _NON_FINITE
+    ad.backward(loss)
+    if slot is None:
+        return float(loss.data)
+    names = []
+    for name, t in params.items():
+        if t.grad is not None:
+            np.copyto(slot[name], t.grad)
+            names.append(name)
+    params.zero_grad()
+    return float(loss.data), names
+
+
+def _worker_outcomes(run, slots: list[dict], epoch: int, indices) -> list:
+    """The acoustic worker's reply: `run` each of its utterances, the k-th into `slots[k]`."""
+    return [run(epoch, i, slot) for i, slot in zip(indices, slots)]
 
 
 def _gradient_slots(params: ad.Parameters, n: int) -> list[dict]:
@@ -570,20 +577,20 @@ class _AcousticTally:
     non_finite: int = 0  # a non-finite loss, or in a batch with a non-finite gradient
     pending: int = 0
 
-    def add(self, outcomes: list, params: ad.Parameters | None = None, slots=None) -> None:
-        for k, outcome in enumerate(outcomes):
-            if outcome == _TOO_SHORT:
-                self.too_short += 1
-            elif outcome == _NON_FINITE:
-                self.non_finite += 1
-            else:
-                if slots is not None:
-                    outcome, names = outcome
-                    for name in names:
-                        ad._accumulate(params[name], slots[k][name])
-                self.loss_sum += outcome
-                self.scored += 1
-                self.pending += 1
+    def add(self, outcome, params: ad.Parameters | None = None, slot: dict | None = None) -> None:
+        if outcome == _TOO_SHORT:
+            self.too_short += 1
+        elif outcome == _NON_FINITE:
+            self.non_finite += 1
+        else:
+            loss = outcome
+            if slot is not None:
+                loss, names = outcome
+                for name in names:
+                    ad._accumulate(params[name], slot[name])
+            self.loss_sum += loss
+            self.scored += 1
+            self.pending += 1
 
     def update(self, opt: OptimizerState, params: ad.Parameters) -> None:
         """One optimizer step from the pending gradients (see `_finite_update`)."""
@@ -593,7 +600,7 @@ class _AcousticTally:
 
 _LM_CODE = _Code((lm_module, ad, optim_module))
 _ACOUSTIC_CODE = _Code((acoustic_module, ad, ctc_module, features_module, augment_module),
-                       _acoustic_outcomes)
+                       _acoustic_outcome)
 
 
 @_one_blas_thread()
@@ -663,8 +670,8 @@ def train(cfg: TrainConfig, manifest: CorpusManifest) -> TrainResult:
     stopped_early = False
 
     _share(acoustic_params, lm_params)  # before any fork, so that the workers see each update
-    run_utterances = functools.partial(_acoustic_outcomes, acoustic_params, cfg, train_utts,
-                                       base_feats if identity_augment else None)
+    run_utterance = functools.partial(_acoustic_outcome, acoustic_params, cfg, train_utts,
+                                      base_feats if identity_augment else None, [])
     with contextlib.ExitStack() as workers:
         lm = workers.enter_context(_Worker("LM training", functools.partial(
             _lm_epoch, lm_params, lm_opt, vocab, lm_train_sents, lm_val_sents), _LM_CODE))
@@ -673,7 +680,7 @@ def train(cfg: TrainConfig, manifest: CorpusManifest) -> TrainResult:
         if cfg.batch_size > 1:
             slots = _gradient_slots(acoustic_params, cfg.batch_size // 2)
             acoustic = workers.enter_context(_Worker(
-                "acoustic training", functools.partial(run_utterances, slots=slots),
+                "acoustic training", functools.partial(_worker_outcomes, run_utterance, slots),
                 _ACOUSTIC_CODE))
             split = acoustic.forked
         for epoch in range(1, cfg.epochs_max + 1):
@@ -692,9 +699,11 @@ def train(cfg: TrainConfig, manifest: CorpusManifest) -> TrainResult:
                 mine, theirs = group[:half], group[half:]
                 if theirs:
                     acoustic.submit(epoch, theirs)
-                tally.add(run_utterances(epoch, mine))
+                for i in mine:
+                    tally.add(run_utterance(epoch, i))
                 if theirs:
-                    tally.add(acoustic.result(), acoustic_params, slots)
+                    for reply, slot in zip(acoustic.result(), slots):
+                        tally.add(reply, acoustic_params, slot)
                 if tally.pending >= cfg.batch_size:
                     tally.update(ac_opt, acoustic_params)
             if tally.pending:

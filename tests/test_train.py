@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -552,35 +553,29 @@ def test_training_with_the_reference_kernels_gives_the_same_bits(tmp_path, monke
     assert reference.best_hash == fast.best_hash
 
 
-class ForkedNames(list):
-    """The names of the worker processes forked, and of each request to a forked one."""
-
-    requests: list
-
-
 @pytest.fixture
-def forked(monkeypatch):
+def workers(monkeypatch):
+    """The names of the worker processes `train` forks, and of each request sent to one."""
     train_mod = importlib.import_module("shona_asr.train")
-    names = ForkedNames()
-    names.requests = []
+    seen = types.SimpleNamespace(forked=[], requests=[])
 
     class Recording(train_mod._Worker):
         def __init__(self, name, serve, code):
             super().__init__(name, serve, code)
             if self.forked:
-                names.append(name)
+                seen.forked.append(name)
 
         def submit(self, *request):
             if self.forked:
-                names.requests.append(self.name)
+                seen.requests.append(self.name)
             super().submit(*request)
 
     monkeypatch.setattr(train_mod, "_Worker", Recording)
-    return names
+    return seen
 
 
 @pytest.mark.parametrize("ending", ["epochs_max", "early_stop", "target", "verification_error"])
-def test_no_process_outlives_train(tiny_result, tiny_corpus, monkeypatch, forked, ending):
+def test_no_process_outlives_train(tiny_result, tiny_corpus, monkeypatch, workers, ending):
     train_mod = importlib.import_module("shona_asr.train")
     cfg = dataclasses.replace(tiny_result[0], epochs_max=3, patience=3)
     if ending == "early_stop":
@@ -599,7 +594,8 @@ def test_no_process_outlives_train(tiny_result, tiny_corpus, monkeypatch, forked
         assert len(result.epoch_log) == {"epochs_max": 3, "early_stop": 2, "target": 1}[ending]
         assert result.stopped_early == (ending == "early_stop")
     # a replaced ctc_loss keeps the acoustic utterances in this process
-    assert forked == ["LM training"] + ["acoustic training"] * (ending != "verification_error")
+    acoustic = ["acoustic training"] if ending != "verification_error" else []
+    assert workers.forked == ["LM training"] + acoustic
     assert multiprocessing.active_children() == []
 
 
@@ -616,7 +612,7 @@ def corpus_with_replaced_audio(tmp_path, cfg, positions, samples):
 
 
 @pytest.mark.parametrize("batch_size", [3, 4])
-def test_parallel_and_serial_schedules_give_the_same_bytes(tmp_path, monkeypatch, forked,
+def test_parallel_and_serial_schedules_give_the_same_bytes(tmp_path, monkeypatch, workers,
                                                            batch_size):
     # training positions 2 and 5 keep a third of their audio, too short for their phones:
     # 2 falls to the worker in the first batch and 5 to this process in a later one
@@ -624,12 +620,12 @@ def test_parallel_and_serial_schedules_give_the_same_bytes(tmp_path, monkeypatch
     corpus = corpus_with_replaced_audio(tmp_path, cfg, [2, 5],
                                         lambda audio: audio.samples[:len(audio.samples) // 3])
     parallel = train(cfg, corpus)
-    assert forked == ["LM training", "acoustic training"]
-    assert forked.requests.count("acoustic training") >= 4
+    assert workers.forked == ["LM training", "acoustic training"]
+    assert workers.requests.count("acoustic training") >= 4
     train_mod = importlib.import_module("shona_asr.train")
     monkeypatch.setattr(train_mod, "acoustic_forward", lambda *args: acoustic_forward(*args))
     serial = train(cfg, corpus)
-    assert forked == ["LM training", "acoustic training", "LM training"]
+    assert workers.forked == ["LM training", "acoustic training", "LM training"]
     assert all(entry["skipped"] == 2 for entry in parallel.epoch_log)
     assert parallel.epoch_log == serial.epoch_log
     save_checkpoint(parallel.checkpoint, tmp_path / "parallel.ckpt")
@@ -638,13 +634,13 @@ def test_parallel_and_serial_schedules_give_the_same_bytes(tmp_path, monkeypatch
 
 
 @pytest.mark.parametrize("batch_size", [3, 4])
-def test_acoustic_epoch_equals_a_serial_replay(tmp_path, forked, batch_size):
+def test_acoustic_epoch_equals_a_serial_replay(tmp_path, workers, batch_size):
     # one backward pass per utterance accumulating into .grad, an update per batch_size scored
     cfg = TrainConfig(seed=3, epochs_max=1, patience=1, batch_size=batch_size)
     corpus = corpus_with_replaced_audio(tmp_path, cfg, [2, 5],
                                         lambda audio: audio.samples[:len(audio.samples) // 3])
     result = train(cfg, corpus)
-    assert forked == ["LM training", "acoustic training"]
+    assert workers.forked == ["LM training", "acoustic training"]
     train_mod = importlib.import_module("shona_asr.train")
     inventory = default_inventory()
     lexicon = train_mod.build_lexicon(result.checkpoint.config["lexicon_words"], inventory)
@@ -676,19 +672,19 @@ def test_acoustic_epoch_equals_a_serial_replay(tmp_path, forked, batch_size):
         assert np.array_equal(t.data, result.checkpoint.tensors["acoustic." + name]), name
 
 
-def test_a_batch_of_one_forks_no_acoustic_worker(tiny_corpus, forked):
+def test_a_batch_of_one_forks_no_acoustic_worker(tiny_corpus, workers):
     train(TrainConfig(seed=3, epochs_max=1, patience=1, batch_size=1,
                       augment=AugmentPolicy(**QUIET_AUGMENT)), tiny_corpus)
-    assert forked == ["LM training"]
+    assert workers.forked == ["LM training"]
 
 
-def test_an_error_in_the_acoustic_worker_is_raised_by_train(tmp_path, forked):
+def test_an_error_in_the_acoustic_worker_is_raised_by_train(tmp_path, workers):
     # training position 2, which the worker runs, holds less audio than one frame
     cfg = TrainConfig(seed=3, epochs_max=1, patience=1, batch_size=4)
     corpus = corpus_with_replaced_audio(tmp_path, cfg, [2], lambda audio: audio.samples[:100])
     with pytest.raises(DataError, match="shorter than one frame") as caught:
         train(cfg, corpus)
-    assert forked == ["LM training", "acoustic training"]
+    assert workers.forked == ["LM training", "acoustic training"]
     note = "\n".join(caught.value.__notes__)
     assert "in the acoustic training process" in note and "extract_features" in note
     assert multiprocessing.active_children() == []
