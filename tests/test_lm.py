@@ -247,3 +247,24 @@ def test_empty_corpus_rejected():
         lm_train(params, [], vocab, epochs=1)
     with pytest.raises(ValueError):
         perplexity(params, [], vocab)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n_units, cfg", [
+    (50, LmConfig()), (54, LmConfig()), (9, LmConfig(embed_dim=8, lstm1_units=5, lstm2_units=7)),
+], ids=["vocab_54", "vocab_58", "odd_widths"])
+def test_a_row_steps_alike_whatever_rows_step_with_it(dtype, n_units, cfg):
+    # one row went through GEMV and several through GEMM, and a ragged last block
+    # of output columns rounded differently as the row count changed
+    vocab = TokenVocab.build([f"p{i}" for i in range(n_units)])
+    weights = LmWeights.from_params(params_as(build_lm(vocab, cfg, seed=3), dtype))
+    rng = np.random.default_rng(0)
+    states = (0.5 * rng.standard_normal((17, lm_initial_state(weights).shape[1]))).astype(dtype)
+    tokens = rng.integers(0, len(vocab), 17)
+    alone = [lm_step(weights, states[i:i + 1], tokens[i:i + 1]) for i in range(17)]
+    for n in (1, 2, 3, 17):
+        rows, log_probs = lm_step(weights, states[:n], tokens[:n])
+        assert rows.dtype == log_probs.dtype == dtype
+        for i in range(n):
+            assert np.array_equal(rows[i], alone[i][0][0]), (n, i)
+            assert np.array_equal(log_probs[i], alone[i][1][0]), (n, i)
