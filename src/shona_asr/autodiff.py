@@ -169,6 +169,14 @@ class Parameters:
         for t in self._tensors.values():
             t.grad = None
 
+    def read_only(self) -> "Parameters":
+        """Read-only views of the same arrays, in tensors that require no grad."""
+        out = Parameters()
+        for name, t in self._tensors.items():
+            view = out.add(name, t.data.view())
+            view.requires_grad = view.data.flags.writeable = False
+        return out
+
 
 # ---------------------------------------------------------------------------
 # elementwise and structural ops
@@ -238,10 +246,9 @@ def row(a: Tensor, i: int) -> Tensor:
     """Select row i of a 2-D tensor as a 1-D tensor."""
 
     def bwd(g):
-        if a.requires_grad:
-            grad = np.zeros_like(a.data)
-            grad[i] = g
-            _accumulate(a, grad, owned=True)
+        grad = np.zeros_like(a.data)
+        grad[i] = g
+        _accumulate(a, grad, owned=True)
 
     return _node(a.data[i], (a,), bwd)
 
@@ -251,10 +258,9 @@ def gather_rows(a: Tensor, indices: np.ndarray) -> Tensor:
     indices = np.asarray(indices, dtype=np.int64)
 
     def bwd(g):
-        if a.requires_grad:
-            grad = np.zeros_like(a.data)
-            np.add.at(grad, indices, g)
-            _accumulate(a, grad, owned=True)
+        grad = np.zeros_like(a.data)
+        np.add.at(grad, indices, g)
+        _accumulate(a, grad, owned=True)
 
     return _node(a.data[indices], (a,), bwd)
 
@@ -265,10 +271,9 @@ def take_per_row(a: Tensor, cols: np.ndarray) -> Tensor:
     rows_idx = np.arange(a.data.shape[0])
 
     def bwd(g):
-        if a.requires_grad:
-            grad = np.zeros_like(a.data)
-            grad[rows_idx, cols] = g
-            _accumulate(a, grad, owned=True)
+        grad = np.zeros_like(a.data)
+        grad[rows_idx, cols] = g
+        _accumulate(a, grad, owned=True)
 
     return _node(a.data[rows_idx, cols], (a,), bwd)
 
@@ -319,10 +324,9 @@ def row_pick(a: Tensor, i: int) -> Tensor:
     """Select element i of a 1-D tensor as a scalar tensor."""
 
     def bwd(g):
-        if a.requires_grad:
-            grad = np.zeros_like(a.data)
-            grad[i] = float(g)
-            _accumulate(a, grad, owned=True)
+        grad = np.zeros_like(a.data)
+        grad[i] = float(g)
+        _accumulate(a, grad, owned=True)
 
     return _node(a.data[i], (a,), bwd)
 

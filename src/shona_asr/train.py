@@ -62,7 +62,7 @@ from .acoustic import (AcousticConfig, acoustic_forward, acoustic_layout, build_
 from .audio import AudioBuffer, load_wav
 from .augment import AugmentPolicy, augment_audio, spec_augment
 from .checkpoint import Checkpoint, load_checkpoint, params_hash
-from .ctc import ctc_greedy_decode, ctc_loss, min_frames
+from .ctc import ctc_forward_logprob, ctc_greedy_decode, ctc_loss, min_frames
 from .decoder import DecodeStats, beam_decode
 from .errors import DataError, VerificationError, unknown_keys
 from .features import extract_features
@@ -670,6 +670,7 @@ def train(cfg: TrainConfig, manifest: CorpusManifest) -> TrainResult:
     stopped_early = False
 
     _share(acoustic_params, lm_params)  # before any fork, so that the workers see each update
+    acoustic_view = acoustic_params.read_only()  # reads each update, as the workers do
     run_utterance = functools.partial(_acoustic_outcome, acoustic_params, cfg, train_utts,
                                       base_feats if identity_augment else None, [])
     with contextlib.ExitStack() as workers:
@@ -716,17 +717,19 @@ def train(cfg: TrainConfig, manifest: CorpusManifest) -> TrainResult:
                                             f"non-finite loss or gradient")
                 raise DataError(message)
 
-            # -- validation ----------------------------------------------------
-            val_ctc, n_val = 0.0, 0
-            val_pairs = []
-            for utt in val_utts:
-                feats = base_feats[utt.utt_id]
-                grid = acoustic_forward(acoustic_params, feats, cfg.acoustic)
-                if output_frames(feats.shape[0]) >= min_frames(utt.phones):
-                    val_ctc += float(ctc_loss(grid, utt.phones).data)
+            # -- validation and a target run's train-PER pass, read-only -------
+            # A validation utterance too short for its phones scores -inf, so
+            # it counts in val_per only.
+            read = val_utts + (train_utts if cfg.target_train_per is not None else [])
+            val_ctc, n_val, pairs = 0.0, 0, []
+            for k, utt in enumerate(read):
+                grid = acoustic_forward(acoustic_view, base_feats[utt.utt_id], cfg.acoustic).data
+                pairs.append((utt.phones, ctc_greedy_decode(grid)))
+                score = ctc_forward_logprob(grid, [utt.phones])[0] if k < len(val_utts) else -np.inf
+                if score != -np.inf:
+                    val_ctc -= score
                     n_val += 1
-                val_pairs.append((utt.phones, ctc_greedy_decode(grid.data)))
-            val_per = per(val_pairs)
+            val_per = per(pairs[:len(val_utts)])
             train_lm_ce, val_lm = lm.result()
 
             entry = {
@@ -742,10 +745,7 @@ def train(cfg: TrainConfig, manifest: CorpusManifest) -> TrainResult:
             improved = stopper.update(val_per, epoch)
             reached_target = False
             if cfg.target_train_per is not None:
-                train_pairs = [(utt.phones, ctc_greedy_decode(
-                    acoustic_forward(acoustic_params, base_feats[utt.utt_id], cfg.acoustic).data))
-                    for utt in train_utts]
-                entry["train_per"] = train_per = per(train_pairs)
+                entry["train_per"] = train_per = per(pairs[len(val_utts):])
                 reached_target = train_per <= cfg.target_train_per
                 if reached_target:
                     stopper.best_value = val_per
@@ -807,10 +807,8 @@ def restore_models(ckpt: Checkpoint) -> tuple[TrainConfig, PhoneInventory, Token
 
     Every tensor of the models' layouts must be in the checkpoint with its
     layout shape, and the checkpoint may hold no other tensor; otherwise
-    this is a DataError. The parameters hold read-only views of the
-    checkpoint's float32 tensors, so decode and eval compute in float32;
-    no model is drawn. The views do not require grad, so a forward pass
-    over them builds no backward graph: the models are for inference only.
+    this is a DataError. No model is drawn: the models are `read_only()`
+    views of the checkpoint's float32 tensors, so decode and eval run in float32.
     """
     cfg = TrainConfig.from_dict(ckpt.config)
     inventory = PhoneInventory.from_lines(ckpt.inventory_lines)
@@ -826,9 +824,7 @@ def restore_models(ckpt: Checkpoint) -> tuple[TrainConfig, PhoneInventory, Token
             if stored is None or stored.shape != shape:
                 mismatched.append(prefix + name)
                 continue
-            view = stored.view()
-            view.flags.writeable = False
-            params.add(name, view).requires_grad = False
+            params.add(name, stored)
     if mismatched:
         raise DataError("checkpoint tensors missing or of the wrong shape for its config: "
                         + ", ".join(mismatched))
@@ -838,7 +834,7 @@ def restore_models(ckpt: Checkpoint) -> tuple[TrainConfig, PhoneInventory, Token
     if not cfg.lexicon_words:
         raise DataError("checkpoint config carries no lexicon_words; cannot decode")
     lexicon = build_lexicon(cfg.lexicon_words, inventory)
-    return cfg, inventory, vocab, acoustic, lm, lexicon
+    return cfg, inventory, vocab, acoustic.read_only(), lm.read_only(), lexicon
 
 
 def evaluate(ckpt: Checkpoint, split: CorpusManifest,

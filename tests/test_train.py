@@ -21,11 +21,12 @@ from shona_asr.audio import AudioBuffer, load_wav, save_wav
 from shona_asr.augment import AugmentPolicy, augment_audio, spec_augment
 from shona_asr.checkpoint import load_checkpoint, params_hash, save_checkpoint
 from shona_asr.corpusgen import GenConfig, generate_corpus
-from shona_asr.ctc import ctc_loss, min_frames
+from shona_asr.ctc import ctc_forward_logprob, ctc_greedy_decode, ctc_loss, min_frames
 from shona_asr.errors import DataError, VerificationError
 from shona_asr.features import extract_features
 from shona_asr.lm import LmConfig, TokenVocab, build_lm, corpus_loss, lm_train, sentence_loss
 from shona_asr.manifest import split_corpus
+from shona_asr.metrics import per
 from shona_asr.optim import OptimizerConfig, OptimizerState, optimizer_step
 from shona_asr.phones import default_inventory
 from shona_asr.train import (EarlyStopper, TrainConfig, _config_from_dict, evaluate,
@@ -601,14 +602,22 @@ def test_no_process_outlives_train(tiny_result, tiny_corpus, monkeypatch, worker
 
 # -- the acoustic worker -------------------------------------------------------
 
-def corpus_with_replaced_audio(tmp_path, cfg, positions, samples):
-    """A corpus whose training utterances at `positions` (in training order) hold `samples`."""
+def corpus_with_replaced_audio(tmp_path, cfg, positions, samples, val_positions=()):
+    """A corpus whose training utterances at `positions` (in training order) hold `samples`.
+
+    So do its validation utterances at `val_positions`.
+    """
     corpus = generate_corpus(GenConfig(seed=7, vocab_size=8, n_utterances=16), tmp_path)
-    train_m, _, _ = split_corpus(corpus, cfg.split_ratios, cfg.seed)
-    for i in positions:
-        save_wav(train_m.records[i].audio, AudioBuffer(samples(load_wav(train_m.records[i].audio)),
-                                                       16000))
+    train_m, val_m, _ = split_corpus(corpus, cfg.split_ratios, cfg.seed)
+    for records, at in ((train_m.records, positions), (val_m.records, val_positions)):
+        for i in at:
+            save_wav(records[i].audio, AudioBuffer(samples(load_wav(records[i].audio)), 16000))
     return corpus
+
+
+def a_third(audio):
+    """The first third of the audio, which leaves too few frames for the utterance's phones."""
+    return audio.samples[:len(audio.samples) // 3]
 
 
 @pytest.mark.parametrize("batch_size", [3, 4])
@@ -617,8 +626,7 @@ def test_parallel_and_serial_schedules_give_the_same_bytes(tmp_path, monkeypatch
     # training positions 2 and 5 keep a third of their audio, too short for their phones:
     # 2 falls to the worker in the first batch and 5 to this process in a later one
     cfg = TrainConfig(seed=3, epochs_max=2, patience=2, batch_size=batch_size)
-    corpus = corpus_with_replaced_audio(tmp_path, cfg, [2, 5],
-                                        lambda audio: audio.samples[:len(audio.samples) // 3])
+    corpus = corpus_with_replaced_audio(tmp_path, cfg, [2, 5], a_third)
     parallel = train(cfg, corpus)
     assert workers.forked == ["LM training", "acoustic training"]
     assert workers.requests.count("acoustic training") >= 4
@@ -637,8 +645,7 @@ def test_parallel_and_serial_schedules_give_the_same_bytes(tmp_path, monkeypatch
 def test_acoustic_epoch_equals_a_serial_replay(tmp_path, workers, batch_size):
     # one backward pass per utterance accumulating into .grad, an update per batch_size scored
     cfg = TrainConfig(seed=3, epochs_max=1, patience=1, batch_size=batch_size)
-    corpus = corpus_with_replaced_audio(tmp_path, cfg, [2, 5],
-                                        lambda audio: audio.samples[:len(audio.samples) // 3])
+    corpus = corpus_with_replaced_audio(tmp_path, cfg, [2, 5], a_third)
     result = train(cfg, corpus)
     assert workers.forked == ["LM training", "acoustic training"]
     train_mod = importlib.import_module("shona_asr.train")
@@ -754,3 +761,77 @@ def test_best_hash_does_not_depend_on_the_blas_thread_count(tiny_corpus, tmp_pat
         assert done.returncode == 0, done.stderr
         hashes.add(done.stdout.split()[-1])
     assert len(hashes) == 1
+
+
+# -- the read-only passes ------------------------------------------------------
+
+SPLIT_WITH_4_VAL = (0.6, 0.3, 0.1)  # 16 utterances: 11 training, 4 validation, 1 test
+
+
+def prepared_splits(corpus, cfg, ckpt):
+    """The training and validation utterances of a `train` run, as it prepares them."""
+    train_mod = importlib.import_module("shona_asr.train")
+    lexicon = train_mod.build_lexicon(ckpt.config["lexicon_words"], default_inventory())
+    train_m, val_m, _ = split_corpus(corpus, cfg.split_ratios, cfg.seed)
+    return (train_mod._prepare_utterances(train_m, lexicon)[0],
+            train_mod._prepare_utterances(val_m, lexicon)[0])
+
+
+def test_only_training_builds_a_graph(tmp_path, monkeypatch):
+    # training position 2 and validation position 1 are too short for their phones
+    cfg = TrainConfig(seed=3, epochs_max=2, patience=2, split_ratios=SPLIT_WITH_4_VAL,
+                      target_train_per=0.0, augment=AugmentPolicy(**QUIET_AUGMENT))
+    corpus = corpus_with_replaced_audio(tmp_path, cfg, [2], a_third, val_positions=[1])
+    train_mod = importlib.import_module("shona_asr.train")
+    forwards, last = [], []  # per forward pass: [grid requires grad, scored by ctc_loss]
+
+    def forward(*args):
+        last[:] = [acoustic_forward(*args)]
+        forwards.append([last[0].requires_grad, False])
+        return last[0]
+
+    def loss(grid, target):
+        assert grid is last[0]
+        forwards[-1][1] = True
+        losses.append(target)
+        return ctc_loss(grid, target)
+
+    losses = []
+    monkeypatch.setattr(train_mod, "acoustic_forward", forward)
+    monkeypatch.setattr(train_mod, "ctc_loss", loss)
+    result = train(cfg, corpus)
+    epochs = len(result.epoch_log)
+    assert epochs == 2 and "train_per" in result.epoch_log[-1]
+    train_utts, val_utts = prepared_splits(corpus, cfg, result.checkpoint)
+    long_enough = [u.phones for u in train_utts
+                   if output_frames(len(extract_features(u.audio))) >= min_frames(u.phones)]
+    assert len(long_enough) == len(train_utts) - 1
+    assert output_frames(len(extract_features(val_utts[1].audio))) < min_frames(val_utts[1].phones)
+    assert losses == long_enough * epochs
+    # each epoch: the training utterances long enough, then validation and the train-PER pass
+    assert len(forwards) == epochs * (len(long_enough) + len(val_utts) + len(train_utts))
+    assert all(grad for grad, scored in forwards if scored)
+    assert not any(grad for grad, scored in forwards if not scored)
+
+
+def test_a_validation_utterance_too_short_for_its_phones_counts_in_val_per_only(tmp_path):
+    cfg = TrainConfig(seed=3, epochs_max=1, patience=1, split_ratios=SPLIT_WITH_4_VAL)
+    corpus = corpus_with_replaced_audio(tmp_path, cfg, [], a_third, val_positions=[1])
+    result = train(cfg, corpus)
+    _, val_utts = prepared_splits(corpus, cfg, result.checkpoint)
+    # the checkpoint holds the weights after the epoch's updates, which validation must read
+    restored_cfg, _, _, acoustic, _, _ = restore_models(result.checkpoint)
+    train_mod = importlib.import_module("shona_asr.train")
+    with train_mod._one_blas_thread():
+        grids = [acoustic_forward(acoustic, extract_features(u.audio), restored_cfg.acoustic).data
+                 for u in val_utts]
+    scores = [ctc_forward_logprob(grid, [u.phones])[0] for grid, u in zip(grids, val_utts)]
+    assert len(val_utts) == 4 and scores.count(-math.inf) == 1 and scores[1] == -math.inf
+    loss_sum = 0.0
+    for score in scores:
+        if score != -math.inf:
+            loss_sum -= score
+    entry = result.epoch_log[0]
+    assert entry["val_ctc"] == loss_sum / 3
+    assert entry["val_per"] == per([(u.phones, ctc_greedy_decode(grid))
+                                    for grid, u in zip(grids, val_utts)])
