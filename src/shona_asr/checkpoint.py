@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -58,6 +59,24 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
+def write_atomic(path, data: bytes) -> None:
+    """Write `data` to `path` through a temporary file beside it, moved into place by `os.replace`.
+
+    A process killed, or a disk filled, during the write leaves the file
+    at `path` as it was, and a failed write removes the temporary file. The
+    data is not synced to the disk, so a power loss is not covered.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     payloads = []
     directory = []
@@ -80,7 +99,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
                         allow_nan=False).encode("utf-8")
     body = MAGIC + struct.pack("<I", len(header)) + header + b"".join(payloads)
     crc = zlib.crc32(body) & 0xFFFFFFFF
-    Path(path).write_bytes(body + struct.pack("<I", crc))
+    write_atomic(path, body + struct.pack("<I", crc))
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -125,7 +125,7 @@ def _cmd_corpusgen(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    from .checkpoint import save_checkpoint
+    from .checkpoint import save_checkpoint, write_atomic
     from .manifest import load_manifest
     from .train import TrainConfig, train
 
@@ -140,7 +140,7 @@ def _cmd_train(args) -> int:
             raise VerificationError(f"epoch log holds a non-finite value ({exc})") from exc
     save_checkpoint(result.checkpoint, args.out)
     if log_text is not None:
-        Path(args.log).write_text(log_text)
+        write_atomic(args.log, log_text.encode())
     last = result.epoch_log[-1] if result.epoch_log else {}
     print(f"trained {len(result.epoch_log)} epochs "
           f"(best epoch {result.best_epoch}, val PER {result.checkpoint.best_metric}); "
@@ -180,7 +180,7 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from .checkpoint import load_checkpoint
+    from .checkpoint import load_checkpoint, write_atomic
     from .manifest import load_manifest, split_corpus
     from .train import TrainConfig, evaluate
 
@@ -194,7 +194,7 @@ def _cmd_eval(args) -> int:
                           split_corpus(manifest, cfg.split_ratios, cfg.seed)))
         part = splits[args.split]
     result = evaluate(ckpt, part, lm_weight=args.lm_weight, beam_width=args.beam)
-    Path(args.report).write_text(json.dumps(result.to_dict(), indent=2) + "\n")
+    write_atomic(args.report, (json.dumps(result.to_dict(), indent=2) + "\n").encode())
     print(result.report.to_table())
     print(f"greedy_per         {result.greedy_per:>10.4f}")
     print(f"greedy_wer         {result.greedy_wer:>10.4f}")

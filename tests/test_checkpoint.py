@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import struct
 import zlib
 
@@ -7,7 +9,7 @@ import pytest
 
 from shona_asr.audio import AudioBuffer, save_wav
 from shona_asr.checkpoint import (Checkpoint, FORMAT_VERSION, load_checkpoint, params_hash,
-                                  save_checkpoint)
+                                  save_checkpoint, write_atomic)
 from shona_asr.cli import main
 from shona_asr.errors import ChecksumError, DataError
 
@@ -55,6 +57,40 @@ def test_round_trip_bit_exact(tmp_path, rng):
     # saving the loaded checkpoint reproduces the file byte for byte
     save_checkpoint(back, tmp_path / "again.ckpt")
     assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+
+
+def no_space(*args):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_a_failed_save_keeps_the_previous_checkpoint_and_adds_no_file(tmp_path, rng,
+                                                                      monkeypatch):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(sample_ckpt(rng), path)
+    before = path.read_bytes()
+    monkeypatch.setattr(os, "replace", no_space)
+    with pytest.raises(OSError, match="No space"):
+        save_checkpoint(sample_ckpt(rng), path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_a_write_that_fails_midway_keeps_the_previous_file_and_adds_no_file(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_bytes(b"previous")
+    with pytest.raises(TypeError):
+        write_atomic(path, object())  # not bytes: the temporary file exists, its write raises
+    assert path.read_bytes() == b"previous"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_a_save_replaces_the_previous_checkpoint(tmp_path, rng):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(sample_ckpt(rng), path)
+    ckpt = sample_ckpt(rng)
+    save_checkpoint(ckpt, path)
+    assert np.array_equal(load_checkpoint(path).tensors["lm.out.b"], ckpt.tensors["lm.out.b"])
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_single_byte_corruption_detected(tmp_path, rng):

@@ -1,6 +1,8 @@
+import errno
 import importlib
 import json
 import logging
+import os
 
 import numpy as np
 import pytest
@@ -213,7 +215,7 @@ def test_train_log_with_non_finite_value_exits_3(corpus_dir, tmp_path, monkeypat
                  "--manifest", str(corpus_dir / "manifest.jsonl"),
                  "--out", str(tmp_path / "model.ckpt"), "--log", str(tmp_path / "log.json")])
     assert code == 3
-    assert not any(b"Infinity" in p.read_bytes() for p in tmp_path.iterdir())
+    assert [p.name for p in tmp_path.iterdir()] == ["train.json"]
 
 
 def test_train_with_non_finite_losses_exits_3(corpus_dir, tmp_path, monkeypatch, capsys):
@@ -229,7 +231,51 @@ def test_train_with_non_finite_losses_exits_3(corpus_dir, tmp_path, monkeypatch,
                  "--out", str(tmp_path / "model.ckpt")])
     assert code == 3
     assert "non-finite loss or gradient" in capsys.readouterr().err
-    assert not (tmp_path / "model.ckpt").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["train.json"]
+
+
+def failing_replace_of(name, monkeypatch):
+    """Make `os.replace` onto a file called `name` fail as a full disk would."""
+    real = os.replace
+
+    def replace(src, dst):
+        if os.path.basename(dst) == name:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        real(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+
+
+@pytest.mark.parametrize("name", ["model.ckpt", "log.json"])
+def test_train_that_fails_to_write_an_output_keeps_its_previous_bytes(corpus_dir, tmp_path,
+                                                                      monkeypatch, name):
+    train_mod = importlib.import_module("shona_asr.train")
+    ckpt = Checkpoint(config={}, inventory_lines=[], vocab=[], tensors={})
+    log = [{"epoch": 1, "train_ctc": 1.0, "val_per": 1.0}]
+    monkeypatch.setattr(train_mod, "train",
+                        lambda cfg, manifest: train_mod.TrainResult(ckpt, log, 1, False, ""))
+    (tmp_path / "train.json").write_text(json.dumps(TINY_TRAIN))
+    for previous in ("model.ckpt", "log.json"):
+        (tmp_path / previous).write_bytes(b"previous")
+    failing_replace_of(name, monkeypatch)
+    with pytest.raises(OSError, match="No space"):
+        main(["train", "--config", str(tmp_path / "train.json"),
+              "--manifest", str(corpus_dir / "manifest.jsonl"),
+              "--out", str(tmp_path / "model.ckpt"), "--log", str(tmp_path / "log.json")])
+    assert (tmp_path / name).read_bytes() == b"previous"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["log.json", "model.ckpt", "train.json"]
+
+
+def test_eval_that_fails_to_write_its_report_keeps_the_previous_bytes(trained_ckpt, corpus_dir,
+                                                                      tmp_path, monkeypatch):
+    report = tmp_path / "report.json"
+    report.write_bytes(b"previous")
+    failing_replace_of("report.json", monkeypatch)
+    with pytest.raises(OSError, match="No space"):
+        main(["eval", "--ckpt", str(trained_ckpt), "--manifest", str(corpus_dir / "manifest.jsonl"),
+              "--split", "val", "--report", str(report), "--beam", "4"])
+    assert report.read_bytes() == b"previous"
+    assert list(tmp_path.iterdir()) == [report]
 
 
 @pytest.mark.parametrize("command", ["decode", "eval"])
