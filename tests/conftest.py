@@ -1,3 +1,4 @@
+import multiprocessing
 import sys
 from pathlib import Path
 
@@ -8,6 +9,19 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from shona_asr.audio import AudioBuffer
 from shona_asr.autodiff import Parameters
+
+
+@pytest.fixture(autouse=True)
+def no_leftover_processes():
+    """Fail a test that leaves a child process running; the process is killed first."""
+    yield
+    left = multiprocessing.active_children()
+    named = ", ".join(f"{process.name} (pid {process.pid})" for process in left)
+    for process in left:
+        process.kill()
+        process.join()
+    if left:
+        pytest.fail(f"the test left child processes running: {named}")
 
 
 @pytest.fixture
