@@ -21,6 +21,10 @@ mapping made before the forks:
   whose in-place update the worker reads through the shared mapping. A
   batch of one has nothing to split, and forks no worker.
 
+Validation, and the train-PER pass of a `target_train_per` run, read the
+acoustic model through a read-only view of the same arrays, so they build
+no graph, and score CTC with the forward recursion alone.
+
 While a function of a process's code is replaced (by a tracer's wrapper,
 say), this process does that process's work itself, so that the wrapper
 sees its calls; the results are the same. Both models train in float32;
