@@ -1,7 +1,11 @@
 """WAV input/output and sample-rate conversion.
 
-Audio everywhere in the pipeline is mono float64 in [-1, 1] at 16 kHz.
 Files are RIFF/WAVE, PCM signed 16-bit little-endian, one channel.
+`read_pcm` returns a file's checked int16 samples and its rate, and
+`decode_pcm` turns them into the mono float64 `AudioBuffer` in [-1, 1] at
+16 kHz that the front end and augmentation take; `load_wav` is the two in
+turn. Training holds its corpus as the int16 samples, 2 bytes per source
+sample, and decodes an utterance each time it reads its audio.
 """
 
 from __future__ import annotations
@@ -79,12 +83,11 @@ def _declared_rate(path: Path, wf: wave.Wave_read) -> int:
     return rate
 
 
-def load_wav(path) -> AudioBuffer:
-    """Load a mono 16-bit PCM WAV file, rescaled to [-1, 1] at 16 kHz.
+def read_pcm(path) -> tuple[np.ndarray, int]:
+    """Read a mono 16-bit PCM WAV file as its int16 samples and declared rate.
 
-    Sources at other rates are linearly resampled to 16 kHz. Multi-channel
-    files are rejected rather than downmixed. No more frames are read than
-    the file's size can hold, whatever its header declares.
+    Multi-channel files are rejected rather than downmixed. No more frames
+    are read than the file's size can hold, whatever its header declares.
     """
     path = Path(path)
     with _open_wav(path) as wf:
@@ -100,10 +103,20 @@ def load_wav(path) -> AudioBuffer:
         raise DataError(f"{path}: zero-length payload")
     if len(raw) % 2:
         raise DataError(f"{path}: payload of {len(raw)} bytes is not whole 16-bit samples")
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+    return np.frombuffer(raw, dtype="<i2"), rate
+
+
+def decode_pcm(pcm: np.ndarray, rate: int) -> AudioBuffer:
+    """int16 samples at `rate`, rescaled to [-1, 1] and linearly resampled to 16 kHz."""
+    samples = pcm.astype(np.float64) / 32768.0
     if rate != CANONICAL_RATE:
         samples = resample_linear(samples, rate, CANONICAL_RATE)
     return AudioBuffer(samples=samples, sample_rate_hz=CANONICAL_RATE)
+
+
+def load_wav(path) -> AudioBuffer:
+    """Load a mono 16-bit PCM WAV file, rescaled to [-1, 1] at 16 kHz (see `read_pcm`)."""
+    return decode_pcm(*read_pcm(path))
 
 
 def save_wav(path, audio: AudioBuffer) -> None:

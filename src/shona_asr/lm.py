@@ -215,18 +215,14 @@ def score_tokens(weights: LmWeights, state: np.ndarray, last_index: np.ndarray,
     return rows[back], last[back], totals[back]
 
 
-def _sentence_logprob(weights: LmWeights, indices: list[int], vocab: TokenVocab) -> float:
-    """Natural-log probability of <s> indices </s>."""
-    if len(indices) == 0:
-        raise ValueError("token sequence must be non-empty")
-    _, _, totals = score_tokens(weights, lm_initial_state(weights), np.array([vocab.bos]),
-                                [indices + [vocab.eos]])
-    return float(totals[0])
-
-
 def lm_score(params: Parameters, tokens: list[str], vocab: TokenVocab) -> float:
     """Total natural-log probability of a sequence wrapped in <s> ... </s>."""
-    return _sentence_logprob(LmWeights.from_params(params), [vocab.index(t) for t in tokens], vocab)
+    if len(tokens) == 0:
+        raise ValueError("token sequence must be non-empty")
+    weights = LmWeights.from_params(params)
+    _, _, totals = score_tokens(weights, lm_initial_state(weights), np.array([vocab.bos]),
+                                [[vocab.index(t) for t in tokens] + [vocab.eos]])
+    return float(totals[0])
 
 
 def sequence_logprob_end(weights: LmWeights, state: np.ndarray, last_index: np.ndarray,
@@ -276,15 +272,25 @@ def lm_train(params: Parameters, corpus: list[list[str]], vocab: TokenVocab,
 
 
 def corpus_loss(params: Parameters, corpus: list[list[str]], vocab: TokenVocab) -> float:
-    """Mean per-token cross-entropy without updating parameters."""
-    weights = LmWeights.from_params(params)
-    total, count = 0.0, 0
-    for sent in corpus:
-        total += -_sentence_logprob(weights, [vocab.index(t) for t in sent], vocab)
-        count += len(sent) + 1
-    if count == 0:
+    """Mean per-token cross-entropy without updating parameters.
+
+    Every sentence is one row of a single `score_tokens` run from the
+    initial state; a row scores alike whatever rows step with it, so each
+    total is that of `lm_score`, and they are summed in corpus order.
+    """
+    runs = [[vocab.index(t) for t in sent] for sent in corpus]
+    if not runs:
         raise ValueError("corpus has no tokens")
-    return total / count
+    if not all(runs):
+        raise ValueError("token sequence must be non-empty")
+    weights = LmWeights.from_params(params)
+    n = len(runs)
+    _, _, totals = score_tokens(weights, np.repeat(lm_initial_state(weights), n, axis=0),
+                                np.full(n, vocab.bos), [run + [vocab.eos] for run in runs])
+    total = 0.0
+    for logprob in totals.tolist():  # not sum(), which compensates from Python 3.12
+        total += -logprob
+    return total / sum(len(run) + 1 for run in runs)
 
 
 def perplexity(params: Parameters, corpus: list[list[str]], vocab: TokenVocab) -> float:

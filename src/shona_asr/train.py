@@ -28,8 +28,10 @@ no graph, and score CTC with the forward recursion alone.
 While a function of a process's code is replaced (by a tracer's wrapper,
 say), this process does that process's work itself, so that the wrapper
 sees its calls; the results are the same. Both models train in float32;
-the CTC recursion and the loss totals sum in float64. The best epoch is
-kept as a copy of its tensors, which its checkpoint holds.
+the CTC recursion and the loss totals sum in float64. The corpus is held
+as each WAV's int16 samples, which an utterance decodes to float64 each
+time its audio is read. The best epoch is kept as a copy of its tensors,
+which its checkpoint holds.
 
 The whole run is a pure function of (config, manifest), whatever the
 host's core count or `OPENBLAS_NUM_THREADS`: OpenBLAS is pinned to one
@@ -63,7 +65,7 @@ from . import (acoustic as acoustic_module, augment as augment_module, autodiff 
                optim as optim_module)
 from .acoustic import (AcousticConfig, acoustic_forward, acoustic_layout, build_acoustic_model,
                        output_frames)
-from .audio import AudioBuffer, load_wav
+from .audio import AudioBuffer, decode_pcm, read_pcm
 from .augment import AugmentPolicy, augment_audio, spec_augment
 from .checkpoint import Checkpoint, load_checkpoint, params_hash
 from .ctc import ctc_forward_logprob, ctc_greedy_decode, ctc_loss, min_frames
@@ -263,10 +265,18 @@ class EarlyStopper:
 
 @dataclass
 class Utterance:
+    """A transcribed utterance whose audio is held as its WAV's int16 samples."""
+
     utt_id: str
-    audio: AudioBuffer
+    pcm: np.ndarray  # int16, at sample_rate_hz, as `read_pcm` returns them
+    sample_rate_hz: int
     words: list[str]
     phones: list[int]
+
+    @property
+    def audio(self) -> AudioBuffer:
+        """The samples as `load_wav` gives them, float64 at 16 kHz, decoded on each use."""
+        return decode_pcm(self.pcm, self.sample_rate_hz)
 
 
 @dataclass
@@ -279,7 +289,7 @@ class TrainResult:
 
 
 def _prepare_utterances(manifest: CorpusManifest, lexicon: Lexicon) -> tuple[list[Utterance], int]:
-    """Load audio and derive phone targets; drop utterances g2p cannot cover."""
+    """Read each WAV's samples and derive phone targets; drop utterances g2p cannot cover."""
     out = []
     skipped = 0
     for rec in manifest:
@@ -289,8 +299,17 @@ def _prepare_utterances(manifest: CorpusManifest, lexicon: Lexicon) -> tuple[lis
             skipped += 1
             continue
         phones = [p for w in words for p in lexicon.pronunciations[w]]
-        out.append(Utterance(rec.utt_id, load_wav(rec.audio), words, phones))
+        out.append(Utterance(rec.utt_id, *read_pcm(rec.audio), words, phones))
     return out, skipped
+
+
+def _base_features(utts: list[Utterance], dtype) -> dict[str, np.ndarray]:
+    """Each utterance's unaugmented features by utt_id, in the acoustic model's `dtype`.
+
+    `acoustic_forward` casts its features to that dtype, so holding them
+    cast makes the same values, once instead of on every forward pass.
+    """
+    return {u.utt_id: extract_features(u.audio).astype(dtype) for u in utts}
 
 
 def _lm_sentences(utts: list[Utterance], lexicon: Lexicon, granularity: str) -> list[list[str]]:
@@ -663,8 +682,8 @@ def train(cfg: TrainConfig, manifest: CorpusManifest) -> TrainResult:
     # an augmenting epoch extracts its own training features, so only the
     # identity policy and the train-PER pass read the unaugmented ones
     keep_train = identity_augment or cfg.target_train_per is not None
-    base_feats = {u.utt_id: extract_features(u.audio)
-                  for u in (train_utts if keep_train else []) + val_utts}
+    base_feats = _base_features((train_utts if keep_train else []) + val_utts,
+                                acoustic_params["conv1.kernels"].data.dtype)
     lm_train_sents = _lm_sentences(train_utts, lexicon, vocab.granularity)
     lm_val_sents = _lm_sentences(val_utts, lexicon, vocab.granularity)
 
@@ -864,8 +883,11 @@ def evaluate(ckpt: Checkpoint, split: CorpusManifest,
     transcripts = {}
     search, incomplete = DecodeStats(), 0
     started = time.perf_counter()
+    audio_s = 0.0
     for utt in utts:
-        feats = extract_features(utt.audio)
+        audio = utt.audio
+        audio_s += audio.duration_s
+        feats = extract_features(audio)
         grid = acoustic_forward(acoustic_params, feats, cfg.acoustic).data
         hyp = beam_decode(grid, lexicon, lm_params, vocab,
                           lm_weight=lam, word_bonus=cfg.decode.word_bonus, beam_width=beam)
@@ -882,7 +904,6 @@ def evaluate(ckpt: Checkpoint, split: CorpusManifest,
         transcripts[utt.utt_id] = hyp.text()
 
     wall_s = time.perf_counter() - started
-    audio_s = sum(utt.audio.duration_s for utt in utts)
     log.debug("decoded %d utterances (%.2f s of audio) in %.2f s, real-time factor %.3f; "
               "search: %s", len(utts), audio_s, wall_s, wall_s / audio_s, search)
     if incomplete:

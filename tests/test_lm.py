@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import params_as
-from shona_asr.lm import (LmConfig, LmWeights, TokenVocab, build_lm,
+from shona_asr.lm import (LmConfig, LmWeights, TokenVocab, build_lm, corpus_loss,
                           lm_initial_state, lm_score, lm_step, lm_train, perplexity,
                           score_tokens, sentence_loss, word_tokens)
 from shona_asr.optim import OptimizerConfig, OptimizerState
@@ -247,6 +247,25 @@ def test_empty_corpus_rejected():
         lm_train(params, [], vocab, epochs=1)
     with pytest.raises(ValueError):
         perplexity(params, [], vocab)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_corpus_loss_equals_the_per_sentence_lm_score_sum_bit_for_bit(rng, dtype):
+    # corpus_loss scores every sentence as one row of a single batched run
+    vocab = phone_vocab(54)
+    params = params_as(build_lm(vocab, LmConfig(), seed=8), dtype)
+    corpus = [[vocab.tokens[int(i)] for i in rng.integers(2, len(vocab), size=n)]
+              for n in (5, 1, 23, 5, 40, 2, 11, 17, 3)]
+    total, count = 0.0, 0
+    for sent in corpus:
+        total += -lm_score(params, sent, vocab)
+        count += len(sent) + 1
+    assert corpus_loss(params, corpus, vocab) == total / count
+    assert corpus_loss(params, corpus[2:3], vocab) == -lm_score(params, corpus[2], vocab) / 24
+    with pytest.raises(ValueError, match="token sequence must be non-empty"):
+        corpus_loss(params, [corpus[0], []], vocab)
+    with pytest.raises(ValueError, match="corpus has no tokens"):
+        corpus_loss(params, [], vocab)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

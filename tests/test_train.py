@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import types
+import wave
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from oracles import im2col_conv2d, masked_max_pool2d
 from shona_asr import autodiff as ad
 from shona_asr.acoustic import (AcousticConfig, acoustic_forward, build_acoustic_model,
                                 output_frames)
-from shona_asr.audio import AudioBuffer, load_wav, save_wav
+from shona_asr.audio import AudioBuffer, load_wav, resample_linear, save_wav
 from shona_asr.augment import AugmentPolicy, augment_audio, spec_augment
 from shona_asr.checkpoint import load_checkpoint, params_hash, save_checkpoint
 from shona_asr.corpusgen import GenConfig, generate_corpus
@@ -26,7 +27,7 @@ from shona_asr.errors import DataError, VerificationError
 from shona_asr.features import extract_features
 from shona_asr.lm import LmConfig, TokenVocab, build_lm, corpus_loss, lm_train, sentence_loss
 from shona_asr.manifest import split_corpus
-from shona_asr.metrics import per
+from shona_asr.metrics import normalize_text, per
 from shona_asr.optim import OptimizerConfig, OptimizerState, optimizer_step
 from shona_asr.phones import default_inventory
 from shona_asr.train import (EarlyStopper, TrainConfig, _config_from_dict, evaluate,
@@ -835,3 +836,74 @@ def test_a_validation_utterance_too_short_for_its_phones_counts_in_val_per_only(
     assert entry["val_ctc"] == loss_sum / 3
     assert entry["val_per"] == per([(u.phones, ctc_greedy_decode(grid))
                                     for grid, u in zip(grids, val_utts)])
+
+
+# -- the held corpus -------------------------------------------------------------
+
+def test_an_utterance_holds_its_wav_as_int16_and_decodes_it_as_load_wav_does(tmp_path):
+    rates = [16000, 8000, 22050]
+    corpus = generate_corpus(GenConfig(seed=7, vocab_size=8, n_utterances=3), tmp_path)
+    for rec, rate in zip(corpus, rates):
+        source = load_wav(rec.audio).samples
+        save_wav(rec.audio, AudioBuffer(resample_linear(source, 16000, rate), rate))
+    train_mod = importlib.import_module("shona_asr.train")
+    words = sorted({w for rec in corpus for w in normalize_text(rec.text)})
+    lexicon = train_mod.build_lexicon(words, default_inventory())
+    utts, skipped = train_mod._prepare_utterances(corpus, lexicon)
+    assert skipped == 0 and len(utts) == len(rates)
+    for utt, rec, rate in zip(utts, corpus, rates):
+        with wave.open(str(rec.audio), "rb") as wf:
+            n_source = wf.getnframes()
+            assert wf.getframerate() == rate
+        assert utt.pcm.dtype == np.int16 and utt.sample_rate_hz == rate
+        held = utt.pcm if utt.pcm.base is None else utt.pcm.base
+        assert utt.pcm.nbytes == memoryview(held).nbytes == 2 * n_source
+        audio = utt.audio
+        assert audio.sample_rate_hz == 16000
+        assert np.array_equal(audio.samples, load_wav(rec.audio).samples)
+
+
+def float64_utterances(manifest, lexicon):
+    """`_prepare_utterances` as it was: each utterance holds `load_wav`'s float64 buffer."""
+    out, skipped = [], 0
+    for rec in manifest:
+        words = normalize_text(rec.text)
+        if not words or any(w not in lexicon for w in words):
+            skipped += 1
+            continue
+        out.append(types.SimpleNamespace(
+            utt_id=rec.utt_id, audio=load_wav(rec.audio), words=words,
+            phones=[p for w in words for p in lexicon.pronunciations[w]]))
+    return out, skipped
+
+
+@pytest.mark.parametrize("schedule", [
+    dict(batch_size=4, target_train_per=0.0),
+    dict(batch_size=1, augment=AugmentPolicy(**QUIET_AUGMENT),
+         optimizer=OptimizerConfig(learning_rate=2e-3),
+         lm_optimizer=OptimizerConfig(learning_rate=1e-2)),
+], ids=["augmenting", "identity_batch_1"])
+def test_training_on_held_pcm_equals_training_on_float64_audio(tmp_path, monkeypatch, schedule):
+    # the held corpus and the float32 base features must change no value the models see
+    cfg = TrainConfig(seed=3, epochs_max=2, patience=2, **schedule)
+    corpus = generate_corpus(GenConfig(seed=7, vocab_size=8, n_utterances=16), tmp_path / "c")
+    path = split_corpus(corpus, cfg.split_ratios, cfg.seed)[0].records[1].audio
+    save_wav(path, AudioBuffer(resample_linear(load_wav(path).samples, 16000, 8000), 8000))
+    train_mod = importlib.import_module("shona_asr.train")
+    held = train(cfg, corpus)
+    base_dtypes = set()
+
+    def float64_features(utts, dtype):
+        feats = {u.utt_id: extract_features(u.audio) for u in utts}
+        base_dtypes.update(f.dtype for f in feats.values())
+        return feats
+
+    monkeypatch.setattr(train_mod, "_prepare_utterances", float64_utterances)
+    monkeypatch.setattr(train_mod, "_base_features", float64_features)
+    reference = train(cfg, corpus)
+    assert base_dtypes == {np.dtype(np.float64)}
+    assert held.epoch_log == reference.epoch_log
+    assert held.best_hash == reference.best_hash
+    save_checkpoint(held.checkpoint, tmp_path / "held.ckpt")
+    save_checkpoint(reference.checkpoint, tmp_path / "reference.ckpt")
+    assert (tmp_path / "held.ckpt").read_bytes() == (tmp_path / "reference.ckpt").read_bytes()
