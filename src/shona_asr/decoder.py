@@ -24,8 +24,7 @@ import numpy as np
 from .autodiff import Parameters
 from .ctc import ctc_forward_logprob
 from .lexicon import Lexicon
-from .lm import (LmWeights, TokenVocab, lm_initial_state, score_tokens, sequence_logprob_end,
-                 word_tokens)
+from .lm import WB, LmWeights, TokenVocab, lm_initial_state, lm_step, pad_runs, score_tokens
 
 NEG_INF = float("-inf")
 
@@ -37,9 +36,11 @@ class DecodeStats:
     frames: int = 0
     candidates_generated: int = 0  # distinct (history, trie node) candidates, over all frames
     candidates_pruned: int = 0  # of those, the ones cut from the beam
-    lm_step_calls: int = 0  # batched LM steps: one per token position of a batch
-    lm_rows_stepped: int = 0  # state rows advanced over those steps
-    lm_cache_hits: int = 0  # word extensions of a history that were already scored
+    # batched LM steps: one per batch of histories fed their pending token
+    # (next-token rows), plus one per further token position of a batch of new words
+    lm_step_calls: int = 0
+    lm_rows_stepped: int = 0  # state rows advanced over those steps, next-token rows included
+    lm_cache_hits: int = 0  # distinct (history, word) pairs of a frame that were already scored
 
     def add(self, other: "DecodeStats") -> None:
         for f in fields(self):
@@ -63,13 +64,21 @@ class _LmFusion:
     """The word histories of one search, with their LM totals and LM states.
 
     A history is an id into `words` (its word tuple) and into the rows of
-    `lm_total`, `length`, `last` and `state`, which grow by doubling.
-    `extend` maps (history, word) pairs to history ids; the new ones are
-    scored together by one `score_tokens` run over their parents' state
-    rows. A state row is opaque here: `lm` alone knows its columns, and
-    `state` is one [n, S] matrix in the LM weights' dtype. The totals are
-    float64. Without a language model the totals stay zero and nothing is
-    stepped.
+    the per-history arrays, which grow by doubling. `child` is the
+    [history, word] table of history ids, -1 until the pair is scored, so
+    `extend` maps a frame's (history, word) pairs to ids in one gather and
+    scores only the new ones.
+
+    LM fusion: a history's `state` row has read all of its tokens but
+    `last`, the pending one. The first time a history is extended or
+    finished, `_step` feeds it `last` in one batched `lm_step`: `state` then
+    holds the state after it, `next_logp` the log-probs of the next token,
+    and `last` is -1. A new word takes its first token's log-prob from
+    its parent's row and steps its other tokens from the parent's state by
+    one `score_tokens` run; `final_totals` reads `</s>` from the row. A
+    state row is opaque here: `lm` alone knows its columns, and `state` is
+    one [n, S] matrix in the LM weights' dtype. The totals are float64.
+    Without a language model the totals stay zero and nothing is stepped.
     """
 
     def __init__(self, lexicon: Lexicon, params: Parameters | None, vocab: TokenVocab | None,
@@ -78,15 +87,23 @@ class _LmFusion:
         self.vocab, self.stats = vocab, stats
         self.names = lexicon.flat.words
         self.words: list[tuple[str, ...]] = [()]
-        self.children: dict[int, int] = {}  # parent history * len(names) + word -> history
+        self.child = np.full((1, len(self.names)), -1, dtype=np.int32)
         self.lm_total = np.zeros(1)
         self.length = np.zeros(1, dtype=np.int64)
         if params is not None:
-            self.tokens = [[vocab.index(t) for t in word_tokens(w, lexicon.phone_symbols(w),
-                                                                vocab.granularity)]
-                           for w in self.names]
+            # each word's token run (see `lm.word_tokens`), from phone indices
+            if vocab.granularity == "word":
+                runs = [[vocab.index(w)] for w in self.names]
+            else:
+                phone_token = [vocab.index(s) for s in lexicon.inventory.symbols()]
+                runs = [[phone_token[p] for p in lexicon.pronunciations[w]] + [vocab.index(WB)]
+                        for w in self.names]
+            tokens, lengths = pad_runs(runs)
+            self.first_token, self.rest_tokens = tokens[:, 0], tokens[:, 1:]
+            self.rest_length = lengths - 1
             self.state = lm_initial_state(self.weights)
             self.last = np.array([vocab.bos], dtype=np.int64)
+            self.next_logp = np.zeros((1, len(vocab)), dtype=self.state.dtype)
 
     def _reserve(self, n: int) -> None:
         """Grow every per-history array to hold at least n rows."""
@@ -94,52 +111,80 @@ class _LmFusion:
             return
         cap = max(n, 2 * len(self.lm_total))
 
-        def grown(a):
-            out = np.zeros((cap,) + a.shape[1:], dtype=a.dtype)
+        def grown(a, fill=0):
+            out = np.full((cap,) + a.shape[1:], fill, dtype=a.dtype)
             out[:len(a)] = a
             return out
 
-        self.lm_total, self.length = grown(self.lm_total), grown(self.length)
+        self.lm_total, self.length, self.child = (grown(self.lm_total), grown(self.length),
+                                                  grown(self.child, -1))
         if self.weights is not None:
-            self.last, self.state = grown(self.last), grown(self.state)
+            self.state, self.last, self.next_logp = (grown(self.state), grown(self.last),
+                                                     grown(self.next_logp))
+
+    def _step(self, hists: np.ndarray) -> None:
+        """Feed each of the distinct histories hists its pending token, unless already fed."""
+        need = hists[self.last[hists] >= 0]
+        if len(need) == 0:
+            return
+        self.state[need], self.next_logp[need] = lm_step(self.weights, self.state[need],
+                                                         self.last[need])
+        self.last[need] = -1
+        self.stats.lm_step_calls += 1
+        self.stats.lm_rows_stepped += len(need)
 
     def extend(self, hists: np.ndarray, word_ids: np.ndarray) -> np.ndarray:
-        """History id of each (history, word) pair, scoring the pairs not seen before."""
-        pairs, inverse = np.unique(hists * len(self.names) + word_ids, return_inverse=True)
-        ids = np.array([self.children.get(code, -1) for code in pairs.tolist()], dtype=np.int64)
-        new = np.flatnonzero(ids < 0)
-        self.stats.lm_cache_hits += len(pairs) - len(new)
-        if len(new) == 0:
-            return ids[inverse]
-        parents, words = np.divmod(pairs[new], len(self.names))
-        fresh = np.arange(len(self.words), len(self.words) + len(new))
-        for code, parent, word, h in zip(pairs[new].tolist(), parents.tolist(), words.tolist(),
-                                         fresh.tolist()):
-            self.words.append(self.words[parent] + (self.names[word],))
-            self.children[code] = h
+        """History id of each (history, word) pair, scoring the pairs not seen before.
+
+        Equal pairs must be adjacent, as a word end's fan-out over the
+        root's children puts them: a pair is looked up and counted once
+        per run.
+        """
+        codes = hists * len(self.names) + word_ids
+        ids = self.child.reshape(-1)[codes]
+        run_start = _run_starts(codes)
+        runs = int(np.count_nonzero(run_start))
+        new = ids < 0
+        if not new.any():
+            self.stats.lm_cache_hits += runs
+            return ids
+        pairs = np.sort(codes[run_start & new])  # history ids follow (parent, word) order
+        self.stats.lm_cache_hits += runs - len(pairs)
+        parents, words = np.divmod(pairs, len(self.names))
+        fresh = np.arange(len(self.words), len(self.words) + len(pairs))
+        self.words.extend(self.words[parent] + (self.names[word],)
+                          for parent, word in zip(parents.tolist(), words.tolist()))
         self._reserve(len(self.words))
+        self.child.reshape(-1)[pairs] = fresh
         self.length[fresh] = self.length[parents] + 1
         if self.weights is not None:
-            runs = [self.tokens[w] for w in words.tolist()]
-            state, last, inc = score_tokens(self.weights, self.state[parents], self.last[parents],
-                                            runs)
-            self.stats.lm_step_calls += max(map(len, runs))
-            self.stats.lm_rows_stepped += sum(map(len, runs))
+            self._step(parents[_run_starts(parents)])  # parents ascend
+            first, rest = self.first_token[words], self.rest_length[words]
+            state, last, inc = score_tokens(self.weights, self.state[parents], first,
+                                            self.rest_tokens[words], rest,
+                                            np.zeros(len(words)) + self.next_logp[parents, first])
+            self.stats.lm_step_calls += int(rest.max())
+            self.stats.lm_rows_stepped += int(rest.sum())
             self.lm_total[fresh] = self.lm_total[parents] + inc
             self.last[fresh] = last
             self.state[fresh] = state
-        ids[new] = fresh
-        return ids[inverse]
+        return self.child.reshape(-1)[codes]
 
     def final_totals(self, hists: list[int]) -> np.ndarray:
         """Committed-words log-prob plus the end-of-sequence transition, per history."""
         hists = np.array(hists, dtype=np.int64)
         if self.weights is None or len(hists) == 0:
             return np.zeros(len(hists))
-        self.stats.lm_step_calls += 1
-        self.stats.lm_rows_stepped += len(hists)
-        return self.lm_total[hists] + sequence_logprob_end(self.weights, self.state[hists],
-                                                           self.last[hists], self.vocab)
+        self._step(hists)
+        return self.lm_total[hists] + self.next_logp[hists, self.vocab.eos]
+
+
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """Mask of the elements that differ from the one before them; the first always does."""
+    starts = np.empty(len(a), dtype=bool)
+    starts[:1] = True
+    np.not_equal(a[1:], a[:-1], out=starts[1:])
+    return starts
 
 
 def _csr_gather(start: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -188,29 +188,39 @@ def lm_step(weights: LmWeights, state: np.ndarray, token_indices) -> tuple[np.nd
     return np.concatenate((h1, c1, h2, c2), axis=1), ad.log_softmax_values(logits)
 
 
+def pad_runs(runs: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Ragged token runs as a zero-padded [n, L] index matrix and the [n] run lengths."""
+    lengths = np.array([len(run) for run in runs], dtype=np.int64)
+    tokens = np.zeros((len(runs), int(lengths.max(initial=0))), dtype=np.int64)
+    for row, run in enumerate(runs):
+        tokens[row, :len(run)] = run
+    return tokens, lengths
+
+
 def score_tokens(weights: LmWeights, state: np.ndarray, last_index: np.ndarray,
-                 token_indices: list[list[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                 tokens: np.ndarray, lengths: np.ndarray, totals: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Score one token run per state row, given each row's previous token.
 
-    The rows advance together, one `lm_step` per token position, and a row
-    drops out when its run ends. Returns the advanced states (in the
-    weights' dtype), each row's last token and its natural-log total (summed
-    in float64).
+    Row i's run is tokens[i, :lengths[i]] (see `pad_runs`); the columns
+    past it are not read. The rows advance together, one `lm_step` per
+    token position, and a row drops out when its run ends. Returns the
+    advanced states (in the weights' dtype), each row's last token and its
+    natural-log total, summed in float64 onto `totals` (zeros when None);
+    a row with an empty run comes back unchanged.
     """
-    n = len(token_indices)
-    lengths = np.array([len(run) for run in token_indices], dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
     order = np.argsort(-lengths, kind="stable")  # rows still stepping stay a prefix
-    tokens = np.zeros((n, int(lengths.max(initial=0))), dtype=np.int64)
-    for row, i in enumerate(order):
-        tokens[row, :lengths[i]] = token_indices[i]
+    tokens = np.asarray(tokens, dtype=np.int64)[order]
     rows = state[order]
     last = np.asarray(last_index, dtype=np.int64)[order]
-    totals = np.zeros(n)
-    active = np.count_nonzero(lengths[:, None] > np.arange(tokens.shape[1]), axis=0)
+    totals = np.zeros(len(lengths)) if totals is None else np.array(totals, dtype=np.float64)[order]
+    active = np.count_nonzero(lengths[:, None] > np.arange(lengths.max(initial=0)), axis=0)
+    row_ids = np.arange(len(lengths))
     for pos, m in enumerate(active.tolist()):
         rows[:m], log_probs = lm_step(weights, rows[:m], last[:m])
-        totals[:m] += log_probs[np.arange(m), tokens[:m, pos]]
         last[:m] = tokens[:m, pos]
+        totals[:m] += log_probs[row_ids[:m], last[:m]]
     back = np.argsort(order)
     return rows[back], last[back], totals[back]
 
@@ -221,7 +231,7 @@ def lm_score(params: Parameters, tokens: list[str], vocab: TokenVocab) -> float:
         raise ValueError("token sequence must be non-empty")
     weights = LmWeights.from_params(params)
     _, _, totals = score_tokens(weights, lm_initial_state(weights), np.array([vocab.bos]),
-                                [[vocab.index(t) for t in tokens] + [vocab.eos]])
+                                *pad_runs([[vocab.index(t) for t in tokens] + [vocab.eos]]))
     return float(totals[0])
 
 
@@ -285,8 +295,9 @@ def corpus_loss(params: Parameters, corpus: list[list[str]], vocab: TokenVocab) 
         raise ValueError("token sequence must be non-empty")
     weights = LmWeights.from_params(params)
     n = len(runs)
+    tokens, lengths = pad_runs([run + [vocab.eos] for run in runs])
     _, _, totals = score_tokens(weights, np.repeat(lm_initial_state(weights), n, axis=0),
-                                np.full(n, vocab.bos), [run + [vocab.eos] for run in runs])
+                                np.full(n, vocab.bos), tokens, lengths)
     total = 0.0
     for logprob in totals.tolist():  # not sum(), which compensates from Python 3.12
         total += -logprob

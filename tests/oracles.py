@@ -22,8 +22,8 @@ import numpy as np
 from shona_asr.autodiff import Tensor, _accumulate, _node
 from shona_asr.ctc import ctc_forward_logprob
 from shona_asr.decoder import Transcript
-from shona_asr.lm import (LmWeights, lm_initial_state, score_tokens, sequence_logprob_end,
-                          word_tokens)
+from shona_asr.lm import (LmWeights, lm_initial_state, pad_runs, score_tokens,
+                          sequence_logprob_end, word_tokens)
 
 
 def naive_dft_magnitude(signal: np.ndarray, n_fft: int) -> np.ndarray:
@@ -324,7 +324,7 @@ class _ReferenceLm:
             state, last, total = self.cache[words]
             tokens = word_tokens(word, self.lexicon.phone_symbols(word), self.vocab.granularity)
             state, last, inc = score_tokens(self.weights, state, last,
-                                            [[self.vocab.index(t) for t in tokens]])
+                                            *pad_runs([[self.vocab.index(t) for t in tokens]]))
             self.cache[new_words] = (state, last, total + float(inc[0]))
         return new_words
 

@@ -313,3 +313,82 @@ def test_non_finite_weights_raise(rng, weights):
 
 def test_transcript_text():
     assert Transcript(["baba", "mhoro"], -1.0).text() == "baba mhoro"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cached_rows_give_the_reference_totals_bit_for_bit(rng, monkeypatch, dtype):
+    # each history's total is the chain of one-row score_tokens runs over its
+    # words, and its final total adds sequence_logprob_end of that chain's state
+    from oracles import _ReferenceLm
+
+    vocab = phone_vocab()
+    calls = []  # (fusion, finalists, final totals) per decode
+
+    def recording(self, hists):
+        totals = final_totals(self, hists)
+        calls.append((self, list(hists), totals))
+        return totals
+
+    final_totals = decoder._LmFusion.final_totals
+    monkeypatch.setattr(decoder._LmFusion, "final_totals", recording)
+    checked = 0
+    for trial in range(3):
+        words = sorted(rng.choice(REFERENCE_POOL, size=int(rng.integers(6, 11)), replace=False))
+        lex = build_lexicon(list(words))
+        lm = params_as(build_lm(vocab, LmConfig(), seed=trial), dtype)
+        grid = rand_grid(rng, int(rng.integers(30, 61))).astype(dtype)
+        calls.clear()
+        beam_decode(grid, lex, lm, vocab, beam_width=16)
+        (fusion, finalists, totals), = calls
+        reference = _ReferenceLm(lm, vocab, lex)
+        for h, words_h in enumerate(fusion.words):
+            key = ()
+            for word in words_h:
+                key = reference.extend(key, word)
+            assert fusion.lm_total[h] == reference.total(key), (trial, words_h)
+        for h, total in zip(finalists, totals.tolist()):
+            assert total == reference.final_total(fusion.words[h]), (trial, fusion.words[h])
+        checked += len(finalists)
+    assert checked >= 10
+
+
+def test_word_lm_matches_reference_search_on_random_grids(rng):
+    # every word is one token, so each increment comes wholly from a cached row
+    for trial in range(12):
+        words = sorted(rng.choice(REFERENCE_POOL, size=int(rng.integers(6, 11)), replace=False))
+        lex = build_lexicon(list(words))
+        vocab = TokenVocab.build(REFERENCE_POOL[trial % 3:], "word")  # some words are <unk>
+        lm = make_lm(vocab, seed=trial % 5)
+        grid = rand_grid(rng, int(rng.integers(20, 61)))
+        beta = float(rng.choice([0.0, 0.5]))
+        for width in (1, 16, 64):
+            got = beam_decode(grid, lex, lm, vocab, word_bonus=beta, beam_width=width)
+            want_words, want_score = reference_beam_decode(grid, lex, lm, vocab, word_bonus=beta,
+                                                           beam_width=width)
+            assert got.words == want_words, f"trial {trial}, width {width}"
+            assert got.score == pytest.approx(want_score, rel=0, abs=1e-9)
+
+
+@pytest.mark.parametrize("granularity", ["phone", "word"])
+def test_token_table_follows_word_tokens(granularity):
+    from shona_asr.lm import word_tokens
+
+    lex = build_lexicon(REFERENCE_POOL)
+    units = default_inventory().symbols() if granularity == "phone" else REFERENCE_POOL[2:]
+    vocab = TokenVocab.build(units, granularity)
+    fusion = decoder._LmFusion(lex, make_lm(vocab), vocab, DecodeStats())
+    for w, word in enumerate(fusion.names):
+        want = [vocab.index(t) for t in word_tokens(word, lex.phone_symbols(word), granularity)]
+        rest = fusion.rest_tokens[w, :fusion.rest_length[w]].tolist()
+        assert [fusion.first_token[w]] + rest == want
+
+
+def test_search_stats_of_a_fixed_decode_are_pinned():
+    # the exact counts of one search; a change that moves the LM's work
+    # (or the beam's) updates these on purpose
+    vocab = phone_vocab()
+    lex = build_lexicon(["baba", "bana", "dana", "imba", "mhoro", "moto", "ruva", "sadza"])
+    grid = rand_grid(np.random.default_rng(2026), 48)
+    got = beam_decode(grid, lex, make_lm(vocab, seed=3), vocab, beam_width=16).stats
+    assert got == DecodeStats(frames=48, candidates_generated=2606, candidates_pruned=1847,
+                              lm_step_calls=22, lm_rows_stepped=35, lm_cache_hits=261)

@@ -7,7 +7,7 @@ import pytest
 from conftest import params_as
 from shona_asr.lm import (LmConfig, LmWeights, TokenVocab, build_lm, corpus_loss,
                           lm_initial_state, lm_score, lm_step, lm_train, perplexity,
-                          score_tokens, sentence_loss, word_tokens)
+                          pad_runs, score_tokens, sentence_loss, word_tokens)
 from shona_asr.optim import OptimizerConfig, OptimizerState
 
 
@@ -93,12 +93,14 @@ def test_stacked_rows_score_like_single_rows(rng):
     weights = LmWeights.from_params(
         build_lm(vocab, LmConfig(embed_dim=8, lstm1_units=10, lstm2_units=6), seed=9))
     five = np.repeat(lm_initial_state(weights), 5, axis=0)
-    state, last, _ = score_tokens(weights, five, np.full(5, vocab.bos), [[4], [5], [6], [7], [8]])
+    state, last, _ = score_tokens(weights, five, np.full(5, vocab.bos),
+                                  *pad_runs([[4], [5], [6], [7], [8]]))
     runs = [[int(v) for v in rng.integers(2, len(vocab), size=n)] for n in (3, 0, 5, 1, 5)]
-    got_state, got_last, got_totals = score_tokens(weights, state, last, runs)
+    got_state, got_last, got_totals = score_tokens(weights, state, last, *pad_runs(runs))
     assert got_totals[1] == 0.0 and got_last[1] == last[1]
     for i, run in enumerate(runs):
-        one_state, one_last, one_total = score_tokens(weights, state[i:i + 1], last[i:i + 1], [run])
+        one_state, one_last, one_total = score_tokens(weights, state[i:i + 1], last[i:i + 1],
+                                                     *pad_runs([run]))
         assert one_total[0] == pytest.approx(got_totals[i], abs=1e-12)
         assert one_last[0] == got_last[i]
         np.testing.assert_allclose(one_state[0], got_state[i], rtol=0, atol=1e-12)
@@ -115,7 +117,7 @@ def test_float32_weights_step_float32_states_and_sum_float64_totals(rng):
         assert {getattr(weights, f.name).dtype for f in dataclasses.fields(weights)} == {dtype}
         init = lm_initial_state(weights)
         state, _, total = score_tokens(weights, np.repeat(init, 3, axis=0), np.full(3, vocab.bos),
-                                       runs)
+                                       *pad_runs(runs))
         assert init.shape == (1, 2 * 10 + 2 * 6) and state.shape == (3, init.shape[1])
         assert {init.dtype, state.dtype} == {dtype}
         assert total.dtype == np.float64
@@ -287,3 +289,23 @@ def test_a_row_steps_alike_whatever_rows_step_with_it(dtype, n_units, cfg):
         for i in range(n):
             assert np.array_equal(rows[i], alone[i][0][0]), (n, i)
             assert np.array_equal(log_probs[i], alone[i][1][0]), (n, i)
+
+
+def test_empty_runs_return_state_last_and_initial_totals_unchanged(rng):
+    vocab = phone_vocab(6)
+    weights = LmWeights.from_params(
+        build_lm(vocab, LmConfig(embed_dim=8, lstm1_units=10, lstm2_units=6), seed=2))
+    state = rng.standard_normal((3, lm_initial_state(weights).shape[1]))
+    last, totals = np.array([4, 0, 7]), np.array([-1.5, 0.0, -0.25])
+    got_state, got_last, got_totals = score_tokens(weights, state, last, np.zeros((3, 0)),
+                                                   np.zeros(3, dtype=np.int64), totals)
+    assert np.array_equal(got_state, state)
+    assert got_last.tolist() == last.tolist() and got_totals.tolist() == totals.tolist()
+    # a row with a run adds its log-probs onto its initial total; an empty one beside it is kept
+    runs = [[3, 5], []]
+    one_state, one_last, one_total = score_tokens(weights, state[:1], last[:1], *pad_runs(runs[:1]))
+    got_state, got_last, got_totals = score_tokens(weights, state[:2], last[:2], *pad_runs(runs),
+                                                   totals[:2])
+    assert np.array_equal(got_state[0], one_state[0]) and got_last[0] == one_last[0] == 5
+    assert got_totals[0] == pytest.approx(totals[0] + one_total[0], abs=1e-12)
+    assert np.array_equal(got_state[1], state[1]) and got_last[1] == 0 and got_totals[1] == 0.0
