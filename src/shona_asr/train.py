@@ -13,21 +13,24 @@ mapping made before the forks:
 - an acoustic worker takes part of each batch. The training utterances
   that can complete the pending batch are split in two: this process runs
   the first half and the worker the rest, at the same time and with the
-  same parameters, each through augment, features, forward, CTC and
-  backward. This process merges the outcomes in utterance order (too
-  short, non-finite, or a loss and that utterance's gradients), so the
-  counts, the loss sums, the update boundaries and each gradient sum are
-  those of one serial loop, bit for bit. It then runs the optimizer step,
-  whose in-place update the worker reads through the shared mapping. A
-  batch of one has nothing to split, and forks no worker.
+  same parameters, each through the same per-utterance function (augment,
+  features, forward, CTC and backward). This process merges the outcomes
+  in utterance order (too short, non-finite, or a loss and that
+  utterance's gradients), so the counts, the loss sums, the update
+  boundaries and each gradient sum are those of one serial loop, bit for
+  bit. It then runs the optimizer step, whose in-place update the worker
+  reads through the shared mapping. A batch of one has nothing to split,
+  and forks no worker.
 
 Validation, and the train-PER pass of a `target_train_per` run, read the
 acoustic model through a read-only view of the same arrays, so they build
 no graph, and score CTC with the forward recursion alone.
 
-While a function of a process's code is replaced (by a tracer's wrapper,
-say), this process does that process's work itself, so that the wrapper
-sees its calls; the results are the same. Both models train in float32;
+While a function of the LM's code is replaced (by a tracer's wrapper,
+say), this process trains the LM itself, so that the wrapper sees its
+calls; the results are the same. The acoustic worker forks whatever has
+been replaced, so such a wrapper sees this process's share of the
+acoustic calls only. Both models train in float32;
 the CTC recursion and the loss totals sum in float64. The corpus is held
 as each WAV's int16 samples, which an utterance decodes to float64 each
 time its audio is read. The best epoch is kept as a copy of its tensors,
@@ -60,9 +63,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import (acoustic as acoustic_module, augment as augment_module, autodiff as ad,
-               ctc as ctc_module, features as features_module, lm as lm_module,
-               optim as optim_module)
+from . import autodiff as ad, lm as lm_module, optim as optim_module
 from .acoustic import (AcousticConfig, acoustic_forward, acoustic_layout, build_acoustic_model,
                        output_frames)
 from .audio import AudioBuffer, decode_pcm, read_pcm
@@ -318,20 +319,6 @@ def _lm_sentences(utts: list[Utterance], lexicon: Lexicon, granularity: str) -> 
             for utt in utts]
 
 
-def _finite_update(opt: OptimizerState, params: ad.Parameters, batch: int) -> int:
-    """One optimizer step from the accumulated gradients, unless one is non-finite.
-
-    A non-finite gradient drops the update and clears the gradients.
-    Returns the number of utterances whose gradients were dropped: 0, or
-    the batch size.
-    """
-    if all(t.grad is None or np.isfinite(t.grad).all() for _, t in params.items()):
-        optimizer_step(opt, params)
-        return 0
-    params.zero_grad()
-    return batch
-
-
 @functools.lru_cache(maxsize=1)
 def _openblas_thread_calls():
     """The loaded OpenBLAS's (get_num_threads, set_num_threads), or None.
@@ -379,26 +366,20 @@ def _one_blas_thread():
 
 
 class _Code:
-    """The functions a worker runs through, as bound when this module was imported.
+    """The functions of `modules`, as bound when this module was imported.
 
-    They are every function of `modules`, and the functions of this
-    module's namespace that `caller` names. A tracer or profiler replaces
-    them with wrappers that record into the memory of the process that
-    calls them, which a forked process's records never reach.
+    A tracer or profiler replaces them with wrappers that record into the
+    memory of the process that calls them, which a forked process's
+    records never reach.
     """
 
-    def __init__(self, modules: tuple[types.ModuleType, ...], caller=None):
-        self._modules, self._caller = modules, caller
+    def __init__(self, modules: tuple[types.ModuleType, ...]):
+        self._modules = modules
         self._imported = self._bound()
 
     def _bound(self) -> dict:
-        found = {(mod.__name__, name): value for mod in self._modules
-                 for name, value in vars(mod).items() if isinstance(value, types.FunctionType)}
-        if self._caller is not None:
-            named = self._caller.__globals__
-            found.update({(__name__, name): named[name] for name in self._caller.__code__.co_names
-                          if isinstance(named.get(name), types.FunctionType)})
-        return found
+        return {(mod.__name__, name): value for mod in self._modules
+                for name, value in vars(mod).items() if isinstance(value, types.FunctionType)}
 
     def replaced(self) -> bool:
         return self._bound() != self._imported
@@ -437,16 +418,15 @@ class _Worker:
     process: it is closed after a normal exit and killed after an
     exception, and joined either way.
 
-    While a function of `code` has been replaced since import (a tracer's
-    wrapper, say), no process is forked (`forked` is false): `result()`
-    calls `serve` here, so that what the wrappers record stays in this
-    process. The replies are the same either way.
+    With `fork` false, no process is forked: `result()` calls `serve`
+    here, so that what a tracer's wrappers record stays in this process.
+    The replies are the same either way.
     """
 
-    def __init__(self, name: str, serve, code: _Code):
+    def __init__(self, name: str, serve, fork: bool = True):
         self.name, self._serve = name, serve
         self._process = self._request = None
-        if code.replaced():
+        if not fork:
             return
         context = multiprocessing.get_context("fork")
         self._conn, child_end = context.Pipe()
@@ -454,10 +434,6 @@ class _Worker:
                                         args=(child_end, self._conn, name, serve))
         self._process.start()
         child_end.close()
-
-    @property
-    def forked(self) -> bool:
-        return self._process is not None
 
     def __enter__(self) -> "_Worker":
         return self
@@ -525,16 +501,13 @@ _TOO_SHORT, _NON_FINITE = "too short", "non-finite"
 
 
 def _acoustic_outcome(params: ad.Parameters, cfg: TrainConfig, utts: list[Utterance],
-                      base_feats: dict | None, kept: list, epoch: int, i: int,
-                      slot: dict | None = None):
+                      base_feats: dict | None, kept: list, epoch: int, i: int):
     """Augment, extract, forward, CTC and backward for training utterance `i`.
 
     `base_feats` holds the unaugmented features, which an identity augment
     policy trains on; None means augmenting. Returns _TOO_SHORT,
-    _NON_FINITE (no backward pass then) or the loss, whose gradients
-    accumulate in the parameters' `.grad`. With a `slot` (see
-    `_gradient_slots`), the gradients move into it instead, and the
-    outcome is (loss, their names).
+    _NON_FINITE (no backward pass then) or the loss, a float, whose
+    gradients accumulate in the parameters' `.grad`.
 
     `kept` holds the last utterance's graph until the next one's forward
     pass is built, as a plain loop's variables would. Freed earlier, it
@@ -557,41 +530,37 @@ def _acoustic_outcome(params: ad.Parameters, cfg: TrainConfig, utts: list[Uttera
     if not np.isfinite(loss.data):
         return _NON_FINITE
     ad.backward(loss)
-    if slot is None:
-        return float(loss.data)
-    names = []
-    for name, t in params.items():
-        if t.grad is not None:
-            np.copyto(slot[name], t.grad)
-            names.append(name)
-    params.zero_grad()
-    return float(loss.data), names
+    return float(loss.data)
 
 
-def _worker_outcomes(run, slots: list[dict], epoch: int, indices) -> list:
-    """The acoustic worker's reply: `run` each of its utterances, the k-th into `slots[k]`."""
-    return [run(epoch, i, slot) for i, slot in zip(indices, slots)]
+def _worker_outcomes(run, trainable: list[ad.Tensor], slots: list[list[np.ndarray]],
+                     epoch: int, indices) -> list:
+    """The acoustic worker's reply: the outcome of `run` for each of its utterances.
 
-
-def _gradient_slots(params: ad.Parameters, n: int) -> list[dict]:
-    """`n` shared {name: array} sets shaped like the parameters, one per utterance of a request.
-
-    The acoustic worker hands its gradients over in them, so that a reply
-    carries only losses and names.
+    The k-th utterance's gradients, one per trainable tensor, move into
+    `slots[k]` and are cleared here, so that a reply carries only outcomes.
     """
-    names = params.names()
-    arrays = _shared_arrays([params[name].data for name in names] * n)
-    return [dict(zip(names, arrays[k * len(names):(k + 1) * len(names)])) for k in range(n)]
+    outcomes = []
+    for i, slot in zip(indices, slots):
+        outcomes.append(run(epoch, i))
+        if isinstance(outcomes[-1], float):
+            for t, grad in zip(trainable, slot):
+                np.copyto(grad, t.grad)
+                t.grad = None
+    return outcomes
+
+
+def _gradient_slots(trainable: list[ad.Tensor], n: int) -> list[list[np.ndarray]]:
+    """`n` lists of shared arrays shaped like the trainable tensors, one per utterance of a request."""
+    arrays = _shared_arrays([t.data for t in trainable] * n)
+    return [arrays[k * len(trainable):(k + 1) * len(trainable)] for k in range(n)]
 
 
 @dataclass
 class _AcousticTally:
     """An epoch's acoustic outcomes, merged in utterance order, and the pending batch's count.
 
-    The pending batch's gradient sums are the parameters' `.grad`. A worker
-    utterance's gradients, read from its slot, are added to them as its
-    backward pass would have added them here: a backward pass adds to each
-    acoustic tensor once, so the sums stay ((G1 + G2) + G3) + G4.
+    The pending batch's gradient sums are the parameters' `.grad`.
     """
 
     loss_sum: float = 0.0
@@ -600,30 +569,31 @@ class _AcousticTally:
     non_finite: int = 0  # a non-finite loss, or in a batch with a non-finite gradient
     pending: int = 0
 
-    def add(self, outcome, params: ad.Parameters | None = None, slot: dict | None = None) -> None:
+    def add(self, outcome) -> None:
         if outcome == _TOO_SHORT:
             self.too_short += 1
         elif outcome == _NON_FINITE:
             self.non_finite += 1
         else:
-            loss = outcome
-            if slot is not None:
-                loss, names = outcome
-                for name in names:
-                    ad._accumulate(params[name], slot[name])
-            self.loss_sum += loss
+            self.loss_sum += outcome
             self.scored += 1
             self.pending += 1
 
     def update(self, opt: OptimizerState, params: ad.Parameters) -> None:
-        """One optimizer step from the pending gradients (see `_finite_update`)."""
-        self.non_finite += _finite_update(opt, params, self.pending)
+        """One optimizer step from the pending gradients, unless one is non-finite.
+
+        A non-finite gradient drops the update, clears the gradients and
+        counts the pending utterances as non-finite.
+        """
+        if all(t.grad is None or np.isfinite(t.grad).all() for _, t in params.items()):
+            optimizer_step(opt, params)
+        else:
+            params.zero_grad()
+            self.non_finite += self.pending
         self.pending = 0
 
 
 _LM_CODE = _Code((lm_module, ad, optim_module))
-_ACOUSTIC_CODE = _Code((acoustic_module, ad, ctc_module, features_module, augment_module),
-                       _acoustic_outcome)
 
 
 @_one_blas_thread()
@@ -696,38 +666,42 @@ def train(cfg: TrainConfig, manifest: CorpusManifest) -> TrainResult:
     acoustic_view = acoustic_params.read_only()  # reads each update, as the workers do
     run_utterance = functools.partial(_acoustic_outcome, acoustic_params, cfg, train_utts,
                                       base_feats if identity_augment else None, [])
+    trainable = [t for _, t in acoustic_params.items() if t.requires_grad]
     with contextlib.ExitStack() as workers:
         lm = workers.enter_context(_Worker("LM training", functools.partial(
-            _lm_epoch, lm_params, lm_opt, vocab, lm_train_sents, lm_val_sents), _LM_CODE))
+            _lm_epoch, lm_params, lm_opt, vocab, lm_train_sents, lm_val_sents),
+            fork=not _LM_CODE.replaced()))
         # a batch of one has nothing to split, so it needs no acoustic worker
-        split = False
         if cfg.batch_size > 1:
-            slots = _gradient_slots(acoustic_params, cfg.batch_size // 2)
-            acoustic = workers.enter_context(_Worker(
-                "acoustic training", functools.partial(_worker_outcomes, run_utterance, slots),
-                _ACOUSTIC_CODE))
-            split = acoustic.forked
+            slots = _gradient_slots(trainable, cfg.batch_size // 2)
+            acoustic = workers.enter_context(_Worker("acoustic training", functools.partial(
+                _worker_outcomes, run_utterance, trainable, slots)))
         for epoch in range(1, cfg.epochs_max + 1):
             lm.submit()  # the LM's pass and validation run beside the acoustic ones
             # -- acoustic pass -------------------------------------------------
             # The utterances that can complete the pending batch are split in
             # two: this process runs the first half while the acoustic worker
             # runs the rest with the same parameters. Merging the outcomes in
-            # utterance order gives the serial loop's counts, sums and updates.
+            # utterance order gives the serial loop's counts, sums and updates:
+            # a backward pass adds to each trainable tensor once, so adding a
+            # worker utterance's gradients here keeps each sum ((G1+G2)+G3)+G4.
             tally = _AcousticTally()
             start = 0
             while start < len(train_utts):
                 group = range(start, min(start + cfg.batch_size - tally.pending, len(train_utts)))
                 start = group.stop
-                half = (len(group) + 1) // 2 if split else len(group)
+                half = (len(group) + 1) // 2
                 mine, theirs = group[:half], group[half:]
                 if theirs:
                     acoustic.submit(epoch, theirs)
                 for i in mine:
                     tally.add(run_utterance(epoch, i))
                 if theirs:
-                    for reply, slot in zip(acoustic.result(), slots):
-                        tally.add(reply, acoustic_params, slot)
+                    for outcome, slot in zip(acoustic.result(), slots):
+                        tally.add(outcome)
+                        if isinstance(outcome, float):
+                            for t, grad in zip(trainable, slot):
+                                ad._accumulate(t, grad)
                 if tally.pending >= cfg.batch_size:
                     tally.update(ac_opt, acoustic_params)
             if tally.pending:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import importlib
 import json
 import math
@@ -347,6 +348,31 @@ def test_freeze_entry_that_matches_no_tensor_is_a_data_error(tiny_result, tiny_c
         train(cfg, tiny_corpus)
 
 
+def count_calls_by_process(monkeypatch, module: str, name: str) -> np.ndarray:
+    """Replace `name` of `module` by a wrapper that counts its calls, as bench/tracing.py does.
+
+    The wrapper goes into every loaded `shona_asr` module that binds the
+    function. The counts are a shared array, [in this process, in the one
+    process it forks that calls the function], so both processes' calls
+    are seen.
+    """
+    original = getattr(importlib.import_module(module), name)
+    counts = importlib.import_module("shona_asr.train")._shared_arrays([np.zeros(2, np.int64)])[0]
+    owner = os.getpid()
+
+    @functools.wraps(original)
+    def counting(*args, **kwargs):
+        counts[int(os.getpid() != owner)] += 1
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "shona_asr" or mod_name.startswith("shona_asr."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counting)
+    return counts
+
+
 def test_identity_policy_from_lists_extracts_features_once_per_utterance(tiny_result,
                                                                         tiny_corpus, monkeypatch):
     policy = AugmentPolicy(speed_factors=[1.0], gain_db_range=[0.0, 0.0],
@@ -367,14 +393,12 @@ def test_augmenting_policy_extracts_unaugmented_train_features_only_for_a_target
         tiny_result, tiny_corpus, monkeypatch, target):
     cfg = dataclasses.replace(tiny_result[0], epochs_max=2, patience=2, augment=AugmentPolicy(),
                               target_train_per=target)
-    train_mod = importlib.import_module("shona_asr.train")
-    calls = []
-    monkeypatch.setattr(train_mod, "extract_features",
-                        lambda audio: calls.append(audio) or extract_features(audio))
+    calls = count_calls_by_process(monkeypatch, "shona_asr.features", "extract_features")
     result = train(cfg, tiny_corpus)
     train_m, val_m, _ = split_corpus(tiny_corpus, cfg.split_ratios, cfg.seed)
     up_front = len(val_m) + (len(train_m) if target is not None else 0)
-    assert len(calls) == up_front + len(result.epoch_log) * len(train_m)
+    assert calls.sum() == up_front + len(result.epoch_log) * len(train_m)
+    assert calls[1] > 0  # the acoustic worker extracts its utterances' features
 
 
 def test_restored_models_build_no_graph(tiny_result, tiny_corpus):
@@ -428,11 +452,17 @@ def test_frozen_tensors_unchanged_after_optimizer_steps(tiny_result):
 
 
 def poison_first_ctc_loss(monkeypatch, poison):
-    """Make train's first ctc_loss call return poison(loss); the others stay real."""
-    calls = []
+    """Make train's first ctc_loss call in this process return poison(loss).
+
+    That call scores training utterance 0, which this process always runs;
+    every other call, the acoustic worker's included, stays real.
+    """
+    calls, owner = [], os.getpid()
 
     def patched(grid, target):
         loss = ctc_loss(grid, target)
+        if os.getpid() != owner:
+            return loss
         calls.append(target)
         return poison(loss) if len(calls) == 1 else loss
 
@@ -543,8 +573,8 @@ def test_replaced_lm_code_trains_the_lm_in_this_process(tiny_result, tiny_corpus
 
 def test_training_with_the_reference_kernels_gives_the_same_bits(tmp_path, monkeypatch):
     # conv2d and max_pool2d against their earlier forms, through a default-augmented
-    # run; replacing autodiff functions also moves the LM into this process,
-    # which gives the same results by design
+    # run, in both acoustic processes; replacing autodiff functions also moves the
+    # LM into this process, which gives the same results by design
     corpus = generate_corpus(GenConfig(seed=7, vocab_size=10, n_utterances=12), tmp_path)
     cfg = TrainConfig(seed=3, epochs_max=2, patience=2)
     fast = train(cfg, corpus)
@@ -562,13 +592,14 @@ def workers(monkeypatch):
     seen = types.SimpleNamespace(forked=[], requests=[])
 
     class Recording(train_mod._Worker):
-        def __init__(self, name, serve, code):
-            super().__init__(name, serve, code)
-            if self.forked:
+        def __init__(self, name, serve, fork=True):
+            super().__init__(name, serve, fork)
+            self.fork = fork
+            if fork:
                 seen.forked.append(name)
 
         def submit(self, *request):
-            if self.forked:
+            if self.fork:
                 seen.requests.append(self.name)
             super().submit(*request)
 
@@ -595,9 +626,8 @@ def test_no_process_outlives_train(tiny_result, tiny_corpus, monkeypatch, worker
         result = train(cfg, tiny_corpus)
         assert len(result.epoch_log) == {"epochs_max": 3, "early_stop": 2, "target": 1}[ending]
         assert result.stopped_early == (ending == "early_stop")
-    # a replaced ctc_loss keeps the acoustic utterances in this process
-    acoustic = ["acoustic training"] if ending != "verification_error" else []
-    assert workers.forked == ["LM training"] + acoustic
+    # a replaced ctc_loss leaves the acoustic worker forked
+    assert workers.forked == ["LM training", "acoustic training"]
     assert multiprocessing.active_children() == []
 
 
@@ -622,33 +652,15 @@ def a_third(audio):
 
 
 @pytest.mark.parametrize("batch_size", [3, 4])
-def test_parallel_and_serial_schedules_give_the_same_bytes(tmp_path, monkeypatch, workers,
-                                                           batch_size):
+def test_acoustic_epoch_equals_a_serial_replay(tmp_path, workers, batch_size):
+    # one backward pass per utterance accumulating into .grad, an update per batch_size scored;
     # training positions 2 and 5 keep a third of their audio, too short for their phones:
     # 2 falls to the worker in the first batch and 5 to this process in a later one
     cfg = TrainConfig(seed=3, epochs_max=2, patience=2, batch_size=batch_size)
     corpus = corpus_with_replaced_audio(tmp_path, cfg, [2, 5], a_third)
-    parallel = train(cfg, corpus)
-    assert workers.forked == ["LM training", "acoustic training"]
-    assert workers.requests.count("acoustic training") >= 4
-    train_mod = importlib.import_module("shona_asr.train")
-    monkeypatch.setattr(train_mod, "acoustic_forward", lambda *args: acoustic_forward(*args))
-    serial = train(cfg, corpus)
-    assert workers.forked == ["LM training", "acoustic training", "LM training"]
-    assert all(entry["skipped"] == 2 for entry in parallel.epoch_log)
-    assert parallel.epoch_log == serial.epoch_log
-    save_checkpoint(parallel.checkpoint, tmp_path / "parallel.ckpt")
-    save_checkpoint(serial.checkpoint, tmp_path / "serial.ckpt")
-    assert (tmp_path / "parallel.ckpt").read_bytes() == (tmp_path / "serial.ckpt").read_bytes()
-
-
-@pytest.mark.parametrize("batch_size", [3, 4])
-def test_acoustic_epoch_equals_a_serial_replay(tmp_path, workers, batch_size):
-    # one backward pass per utterance accumulating into .grad, an update per batch_size scored
-    cfg = TrainConfig(seed=3, epochs_max=1, patience=1, batch_size=batch_size)
-    corpus = corpus_with_replaced_audio(tmp_path, cfg, [2, 5], a_third)
     result = train(cfg, corpus)
     assert workers.forked == ["LM training", "acoustic training"]
+    assert workers.requests.count("acoustic training") >= 4
     train_mod = importlib.import_module("shona_asr.train")
     inventory = default_inventory()
     lexicon = train_mod.build_lexicon(result.checkpoint.config["lexicon_words"], inventory)
@@ -657,29 +669,48 @@ def test_acoustic_epoch_equals_a_serial_replay(tmp_path, workers, batch_size):
     seed = int(np.random.SeedSequence(cfg.seed).spawn(2)[0].generate_state(1)[0])
     params = build_acoustic_model(cfg.acoustic, len(inventory), seed)
     train_mod._to_float32(params)
-    opt, pending, losses = OptimizerState(cfg.optimizer), 0, []
+    opt, epochs = OptimizerState(cfg.optimizer), []
     # train() pins OpenBLAS to one thread, whose sums a multi-threaded GEMM need not match
     with train_mod._one_blas_thread():
-        for i, utt in enumerate(utts):
-            rng = np.random.default_rng(np.random.SeedSequence(cfg.seed,
-                                                               spawn_key=(cfg.augment.seed, 1, i)))
-            audio = augment_audio(utt.audio, cfg.augment, rng)
-            feats = spec_augment(extract_features(audio), cfg.augment, rng)
-            if output_frames(len(feats)) < min_frames(utt.phones):
-                continue
-            loss = ctc_loss(acoustic_forward(params, feats, cfg.acoustic), utt.phones)
-            losses.append(float(loss.data))
-            ad.backward(loss)
-            pending += 1
-            if pending == batch_size:
+        for epoch in (1, 2):
+            pending, losses = 0, []
+            for i, utt in enumerate(utts):
+                rng = np.random.default_rng(
+                    np.random.SeedSequence(cfg.seed, spawn_key=(cfg.augment.seed, epoch, i)))
+                audio = augment_audio(utt.audio, cfg.augment, rng)
+                feats = spec_augment(extract_features(audio), cfg.augment, rng)
+                if output_frames(len(feats)) < min_frames(utt.phones):
+                    continue
+                loss = ctc_loss(acoustic_forward(params, feats, cfg.acoustic), utt.phones)
+                losses.append(float(loss.data))
+                ad.backward(loss)
+                pending += 1
+                if pending == batch_size:
+                    optimizer_step(opt, params)
+                    pending = 0
+            if pending:
                 optimizer_step(opt, params)
-                pending = 0
-        if pending:
-            optimizer_step(opt, params)
-    assert result.epoch_log[0]["skipped"] == len(utts) - len(losses) == 2
-    assert result.epoch_log[0]["train_ctc"] == sum(losses) / len(losses)
-    for name, t in params.items():
-        assert np.array_equal(t.data, result.checkpoint.tensors["acoustic." + name]), name
+            epochs.append((losses, {name: t.data.copy() for name, t in params.items()}))
+    for entry, (losses, _) in zip(result.epoch_log, epochs, strict=True):
+        assert entry["skipped"] == len(utts) - len(losses) == 2
+        assert entry["train_ctc"] == sum(losses) / len(losses)
+    assert result.best_epoch == 2  # so the checkpoint holds the second epoch's updates too
+    for name, data in epochs[result.best_epoch - 1][1].items():
+        assert np.array_equal(data, result.checkpoint.tensors["acoustic." + name]), name
+
+
+def test_a_replaced_acoustic_function_leaves_the_worker_forked_and_the_bytes_equal(
+        tiny_result, tiny_corpus, tmp_path, monkeypatch, workers):
+    # a tracer replaces ctc_loss wherever shona_asr binds it; the schedule must not change
+    cfg, plain = tiny_result
+    calls = count_calls_by_process(monkeypatch, "shona_asr.ctc", "ctc_loss")
+    replaced = train(cfg, tiny_corpus)
+    assert workers.forked == ["LM training", "acoustic training"]
+    assert calls[0] > 0 and calls[1] > 0  # each acoustic process scored its share
+    assert replaced.epoch_log == plain.epoch_log
+    save_checkpoint(plain.checkpoint, tmp_path / "plain.ckpt")
+    save_checkpoint(replaced.checkpoint, tmp_path / "replaced.ckpt")
+    assert (tmp_path / "replaced.ckpt").read_bytes() == (tmp_path / "plain.ckpt").read_bytes()
 
 
 def test_a_batch_of_one_forks_no_acoustic_worker(tiny_corpus, workers):
@@ -707,7 +738,7 @@ def test_a_worker_exception_is_raised_with_its_type_message_and_traceback():
         raise KeyError(f"no utterance {n}")
 
     with pytest.raises(KeyError, match="no utterance 7") as caught:
-        with train_mod._Worker("probe", failing, train_mod._Code(())) as worker:
+        with train_mod._Worker("probe", failing) as worker:
             worker.submit(7)
             worker.result()
     note = "\n".join(caught.value.__notes__)
@@ -719,7 +750,7 @@ def test_a_worker_that_exits_without_answering_is_an_error():
     train_mod = importlib.import_module("shona_asr.train")
     with pytest.raises(RuntimeError,
                        match="the probe process exited with code 7 without answering"):
-        with train_mod._Worker("probe", lambda: os._exit(7), train_mod._Code(())) as worker:
+        with train_mod._Worker("probe", lambda: os._exit(7)) as worker:
             worker.submit()
             worker.result()
     assert multiprocessing.active_children() == []
@@ -780,8 +811,9 @@ def prepared_splits(corpus, cfg, ckpt):
 
 def test_only_training_builds_a_graph(tmp_path, monkeypatch):
     # training position 2 and validation position 1 are too short for their phones
+    # at a batch of one, every forward pass runs in this process, where the wrappers record
     cfg = TrainConfig(seed=3, epochs_max=2, patience=2, split_ratios=SPLIT_WITH_4_VAL,
-                      target_train_per=0.0, augment=AugmentPolicy(**QUIET_AUGMENT))
+                      batch_size=1, target_train_per=0.0, augment=AugmentPolicy(**QUIET_AUGMENT))
     corpus = corpus_with_replaced_audio(tmp_path, cfg, [2], a_third, val_positions=[1])
     train_mod = importlib.import_module("shona_asr.train")
     forwards, last = [], []  # per forward pass: [grid requires grad, scored by ctc_loss]
