@@ -1,8 +1,10 @@
 """Command-line surface: asr features | corpusgen | train | decode | eval | gradcheck.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric or
-verification failure. `asr decode` exits 2 when the audio is too short for
-any word and 3 when the search ends with no hypothesis at a word boundary.
+verification failure, 4 a training process that died (killed, or out of
+memory) without answering. `asr decode` exits 2 when the audio is too
+short for any word and 3 when the search ends with no hypothesis at a word
+boundary.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import sys
 import time
 from pathlib import Path
 
-from .errors import DataError, VerificationError
+from .errors import DataError, VerificationError, WorkerError
 
 log = logging.getLogger(__name__)
 
@@ -23,6 +25,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_VERIFY = 3
+EXIT_WORKER = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,11 +101,23 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _check_output_dirs(*paths) -> None:
+    """A DataError naming the first output path whose directory does not exist.
+
+    Run before any work, so that a mistyped directory fails at once
+    instead of after training or decoding.
+    """
+    for path in paths:
+        if path is not None and not Path(path).parent.is_dir():
+            raise DataError(f"{path}: the output directory {Path(path).parent} does not exist")
+
+
 def _cmd_features(args) -> int:
     from .audio import load_wav
     from .checkpoint import Checkpoint, save_checkpoint
     from .features import extract_features
 
+    _check_output_dirs(args.out)
     feats = extract_features(load_wav(args.wav))
     ckpt = Checkpoint(config={"kind": "feature-dump", "source": str(args.wav)},
                       inventory_lines=[], vocab=[],
@@ -129,6 +144,7 @@ def _cmd_train(args) -> int:
     from .manifest import load_manifest
     from .train import TrainConfig, train
 
+    _check_output_dirs(args.out, args.log)
     cfg = TrainConfig.from_dict(_load_config(args))
     manifest = load_manifest(args.manifest)
     result = train(cfg, manifest)
@@ -184,6 +200,7 @@ def _cmd_eval(args) -> int:
     from .manifest import load_manifest, split_corpus
     from .train import TrainConfig, evaluate
 
+    _check_output_dirs(args.report)
     ckpt = load_checkpoint(args.ckpt)
     manifest = load_manifest(args.manifest)
     if args.split == "all":
@@ -213,14 +230,19 @@ def _cmd_gradcheck(args) -> int:
     return EXIT_OK
 
 
+def _reject_constant(name: str):
+    """json's hook for NaN, Infinity and -Infinity, which Python reads but JSON does not allow."""
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def _load_config(args) -> dict:
     """The `--config` JSON object, its seed replaced by `--seed` when that is given."""
     p = Path(args.config)
     if not p.exists():
         raise DataError(f"config file not found: {p}")
     try:
-        obj = json.loads(p.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+        obj = json.loads(p.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise DataError(f"{p}: invalid JSON ({exc})") from exc
     if not isinstance(obj, dict):
         raise DataError(f"{p}: config must be a JSON object")
@@ -251,6 +273,9 @@ def main(argv=None) -> int:
     except (DataError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except WorkerError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_WORKER
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the pipeline.
 
 CLI exit-code mapping: usage errors exit 1, DataError exits 2,
-VerificationError (including checksum failures) exits 3.
+VerificationError (including checksum failures) exits 3, WorkerError exits 4.
 """
 
 
@@ -19,6 +19,10 @@ class VerificationError(AsrError):
 
 class ChecksumError(VerificationError):
     """Checkpoint payload does not match its recorded CRC."""
+
+
+class WorkerError(AsrError):
+    """A training process exited without answering (killed, out of memory)."""
 
 
 def unknown_keys(keys) -> str:

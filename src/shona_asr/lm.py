@@ -25,6 +25,7 @@ from .optim import OptimizerState, optimizer_step
 
 BOS, EOS, WB, UNK = "<s>", "</s>", "<wb>", "<unk>"
 SPECIALS = (BOS, EOS, WB, UNK)
+GRANULARITIES = ("phone", "word")
 
 
 @dataclass
@@ -32,7 +33,7 @@ class TokenVocab:
     """Ordered token list; the four special tokens come first."""
 
     tokens: list[str]
-    granularity: str = "phone"  # "phone" | "word"
+    granularity: str = "phone"  # one of GRANULARITIES
 
     def __post_init__(self):
         for sp in SPECIALS:
@@ -40,7 +41,7 @@ class TokenVocab:
                 raise ValueError(f"special token {sp} must appear exactly once")
         if len(set(self.tokens)) != len(self.tokens):
             raise ValueError("vocab tokens must be unique")
-        if self.granularity not in ("phone", "word"):
+        if self.granularity not in GRANULARITIES:
             raise ValueError(f"unknown granularity {self.granularity!r}")
         self._index = {tok: i for i, tok in enumerate(self.tokens)}
 

@@ -51,6 +51,7 @@ import ctypes
 import dataclasses
 import functools
 import logging
+import math
 import mmap
 import multiprocessing
 import signal
@@ -71,10 +72,11 @@ from .augment import AugmentPolicy, augment_audio, spec_augment
 from .checkpoint import Checkpoint, load_checkpoint, params_hash
 from .ctc import ctc_forward_logprob, ctc_greedy_decode, ctc_loss, min_frames
 from .decoder import DecodeStats, beam_decode
-from .errors import DataError, VerificationError, unknown_keys
+from .errors import DataError, VerificationError, WorkerError, unknown_keys
 from .features import extract_features
 from .lexicon import Lexicon, build_lexicon
-from .lm import LmConfig, TokenVocab, build_lm, corpus_loss, lm_layout, lm_train, word_tokens
+from .lm import (GRANULARITIES, LmConfig, TokenVocab, build_lm, corpus_loss, lm_layout, lm_train,
+                 word_tokens)
 from .manifest import CorpusManifest, split_corpus
 from .metrics import MetricsReport, normalize_text, per, report, wer
 from .optim import OptimizerConfig, OptimizerState, optimizer_step
@@ -89,6 +91,13 @@ class DecodeConfig:
     word_bonus: float = 0.0
     beam_width: int = 16
 
+    def __post_init__(self):
+        if self.beam_width < 1:
+            raise ValueError(f"beam_width must be >= 1, got {self.beam_width}")
+        for name in ("lm_weight", "word_bonus"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+
 
 @dataclass
 class TrainConfig:
@@ -97,7 +106,7 @@ class TrainConfig:
     epochs_max: int = 100
     patience: int = 10
     batch_size: int = 4
-    granularity: str = "phone"  # LM token granularity: "phone" | "word"
+    granularity: str = "phone"  # LM token granularity, one of GRANULARITIES
     target_train_per: float | None = None  # optional convergence shortcut
     lexicon_words: list[str] | None = None  # default: all manifest words
     warm_start_path: str | None = None
@@ -114,6 +123,10 @@ class TrainConfig:
             raise ValueError("epochs_max must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.granularity not in GRANULARITIES:
+            raise ValueError(f"granularity must be one of {GRANULARITIES}, got {self.granularity!r}")
         if abs(sum(self.split_ratios) - 1.0) > 1e-9:
             raise ValueError(f"split ratios must sum to 1, got {self.split_ratios}")
 
@@ -414,9 +427,9 @@ class _Worker:
     The process inherits everything `serve` reads. `result()` waits for
     the reply to the last request; an exception raised in the process is
     raised again here, and a process that exits without answering is a
-    RuntimeError naming its exit code. Leaving the `with` block ends the
-    process: it is closed after a normal exit and killed after an
-    exception, and joined either way.
+    WorkerError naming the process and its exit code. Leaving the `with`
+    block ends the process: it is closed after a normal exit and killed
+    after an exception, and joined either way.
 
     With `fork` false, no process is forked: `result()` calls `serve`
     here, so that what a tracer's wrappers record stays in this process.
@@ -459,8 +472,8 @@ class _Worker:
             reply = self._conn.recv()
         except EOFError:
             self._process.join()
-            raise RuntimeError(f"the {self.name} process exited with code "
-                               f"{self._process.exitcode} without answering") from None
+            raise WorkerError(f"the {self.name} process exited with code "
+                              f"{self._process.exitcode} without answering") from None
         if isinstance(reply, BaseException):
             raise reply
         return reply

@@ -2,6 +2,7 @@ import errno
 import importlib
 import json
 import logging
+import multiprocessing
 import os
 
 import numpy as np
@@ -147,6 +148,56 @@ def test_train_config_value_of_wrong_type_exits_2(corpus_dir, tmp_path, capsys, 
     assert not (tmp_path / "model.ckpt").exists()
 
 
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_train_config_with_a_non_json_number_exits_2_naming_the_file(corpus_dir, tmp_path,
+                                                                     capsys, constant):
+    # Python's json reads these; before, a NaN lm_weight trained every epoch and then
+    # failed to write the checkpoint
+    cfg_path = tmp_path / "train.json"
+    cfg_path.write_text(json.dumps(TINY_TRAIN)[:-1] + f', "decode": {{"lm_weight": {constant}}}}}')
+    code = main(["train", "--config", str(cfg_path),
+                 "--manifest", str(corpus_dir / "manifest.jsonl"),
+                 "--out", str(tmp_path / "model.ckpt")])
+    assert code == 2
+    assert f"{cfg_path}: invalid JSON ({constant} is not a JSON number)" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["train.json"]
+
+
+OUTPUTS = {
+    "train-out": lambda ckpt, missing: ["train", "--out", str(missing)],
+    "train-log": lambda ckpt, missing: ["train", "--out", str(ckpt), "--log", str(missing)],
+    "eval-report": lambda ckpt, missing: ["eval", "--ckpt", str(ckpt), "--report", str(missing)],
+    "features-out": lambda ckpt, missing: ["features", "x.wav", "--out", str(missing)],
+}
+
+
+@pytest.mark.parametrize("command", OUTPUTS.values(), ids=OUTPUTS.keys())
+def test_missing_output_directory_exits_2_before_any_work(corpus_dir, tmp_path, monkeypatch,
+                                                          capsys, command):
+    # before, `asr train --out /missing/m.ckpt` trained every epoch, then raised
+    # FileNotFoundError naming its temporary file (exit 1)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the command worked before checking its outputs")
+
+    for module, name in (("shona_asr.train", "train"), ("shona_asr.train", "evaluate"),
+                         ("shona_asr.manifest", "load_manifest"),
+                         ("shona_asr.checkpoint", "load_checkpoint"),
+                         ("shona_asr.audio", "load_wav")):
+        monkeypatch.setattr(importlib.import_module(module), name, refuse)
+    cfg_path = tmp_path / "train.json"
+    cfg_path.write_text(json.dumps(TINY_TRAIN))
+    missing = tmp_path / "missing" / "out.bin"
+    argv = command(tmp_path / "model.ckpt", missing)
+    if argv[0] == "train":
+        argv += ["--config", str(cfg_path), "--manifest", str(corpus_dir / "manifest.jsonl")]
+    elif argv[0] == "eval":
+        argv += ["--manifest", str(corpus_dir / "manifest.jsonl")]
+    assert main(argv) == 2
+    assert f"{missing}: the output directory {missing.parent} does not exist" in (
+        capsys.readouterr().err)
+    assert [p.name for p in tmp_path.iterdir()] == ["train.json"]
+
+
 def test_train_config_nested_too_deep_exits_2_naming_the_file(corpus_dir, tmp_path, capsys):
     cfg_path = tmp_path / "train.json"
     cfg_path.write_text('{"augment": ' + "[" * 100_000 + "]" * 100_000 + "}")
@@ -232,6 +283,26 @@ def test_train_with_non_finite_losses_exits_3(corpus_dir, tmp_path, monkeypatch,
     assert code == 3
     assert "non-finite loss or gradient" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["train.json"]
+
+
+def test_train_whose_lm_process_dies_exits_4_with_one_line(corpus_dir, tmp_path, monkeypatch,
+                                                           capsys):
+    # as an OOM kill ends it; before, a RuntimeError escaped with its traceback (exit 1)
+    monkeypatch.setattr(importlib.import_module("shona_asr.train"), "lm_train",
+                        lambda *args, **kwargs: os._exit(137))
+    cfg_path = tmp_path / "train.json"
+    cfg_path.write_text(json.dumps(TINY_TRAIN))
+    code = main(["train", "--config", str(cfg_path),
+                 "--manifest", str(corpus_dir / "manifest.jsonl"),
+                 "--out", str(tmp_path / "model.ckpt")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    assert line.startswith("error: ")
+    assert "LM training" in line and "137" in line
+    assert [p.name for p in tmp_path.iterdir()] == ["train.json"]
+    assert multiprocessing.active_children() == []
 
 
 def failing_replace_of(name, monkeypatch):

@@ -24,7 +24,7 @@ from shona_asr.augment import AugmentPolicy, augment_audio, spec_augment
 from shona_asr.checkpoint import load_checkpoint, params_hash, save_checkpoint
 from shona_asr.corpusgen import GenConfig, generate_corpus
 from shona_asr.ctc import ctc_forward_logprob, ctc_greedy_decode, ctc_loss, min_frames
-from shona_asr.errors import DataError, VerificationError
+from shona_asr.errors import DataError, VerificationError, WorkerError
 from shona_asr.features import extract_features
 from shona_asr.lm import LmConfig, TokenVocab, build_lm, corpus_loss, lm_train, sentence_loss
 from shona_asr.manifest import split_corpus
@@ -114,6 +114,22 @@ def test_config_validates_values():
         TrainConfig.from_dict({"epochs_max": 0})
     with pytest.raises(DataError):
         TrainConfig.from_dict({"split_ratios": [0.5, 0.2, 0.2]})
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"granularity": "words"}, "config: granularity must be one of ('phone', 'word'), got 'words'"),
+    ({"batch_size": 0}, "config: batch_size must be >= 1, got 0"),
+    ({"decode": {"beam_width": 0}}, "config.decode: beam_width must be >= 1, got 0"),
+    ({"decode": {"lm_weight": math.nan}}, "config.decode: lm_weight must be finite, got nan"),
+    ({"decode": {"word_bonus": -math.inf}}, "config.decode: word_bonus must be finite, got -inf"),
+], ids=["unknown_granularity", "batch_size_0", "beam_width_0", "nan_lm_weight",
+        "infinite_word_bonus"])
+def test_config_rejects_values_that_load_and_then_fail_late(obj, message):
+    # each of these loaded; then decode rejected the granularity, the beam or the NaN
+    # (in the checkpoint's JSON), or batch 0 failed at the first update
+    with pytest.raises(DataError) as info:
+        TrainConfig.from_dict(obj)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("obj, message", [
@@ -548,7 +564,7 @@ def test_an_lm_process_that_dies_without_answering_is_an_error(tiny_result, tiny
                                                                monkeypatch):
     monkeypatch.setattr(importlib.import_module("shona_asr.train"), "lm_train",
                         lambda *args, **kwargs: os._exit(7))
-    with pytest.raises(RuntimeError, match="exited with code 7 without answering"):
+    with pytest.raises(WorkerError, match="exited with code 7 without answering"):
         train(dataclasses.replace(tiny_result[0], epochs_max=2, patience=2), tiny_corpus)
     assert multiprocessing.active_children() == []
 
@@ -748,7 +764,7 @@ def test_a_worker_exception_is_raised_with_its_type_message_and_traceback():
 
 def test_a_worker_that_exits_without_answering_is_an_error():
     train_mod = importlib.import_module("shona_asr.train")
-    with pytest.raises(RuntimeError,
+    with pytest.raises(WorkerError,
                        match="the probe process exited with code 7 without answering"):
         with train_mod._Worker("probe", lambda: os._exit(7)) as worker:
             worker.submit()
