@@ -102,7 +102,7 @@ def _build_parser() -> _Parser:
 
 
 def _check_output_dirs(*paths) -> None:
-    """A DataError naming the first output path whose directory does not exist.
+    """Raise a DataError naming the first output path whose directory does not exist.
 
     Run before any work, so that a mistyped directory fails at once
     instead of after training or decoding.

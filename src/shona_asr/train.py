@@ -555,11 +555,12 @@ def _worker_outcomes(run, trainable: list[ad.Tensor], slots: list[list[np.ndarra
     """
     outcomes = []
     for i, slot in zip(indices, slots):
-        outcomes.append(run(epoch, i))
-        if isinstance(outcomes[-1], float):
+        outcome = run(epoch, i)
+        if isinstance(outcome, float):
             for t, grad in zip(trainable, slot):
                 np.copyto(grad, t.grad)
                 t.grad = None
+        outcomes.append(outcome)
     return outcomes
 
 
