@@ -163,17 +163,18 @@ def test_train_config_with_a_non_json_number_exits_2_naming_the_file(corpus_dir,
     assert [p.name for p in tmp_path.iterdir()] == ["train.json"]
 
 
+TRAIN_ARGS = ["train", "--config", "{cfg}", "--manifest", "{manifest}"]
 OUTPUTS = {
-    "train-out": lambda ckpt, missing: ["train", "--out", str(missing)],
-    "train-log": lambda ckpt, missing: ["train", "--out", str(ckpt), "--log", str(missing)],
-    "eval-report": lambda ckpt, missing: ["eval", "--ckpt", str(ckpt), "--report", str(missing)],
-    "features-out": lambda ckpt, missing: ["features", "x.wav", "--out", str(missing)],
+    "train-out": TRAIN_ARGS + ["--out", "{missing}"],
+    "train-log": TRAIN_ARGS + ["--out", "{ckpt}", "--log", "{missing}"],
+    "eval-report": ["eval", "--ckpt", "{ckpt}", "--manifest", "{manifest}", "--report", "{missing}"],
+    "features-out": ["features", "x.wav", "--out", "{missing}"],
 }
 
 
-@pytest.mark.parametrize("command", OUTPUTS.values(), ids=OUTPUTS.keys())
+@pytest.mark.parametrize("argv", OUTPUTS.values(), ids=OUTPUTS.keys())
 def test_missing_output_directory_exits_2_before_any_work(corpus_dir, tmp_path, monkeypatch,
-                                                          capsys, command):
+                                                          capsys, argv):
     # before, `asr train --out /missing/m.ckpt` trained every epoch, then raised
     # FileNotFoundError naming its temporary file (exit 1)
     def refuse(*args, **kwargs):
@@ -187,12 +188,8 @@ def test_missing_output_directory_exits_2_before_any_work(corpus_dir, tmp_path, 
     cfg_path = tmp_path / "train.json"
     cfg_path.write_text(json.dumps(TINY_TRAIN))
     missing = tmp_path / "missing" / "out.bin"
-    argv = command(tmp_path / "model.ckpt", missing)
-    if argv[0] == "train":
-        argv += ["--config", str(cfg_path), "--manifest", str(corpus_dir / "manifest.jsonl")]
-    elif argv[0] == "eval":
-        argv += ["--manifest", str(corpus_dir / "manifest.jsonl")]
-    assert main(argv) == 2
+    assert main([arg.format(cfg=cfg_path, manifest=corpus_dir / "manifest.jsonl",
+                            ckpt=tmp_path / "model.ckpt", missing=missing) for arg in argv]) == 2
     assert f"{missing}: the output directory {missing.parent} does not exist" in (
         capsys.readouterr().err)
     assert [p.name for p in tmp_path.iterdir()] == ["train.json"]
