@@ -668,6 +668,47 @@ def a_third(audio):
 
 
 @pytest.mark.parametrize("batch_size", [3, 4])
+def test_parallel_and_serial_schedules_give_the_same_bytes(tmp_path, monkeypatch, workers,
+                                                           batch_size):
+    # the serial schedule runs the acoustic worker's share in this process, after this
+    # process's share of the same group, with the pending batch's gradients set aside
+    # meanwhile as the forked worker's own are; training positions 2 and 5 keep a third
+    # of their audio, so 2 falls to the worker in the first batch and 5 to this process
+    cfg = TrainConfig(seed=3, epochs_max=2, patience=2, batch_size=batch_size)
+    corpus = corpus_with_replaced_audio(tmp_path, cfg, [2, 5], a_third)
+    parallel = train(cfg, corpus)
+    assert workers.forked == ["LM training", "acoustic training"]
+    assert workers.requests.count("acoustic training") >= 4
+    train_mod = importlib.import_module("shona_asr.train")
+
+    class AcousticInThisProcess(train_mod._Worker):  # the workers fixture's recording class
+        def __init__(self, name, serve, fork=True):
+            super().__init__(name, serve, fork and name != "acoustic training")
+
+        def result(self):
+            if self.fork:
+                return super().result()
+            trainable = self._serve.args[1]  # functools.partial(_worker_outcomes, run, trainable, slots)
+            pending = [t.grad for t in trainable]
+            for t in trainable:
+                t.grad = None
+            try:
+                return super().result()
+            finally:
+                for t, grad in zip(trainable, pending):
+                    t.grad = grad
+
+    monkeypatch.setattr(train_mod, "_Worker", AcousticInThisProcess)
+    serial = train(cfg, corpus)
+    assert workers.forked == ["LM training", "acoustic training", "LM training"]
+    assert all(entry["skipped"] == 2 for entry in parallel.epoch_log)
+    assert parallel.epoch_log == serial.epoch_log
+    save_checkpoint(parallel.checkpoint, tmp_path / "parallel.ckpt")
+    save_checkpoint(serial.checkpoint, tmp_path / "serial.ckpt")
+    assert (tmp_path / "parallel.ckpt").read_bytes() == (tmp_path / "serial.ckpt").read_bytes()
+
+
+@pytest.mark.parametrize("batch_size", [3, 4])
 def test_acoustic_epoch_equals_a_serial_replay(tmp_path, workers, batch_size):
     # one backward pass per utterance accumulating into .grad, an update per batch_size scored;
     # training positions 2 and 5 keep a third of their audio, too short for their phones:
