@@ -17,6 +17,7 @@ dict-of-hypotheses reference search on larger ones.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -24,20 +25,28 @@ import numpy as np
 from .autodiff import Parameters
 from .ctc import ctc_forward_logprob
 from .lexicon import Lexicon
-from .lm import WB, LmWeights, TokenVocab, lm_initial_state, lm_step, pad_runs, score_tokens
+from .lm import (LmWeights, TokenVocab, lm_initial_state, lm_step, pad_runs, score_tokens,
+                 word_tokens)
 
 NEG_INF = float("-inf")
 
 
 @dataclass
 class DecodeStats:
-    """Counts of one search, or summed over several; deterministic for given inputs."""
+    """Counts of one search, or summed over several; deterministic for given inputs.
+
+    The LM counts are the search's own steps. Preparing the model's search
+    LM (`_SearchLm`, whose first-word table gives every one-word history
+    its rows) is counted in no search, whether it was built for this one or
+    before it.
+    """
 
     frames: int = 0
     candidates_generated: int = 0  # distinct (history, trie node) candidates, over all frames
     candidates_pruned: int = 0  # of those, the ones cut from the beam
     # batched LM steps: one per batch of histories fed their pending token
-    # (next-token rows), plus one per further token position of a batch of new words
+    # (next-token rows), plus one per further token position of a batch of
+    # new histories of two or more words
     lm_step_calls: int = 0
     lm_rows_stepped: int = 0  # state rows advanced over those steps, next-token rows included
     lm_cache_hits: int = 0  # distinct (history, word) pairs of a frame that were already scored
@@ -60,6 +69,91 @@ class Transcript:
         return " ".join(self.words)
 
 
+def _frozen(a) -> bool:
+    """Whether neither the array a nor any array or buffer it views can be written."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None or isinstance(a, bytes)
+
+
+class _SearchLm:
+    """The LM side of a search that depends only on the model, the lexicon and the vocab.
+
+    `weights` steps the LM (`LmWeights`). Each lexicon word's token run
+    (`lm.word_tokens`) is split into `first_token` and the padded
+    `rest_tokens`, `rest_length` long. `root_state` and `root_next_logp`
+    are the state after `<s>` and its next-token log-probs. The first-word
+    table holds what a search holds for the history (w,) once it is
+    stepped, per lexicon word w: `first_total` (float64) is log P(w's
+    tokens | <s>), `first_state` the state after `<s>` and w's tokens, and
+    `first_next_logp` that state's next-token log-probs. Every word steps
+    in one batch, and a row's results do not depend on the rows beside it
+    (`lm.lm_step`), so each row is that of a one-row run from `<s>`. The
+    arrays are read-only, for searches share them (see `_search_lm`).
+    """
+
+    def __init__(self, params: Parameters, lexicon: Lexicon, vocab: TokenVocab):
+        self.weights = LmWeights.from_params(params)
+        self.eos = vocab.eos
+        tokens, lengths = pad_runs([
+            [vocab.index(t) for t in word_tokens(w, lexicon.phone_symbols(w), vocab.granularity)]
+            for w in lexicon.flat.words])
+        self.first_token, self.rest_tokens = tokens[:, 0], tokens[:, 1:]
+        self.rest_length = lengths - 1
+        self.root_state, self.root_next_logp = lm_step(self.weights,
+                                                       lm_initial_state(self.weights), [vocab.bos])
+        n = len(lengths)
+        state, last, self.first_total = score_tokens(
+            self.weights, np.repeat(self.root_state, n, axis=0), self.first_token,
+            self.rest_tokens, self.rest_length,
+            np.zeros(n) + self.root_next_logp[0, self.first_token])
+        self.first_state, self.first_next_logp = lm_step(self.weights, state, last)
+        for a in (*vars(self).values(), *vars(self.weights).values()):
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+
+
+class _SameObjects:
+    """A cache key that hashes and compares its objects by identity.
+
+    It holds them, so no id in a live key can be reused by another object.
+    """
+
+    def __init__(self, *objects):
+        self.objects = objects
+
+    def __hash__(self) -> int:
+        return hash(tuple(map(id, self.objects)))
+
+    def __eq__(self, other) -> bool:
+        return len(self.objects) == len(other.objects) and all(
+            a is b for a, b in zip(self.objects, other.objects))
+
+
+@functools.lru_cache(maxsize=4)
+def _shared_search_lm(key: _SameObjects) -> _SearchLm:
+    return _SearchLm(*key.objects[:3])
+
+
+def _search_lm(params: Parameters, lexicon: Lexicon, vocab: TokenVocab) -> _SearchLm:
+    """The prepared LM side of a search over this model, lexicon and vocab.
+
+    When no LM tensor can be written (`_frozen`, as in `restore_models`'
+    output), the preparation is built once per model, tensor arrays,
+    lexicon and vocab, and shared by later searches; otherwise each search
+    prepares its own, so an edit made in place is always seen. The key also
+    holds the `lm_step` and `score_tokens` this module calls, so only the
+    code that built a preparation reuses it: while a tracer replaces one,
+    the searches prepare again and it records that work.
+    """
+    arrays = [t.data for _, t in params.items()]
+    if not all(map(_frozen, arrays)):
+        return _SearchLm(params, lexicon, vocab)
+    return _shared_search_lm(_SameObjects(params, lexicon, vocab, lm_step, score_tokens, *arrays))
+
+
 class _LmFusion:
     """The word histories of one search, with their LM totals and LM states.
 
@@ -73,37 +167,26 @@ class _LmFusion:
     `last`, the pending one. The first time a history is extended or
     finished, `_step` feeds it `last` in one batched `lm_step`: `state` then
     holds the state after it, `next_logp` the log-probs of the next token,
-    and `last` is -1. A new word takes its first token's log-prob from
-    its parent's row and steps its other tokens from the parent's state by
-    one `score_tokens` run; `final_totals` reads `</s>` from the row. A
-    state row is opaque here: `lm` alone knows its columns, and `state` is
-    one [n, S] matrix in the LM weights' dtype. The totals are float64.
-    Without a language model the totals stay zero and nothing is stepped.
+    and `last` is -1. The empty history and the one-word histories start
+    stepped, copied from the prepared search LM (`_SearchLm`). A deeper new
+    word takes its first token's log-prob from its parent's row and steps
+    its other tokens from the parent's state by one `score_tokens` run;
+    `final_totals` reads `</s>` from the row. A state row is opaque here:
+    `lm` alone knows its columns, and `state` is one [n, S] matrix in the
+    LM weights' dtype. The totals are float64. Without a language model the
+    totals stay zero and nothing is stepped.
     """
 
-    def __init__(self, lexicon: Lexicon, params: Parameters | None, vocab: TokenVocab | None,
-                 stats: DecodeStats):
-        self.weights = None if params is None else LmWeights.from_params(params)
-        self.vocab, self.stats = vocab, stats
+    def __init__(self, lexicon: Lexicon, lm: _SearchLm | None, stats: DecodeStats):
+        self.lm, self.stats = lm, stats
         self.names = lexicon.flat.words
         self.words: list[tuple[str, ...]] = [()]
         self.child = np.full((1, len(self.names)), -1, dtype=np.int32)
         self.lm_total = np.zeros(1)
         self.length = np.zeros(1, dtype=np.int64)
-        if params is not None:
-            # each word's token run (see `lm.word_tokens`), from phone indices
-            if vocab.granularity == "word":
-                runs = [[vocab.index(w)] for w in self.names]
-            else:
-                phone_token = [vocab.index(s) for s in lexicon.inventory.symbols()]
-                runs = [[phone_token[p] for p in lexicon.pronunciations[w]] + [vocab.index(WB)]
-                        for w in self.names]
-            tokens, lengths = pad_runs(runs)
-            self.first_token, self.rest_tokens = tokens[:, 0], tokens[:, 1:]
-            self.rest_length = lengths - 1
-            self.state = lm_initial_state(self.weights)
-            self.last = np.array([vocab.bos], dtype=np.int64)
-            self.next_logp = np.zeros((1, len(vocab)), dtype=self.state.dtype)
+        if lm is not None:
+            self.state, self.next_logp = lm.root_state.copy(), lm.root_next_logp.copy()
+            self.last = np.array([-1], dtype=np.int64)
 
     def _reserve(self, n: int) -> None:
         """Grow every per-history array to hold at least n rows."""
@@ -118,7 +201,7 @@ class _LmFusion:
 
         self.lm_total, self.length, self.child = (grown(self.lm_total), grown(self.length),
                                                   grown(self.child, -1))
-        if self.weights is not None:
+        if self.lm is not None:
             self.state, self.last, self.next_logp = (grown(self.state), grown(self.last),
                                                      grown(self.next_logp))
 
@@ -127,7 +210,7 @@ class _LmFusion:
         need = hists[self.last[hists] >= 0]
         if len(need) == 0:
             return
-        self.state[need], self.next_logp[need] = lm_step(self.weights, self.state[need],
+        self.state[need], self.next_logp[need] = lm_step(self.lm.weights, self.state[need],
                                                          self.last[need])
         self.last[need] = -1
         self.stats.lm_step_calls += 1
@@ -157,26 +240,39 @@ class _LmFusion:
         self._reserve(len(self.words))
         self.child.reshape(-1)[pairs] = fresh
         self.length[fresh] = self.length[parents] + 1
-        if self.weights is not None:
-            self._step(parents[_run_starts(parents)])  # parents ascend
-            first, rest = self.first_token[words], self.rest_length[words]
-            state, last, inc = score_tokens(self.weights, self.state[parents], first,
-                                            self.rest_tokens[words], rest,
-                                            np.zeros(len(words)) + self.next_logp[parents, first])
-            self.stats.lm_step_calls += int(rest.max())
-            self.stats.lm_rows_stepped += int(rest.sum())
-            self.lm_total[fresh] = self.lm_total[parents] + inc
-            self.last[fresh] = last
-            self.state[fresh] = state
+        if self.lm is not None:
+            self._score(parents, words, fresh)
         return self.child.reshape(-1)[codes]
+
+    def _score(self, parents: np.ndarray, words: np.ndarray, fresh: np.ndarray) -> None:
+        """LM rows of the new histories fresh, each its ascending parent's plus its word."""
+        lm = self.lm
+        top = int(np.searchsorted(parents, 1))  # the empty history's words, copied from the table
+        w, f = words[:top], fresh[:top]
+        self.lm_total[f], self.state[f], self.next_logp[f] = (
+            lm.first_total[w], lm.first_state[w], lm.first_next_logp[w])
+        self.last[f] = -1
+        parents, words, fresh = parents[top:], words[top:], fresh[top:]
+        if len(fresh) == 0:
+            return
+        self._step(parents[_run_starts(parents)])
+        first, rest = lm.first_token[words], lm.rest_length[words]
+        state, last, inc = score_tokens(lm.weights, self.state[parents], first,
+                                        lm.rest_tokens[words], rest,
+                                        np.zeros(len(words)) + self.next_logp[parents, first])
+        self.stats.lm_step_calls += int(rest.max())
+        self.stats.lm_rows_stepped += int(rest.sum())
+        self.lm_total[fresh] = self.lm_total[parents] + inc
+        self.last[fresh] = last
+        self.state[fresh] = state
 
     def final_totals(self, hists: list[int]) -> np.ndarray:
         """Committed-words log-prob plus the end-of-sequence transition, per history."""
         hists = np.array(hists, dtype=np.int64)
-        if self.weights is None or len(hists) == 0:
+        if self.lm is None or len(hists) == 0:
             return np.zeros(len(hists))
         self._step(hists)
-        return self.lm_total[hists] + self.next_logp[hists, self.vocab.eos]
+        return self.lm_total[hists] + self.next_logp[hists, self.lm.eos]
 
 
 def _run_starts(a: np.ndarray) -> np.ndarray:
@@ -241,7 +337,7 @@ def beam_decode(log_y: np.ndarray, lexicon: Lexicon,
     stats = DecodeStats(frames=log_y.shape[0])
     trie = lexicon.flat
     n_nodes = len(trie)
-    hists = _LmFusion(lexicon, lm_params if fused else None, vocab, stats)
+    hists = _LmFusion(lexicon, _search_lm(lm_params, lexicon, vocab) if fused else None, stats)
     hist = np.zeros(1, dtype=np.int64)
     node = np.zeros(1, dtype=np.int64)  # the root
     pb, pnb = np.zeros(1), np.full(1, NEG_INF)

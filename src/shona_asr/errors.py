@@ -22,7 +22,7 @@ class ChecksumError(VerificationError):
 
 
 class WorkerError(AsrError):
-    """A training process exited without answering (killed, out of memory)."""
+    """A training process ran out of memory or exited without answering (killed)."""
 
 
 def unknown_keys(keys) -> str:

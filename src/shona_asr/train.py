@@ -426,10 +426,11 @@ class _Worker:
 
     The process inherits everything `serve` reads. `result()` waits for
     the reply to the last request; an exception raised in the process is
-    raised again here, and a process that exits without answering is a
-    WorkerError naming the process and its exit code. Leaving the `with`
-    block ends the process: it is closed after a normal exit and killed
-    after an exception, and joined either way.
+    raised again here, except a MemoryError, which is a WorkerError naming
+    the process, as is a process that exits without answering (with its
+    exit code). Leaving the `with` block ends the process: it is closed
+    after a normal exit and killed after an exception, and joined either
+    way.
 
     With `fork` false, no process is forked: `result()` calls `serve`
     here, so that what a tracer's wrappers record stays in this process.
@@ -474,6 +475,8 @@ class _Worker:
             self._process.join()
             raise WorkerError(f"the {self.name} process exited with code "
                               f"{self._process.exitcode} without answering") from None
+        if isinstance(reply, MemoryError):
+            raise WorkerError(f"the {self.name} process ran out of memory") from None
         if isinstance(reply, BaseException):
             raise reply
         return reply

@@ -302,6 +302,27 @@ def test_train_whose_lm_process_dies_exits_4_with_one_line(corpus_dir, tmp_path,
     assert multiprocessing.active_children() == []
 
 
+def test_train_whose_lm_process_runs_out_of_memory_exits_4_with_one_line(corpus_dir, tmp_path,
+                                                                        monkeypatch, capsys):
+    # before, the MemoryError was raised again in the caller: a traceback, exit 1
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(importlib.import_module("shona_asr.train"), "lm_train", exhausted)
+    cfg_path = tmp_path / "train.json"
+    cfg_path.write_text(json.dumps(TINY_TRAIN))
+    code = main(["train", "--config", str(cfg_path),
+                 "--manifest", str(corpus_dir / "manifest.jsonl"),
+                 "--out", str(tmp_path / "model.ckpt")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    assert line == "error: the LM training process ran out of memory"
+    assert [p.name for p in tmp_path.iterdir()] == ["train.json"]
+    assert multiprocessing.active_children() == []
+
+
 def failing_replace_of(name, monkeypatch):
     """Make `os.replace` onto a file called `name` fail as a full disk would."""
     real = os.replace

@@ -10,8 +10,11 @@ from shona_asr.lm import LmConfig, TokenVocab, build_lm
 from shona_asr.phones import default_inventory
 
 
+SMALL_LM = LmConfig(embed_dim=8, lstm1_units=10, lstm2_units=8)
+
+
 def make_lm(vocab, seed=0):
-    return build_lm(vocab, LmConfig(embed_dim=8, lstm1_units=10, lstm2_units=8), seed)
+    return build_lm(vocab, SMALL_LM, seed)
 
 
 def phone_vocab():
@@ -240,7 +243,7 @@ def test_search_stats_repeat_and_beam_never_exceeds_width(rng, monkeypatch):
 
     prune = decoder._prune
     monkeypatch.setattr(decoder, "_prune", recording_prune)
-    for width in (1, 3, 16):
+    for width in (1, 3, 16, 64):
         kept.clear()
         a = beam_decode(grid, lex, lm, vocab, beam_width=width).stats
         b = beam_decode(grid, lex, lm, vocab, beam_width=width).stats
@@ -248,7 +251,10 @@ def test_search_stats_repeat_and_beam_never_exceeds_width(rng, monkeypatch):
         assert len(kept) == 2 * grid.shape[0] and max(kept) <= width
         assert a.frames == grid.shape[0]
         assert a.candidates_generated - a.candidates_pruned == sum(kept) // 2
-        assert a.lm_step_calls > 0 and a.lm_rows_stepped >= a.lm_step_calls
+        assert a.lm_rows_stepped >= a.lm_step_calls
+        # below width 64 this search makes one-word histories only, whose
+        # LM rows all come from the prepared first-word table
+        assert a.lm_step_calls > 0 or width < 64
     no_lm = beam_decode(grid, lex, lm, vocab, lm_weight=0.0, beam_width=16).stats
     assert no_lm.lm_step_calls == no_lm.lm_rows_stepped == 0
     total = DecodeStats()
@@ -376,11 +382,11 @@ def test_token_table_follows_word_tokens(granularity):
     lex = build_lexicon(REFERENCE_POOL)
     units = default_inventory().symbols() if granularity == "phone" else REFERENCE_POOL[2:]
     vocab = TokenVocab.build(units, granularity)
-    fusion = decoder._LmFusion(lex, make_lm(vocab), vocab, DecodeStats())
-    for w, word in enumerate(fusion.names):
+    search_lm = decoder._SearchLm(make_lm(vocab), lex, vocab)
+    for w, word in enumerate(lex.flat.words):
         want = [vocab.index(t) for t in word_tokens(word, lex.phone_symbols(word), granularity)]
-        rest = fusion.rest_tokens[w, :fusion.rest_length[w]].tolist()
-        assert [fusion.first_token[w]] + rest == want
+        rest = search_lm.rest_tokens[w, :search_lm.rest_length[w]].tolist()
+        assert [search_lm.first_token[w]] + rest == want
 
 
 def test_search_stats_of_a_fixed_decode_are_pinned():
@@ -391,4 +397,100 @@ def test_search_stats_of_a_fixed_decode_are_pinned():
     grid = rand_grid(np.random.default_rng(2026), 48)
     got = beam_decode(grid, lex, make_lm(vocab, seed=3), vocab, beam_width=16).stats
     assert got == DecodeStats(frames=48, candidates_generated=2606, candidates_pruned=1847,
-                              lm_step_calls=22, lm_rows_stepped=35, lm_cache_hits=261)
+                              lm_step_calls=5, lm_rows_stepped=5, lm_cache_hits=261)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("granularity", ["phone", "word"])
+def test_first_word_table_equals_one_row_runs_from_bos(granularity, dtype):
+    # the table steps all words (over 400) in one batch; each row must be
+    # that of the word's own one-row run, which is what a search stepped before
+    from shona_asr.lm import (LmWeights, lm_initial_state, lm_step, pad_runs, score_tokens,
+                              word_tokens)
+    from shona_asr.phones import VOWELS
+
+    inventory = default_inventory()
+    syllables = [onset + vowel for onset in inventory.onset_spellings() for vowel in VOWELS]
+    lex = build_lexicon([a + b for a in syllables[:30] for b in syllables[:15]])
+    assert len(lex) > 400
+    units = inventory.symbols() if granularity == "phone" else lex.words()[::2]  # some <unk>
+    vocab = TokenVocab.build(units, granularity)
+    lm = params_as(build_lm(vocab, LmConfig(), seed=1), dtype)
+    table = decoder._SearchLm(lm, lex, vocab)
+    weights = LmWeights.from_params(lm)
+    for w, word in enumerate(lex.flat.words):
+        run = [vocab.index(t) for t in word_tokens(word, lex.phone_symbols(word), granularity)]
+        state, last, total = score_tokens(weights, lm_initial_state(weights),
+                                          np.array([vocab.bos]), *pad_runs([run]))
+        state, next_logp = lm_step(weights, state, last)
+        assert table.first_total[w] == total[0], word
+        assert table.first_state[w].tobytes() == state[0].tobytes(), word
+        assert table.first_next_logp[w].tobytes() == next_logp[0].tobytes(), word
+        assert table.first_state.dtype == table.first_next_logp.dtype == dtype
+
+
+def restored_model(path):
+    """(lexicon, vocab, LM) of a small model written to path and restored from it."""
+    from shona_asr.acoustic import build_acoustic_model
+    from shona_asr.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+    from shona_asr.train import TrainConfig, restore_models
+
+    inventory, vocab = default_inventory(), phone_vocab()
+    cfg = TrainConfig(lexicon_words=REFERENCE_POOL, lm=SMALL_LM)
+    tensors = {}
+    for prefix, params in (("acoustic.", build_acoustic_model(cfg.acoustic, len(inventory), 0)),
+                           ("lm.", make_lm(vocab))):
+        tensors.update((prefix + name, t.data) for name, t in params.items())
+    save_checkpoint(Checkpoint(cfg.to_dict(), inventory.to_lines(), vocab.tokens, tensors), path)
+    _, _, vocab, _, lm, lex = restore_models(load_checkpoint(path))
+    return lex, vocab, lm
+
+
+def test_a_restored_lm_is_prepared_once_across_decodes(rng, tmp_path, monkeypatch):
+    built = []
+
+    class Counting(decoder._SearchLm):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(decoder, "_SearchLm", Counting)
+    lex, vocab, lm = restored_model(tmp_path / "model.ckpt")
+    grids = [rand_grid(rng, 40).astype(np.float32) for _ in range(3)]
+    outs = [beam_decode(grid, lex, lm, vocab) for grid in grids]
+    assert len(built) == 1 and built[0][0] is lm
+    # other LM code, as a tracer's wrapper, prepares again and sees that work
+    calls = []
+    score_tokens = decoder.score_tokens
+    monkeypatch.setattr(decoder, "score_tokens",
+                        lambda *args: calls.append(len(args[1])) or score_tokens(*args))
+    assert beam_decode(grids[0], lex, lm, vocab) == outs[0]
+    assert len(built) == 2 and calls[0] == len(lex)
+
+
+def test_a_writeable_lm_edited_in_place_decodes_as_edited(rng):
+    vocab = phone_vocab()
+    lex = build_lexicon(REFERENCE_POOL)
+    grid = rand_grid(rng, 40)
+    lm = make_lm(vocab, seed=3)
+    view = lm.read_only()  # read-only, but its arrays are written through lm
+    before = beam_decode(grid, lex, lm, vocab), beam_decode(grid, lex, view, vocab)
+    lm["embed.W"].data *= 3.0
+    lm["out.b"].data[vocab.eos] += 2.0
+    want = beam_decode(grid, lex, params_as(lm, np.float64), vocab)  # a fresh copy
+    for old, model in zip(before, (lm, view)):
+        got = beam_decode(grid, lex, model, vocab)
+        assert got == want and repr(got.score) == repr(want.score)
+        assert got.score != old.score
+
+
+def test_a_decode_is_the_same_first_or_after_other_decodes(rng, tmp_path):
+    grids = [rand_grid(rng, int(rng.integers(30, 61))).astype(np.float32) for _ in range(4)]
+    lex, vocab, lm = restored_model(tmp_path / "first.ckpt")
+    first = beam_decode(grids[0], lex, lm, vocab)
+    lex, vocab, lm = restored_model(tmp_path / "later.ckpt")
+    for grid in grids[1:]:
+        beam_decode(grid, lex, lm, vocab)
+    later = beam_decode(grids[0], lex, lm, vocab)
+    assert later == first  # words, score, complete and stats
+    assert repr(later.score) == repr(first.score) and first.stats.lm_cache_hits > 0
