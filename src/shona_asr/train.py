@@ -33,8 +33,8 @@ been replaced, so such a wrapper sees this process's share of the
 acoustic calls only. Both models train in float32;
 the CTC recursion and the loss totals sum in float64. The corpus is held
 as each WAV's int16 samples, which an utterance decodes to float64 each
-time its audio is read. The best epoch is kept as a copy of its tensors,
-which its checkpoint holds.
+time its audio is read. The best epoch is kept as a read-only copy of its
+tensors, which its checkpoint holds.
 
 The whole run is a pure function of (config, manifest), whatever the
 host's core count or `OPENBLAS_NUM_THREADS`: OpenBLAS is pinned to one
@@ -767,6 +767,8 @@ def train(cfg: TrainConfig, manifest: CorpusManifest) -> TrainResult:
 
             if improved or reached_target:
                 best_tensors = {name: t.data.copy() for name, t in named}
+                for data in best_tensors.values():
+                    data.flags.writeable = False  # decodes of the checkpoint share one search LM
             epoch_log.append(entry)
             if reached_target:
                 log.info("epoch %d: train PER %.4f reached target, stopping", epoch, train_per)

@@ -403,8 +403,9 @@ def test_search_stats_of_a_fixed_decode_are_pinned():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("granularity", ["phone", "word"])
 def test_first_word_table_equals_one_row_runs_from_bos(granularity, dtype):
-    # the table steps all words (over 400) in one batch; each row must be
-    # that of the word's own one-row run, which is what a search stepped before
+    # the table fills its rows (over 400) in batches of whatever words are
+    # missing; each row must be that of the word's own one-row run, which is
+    # what a search stepped before
     from shona_asr.lm import (LmWeights, lm_initial_state, lm_step, pad_runs, score_tokens,
                               word_tokens)
     from shona_asr.phones import VOWELS
@@ -417,16 +418,21 @@ def test_first_word_table_equals_one_row_runs_from_bos(granularity, dtype):
     vocab = TokenVocab.build(units, granularity)
     lm = params_as(build_lm(vocab, LmConfig(), seed=1), dtype)
     table = decoder._SearchLm(lm, lex, vocab)
+    some = np.arange(0, len(lex), 7)
+    table.first_rows(some[::-1])
+    assert np.flatnonzero(table.filled).tolist() == some.tolist()
+    first_total, first_state, first_next_logp = table.first_rows(np.arange(len(lex)))
+    assert table.filled.all()
     weights = LmWeights.from_params(lm)
     for w, word in enumerate(lex.flat.words):
         run = [vocab.index(t) for t in word_tokens(word, lex.phone_symbols(word), granularity)]
         state, last, total = score_tokens(weights, lm_initial_state(weights),
                                           np.array([vocab.bos]), *pad_runs([run]))
         state, next_logp = lm_step(weights, state, last)
-        assert table.first_total[w] == total[0], word
-        assert table.first_state[w].tobytes() == state[0].tobytes(), word
-        assert table.first_next_logp[w].tobytes() == next_logp[0].tobytes(), word
-        assert table.first_state.dtype == table.first_next_logp.dtype == dtype
+        assert first_total[w] == total[0], word
+        assert first_state[w].tobytes() == state[0].tobytes(), word
+        assert first_next_logp[w].tobytes() == next_logp[0].tobytes(), word
+        assert first_state.dtype == first_next_logp.dtype == dtype
 
 
 def restored_model(path):
@@ -465,7 +471,7 @@ def test_a_restored_lm_is_prepared_once_across_decodes(rng, tmp_path, monkeypatc
     monkeypatch.setattr(decoder, "score_tokens",
                         lambda *args: calls.append(len(args[1])) or score_tokens(*args))
     assert beam_decode(grids[0], lex, lm, vocab) == outs[0]
-    assert len(built) == 2 and calls[0] == len(lex)
+    assert len(built) == 2 and calls
 
 
 def test_a_writeable_lm_edited_in_place_decodes_as_edited(rng):
@@ -494,3 +500,29 @@ def test_a_decode_is_the_same_first_or_after_other_decodes(rng, tmp_path):
     later = beam_decode(grids[0], lex, lm, vocab)
     assert later == first  # words, score, complete and stats
     assert repr(later.score) == repr(first.score) and first.stats.lm_cache_hits > 0
+
+
+def test_a_search_fills_the_first_word_rows_it_reaches_and_no_others(rng, monkeypatch):
+    # a search that shares no preparation steps only its own first words
+    vocab = phone_vocab()
+    lex = build_lexicon(REFERENCE_POOL)
+    built, fusions = [], []
+
+    class Recording(decoder._SearchLm):
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+    def recording(self, hists):
+        fusions.append(self)
+        return final_totals(self, hists)
+
+    final_totals = decoder._LmFusion.final_totals
+    monkeypatch.setattr(decoder, "_SearchLm", Recording)
+    monkeypatch.setattr(decoder._LmFusion, "final_totals", recording)
+    lm = make_lm(vocab, seed=3)  # writeable, so each search prepares its own
+    for width in (1, 16):
+        beam_decode(rand_grid(rng, 40), lex, lm, vocab, beam_width=width)
+        reached = {words[0] for words in fusions[-1].words if len(words) == 1}
+        filled = {lex.flat.words[w] for w in np.flatnonzero(built[-1].filled)}
+        assert filled == reached and 0 < len(reached) < len(lex)

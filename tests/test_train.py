@@ -262,6 +262,26 @@ def test_restore_models_keeps_the_checkpoint_float32_read_only(tiny_result):
     assert {name: arr.flags.writeable for name, arr in ckpt.tensors.items()} == writeable
 
 
+def test_evaluate_of_a_trained_checkpoint_prepares_its_search_lm_once(tiny_result, tiny_corpus,
+                                                                      monkeypatch):
+    # the best epoch's tensors are read-only, so the split's decodes share one preparation
+    from shona_asr import decoder
+
+    cfg, result = tiny_result
+    assert not any(arr.flags.writeable for arr in result.checkpoint.tensors.values())
+    built = []
+
+    class Counting(decoder._SearchLm):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(decoder, "_SearchLm", Counting)
+    train_split, _, _ = split_corpus(tiny_corpus, cfg.split_ratios, cfg.seed)
+    res = evaluate(result.checkpoint, train_split, beam_width=4)
+    assert res.report.n_utts > 1 and len(built) == 1
+
+
 def test_restore_models_draws_no_model(tiny_result, monkeypatch):
     ckpt = tiny_result[1].checkpoint
     train_mod = importlib.import_module("shona_asr.train")
