@@ -33,6 +33,13 @@ class AcousticConfig:
     dense_units: int = 128
     use_attention: bool = True
 
+    def __post_init__(self):
+        for name in ("conv1_filters", "conv2_filters", "kernel_size", "dense_units"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.kernel_size % 2 == 0:
+            raise ValueError(f"kernel_size must be odd, got {self.kernel_size}")
+
 
 # Only bench/workloads.py reads this name; it goes with the next benchmark change.
 PosteriorGrid = np.asarray

@@ -17,7 +17,6 @@ dict-of-hypotheses reference search on larger ones.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -82,10 +81,11 @@ class _SearchLm:
     """The LM side of a search that depends only on the model, the lexicon and the vocab.
 
     `weights` steps the LM (`LmWeights`). `first_token`, `rest_tokens`
-    and `rest_length` hold each lexicon word's token run (`_word_runs`).
-    `root_state` and `root_next_logp` are the state after `<s>` and its
-    next-token log-probs. These arrays are read-only, for searches share
-    them (see `_search_lm`).
+    and `rest_length` hold each lexicon word's token run (`lm.word_tokens`),
+    built here, so a preparation owns its runs and a search that shares no
+    preparation builds them again. `root_state` and `root_next_logp` are
+    the state after `<s>` and its next-token log-probs. These arrays are
+    read-only, for searches share them (see `_search_lm`).
 
     The first-word table holds what a search holds for the history (w,)
     once it is stepped, per lexicon word w: `first_total` (float64) is
@@ -101,8 +101,11 @@ class _SearchLm:
     def __init__(self, params: Parameters, lexicon: Lexicon, vocab: TokenVocab):
         self.weights = LmWeights.from_params(params)
         self.eos = vocab.eos
-        self.first_token, self.rest_tokens, self.rest_length = _word_runs(
-            _SameObjects(lexicon, vocab))
+        tokens, lengths = pad_runs([
+            [vocab.index(t) for t in word_tokens(w, lexicon.phone_symbols(w), vocab.granularity)]
+            for w in lexicon.flat.words])
+        self.first_token, self.rest_tokens, self.rest_length = (tokens[:, 0], tokens[:, 1:],
+                                                                lengths - 1)
         self.root_state, self.root_next_logp = lm_step(self.weights,
                                                        lm_initial_state(self.weights), [vocab.bos])
         for a in (*vars(self).values(), *vars(self.weights).values()):
@@ -128,53 +131,20 @@ class _SearchLm:
         return self.first_total[words], self.first_state[words], self.first_next_logp[words]
 
 
-class _SameObjects:
-    """A cache key that hashes and compares its objects by identity.
-
-    It holds them, so no id in a live key can be reused by another object.
-    """
-
-    def __init__(self, *objects):
-        self.objects = objects
-
-    def __hash__(self) -> int:
-        return hash(tuple(map(id, self.objects)))
-
-    def __eq__(self, other) -> bool:
-        return len(self.objects) == len(other.objects) and all(
-            a is b for a, b in zip(self.objects, other.objects))
-
-
-@functools.lru_cache(maxsize=1)
-def _word_runs(key: _SameObjects) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each word's token run (`lm.word_tokens`): first tokens, padded rests, rest lengths.
-
-    The runs depend only on the lexicon and the vocab, which are not edited
-    after they are built (the trie and the token index are made then), so
-    every search over the last pair shares them, whatever its LM.
-    """
-    lexicon, vocab = key.objects
-    tokens, lengths = pad_runs([
-        [vocab.index(t) for t in word_tokens(w, lexicon.phone_symbols(w), vocab.granularity)]
-        for w in lexicon.flat.words])
-    runs = tokens[:, 0], tokens[:, 1:], lengths - 1
-    for a in runs:
-        a.flags.writeable = False
-    return runs
-
-
-@functools.lru_cache(maxsize=1)
-def _shared_search_lm(key: _SameObjects) -> _SearchLm:
-    return _SearchLm(*key.objects[:3])
+_shared: list = [(), None]  # key objects and preparation of the last read-only model
 
 
 def _search_lm(params: Parameters, lexicon: Lexicon, vocab: TokenVocab) -> _SearchLm:
     """The prepared LM side of a search over this model, lexicon and vocab.
 
     When no LM tensor can be written (`_frozen`, as in `restore_models`'
-    output), the preparation of the last such model, tensor arrays,
-    lexicon and vocab is kept and shared by later searches; otherwise each
-    search prepares its own, so an edit made in place is always seen.
+    output), the last such model's preparation is kept in `_shared` with
+    the objects it was built from, which keeps their ids from being
+    reused, and a later search given the same objects (by identity)
+    shares it. Otherwise each search prepares its own, token runs
+    included, so an edit made in place is always seen. `_shared` is edited
+    in place, never rebound: `bench/run.py` checks that a traced run
+    leaves the identity of every module attribute as it found it.
 
     Known difference: the key also holds the `lm_step` and `score_tokens`
     this module calls, so while a tracer replaces one the searches prepare
@@ -187,7 +157,11 @@ def _search_lm(params: Parameters, lexicon: Lexicon, vocab: TokenVocab) -> _Sear
     arrays = [t.data for _, t in params.items()]
     if not all(map(_frozen, arrays)):
         return _SearchLm(params, lexicon, vocab)
-    return _shared_search_lm(_SameObjects(params, lexicon, vocab, lm_step, score_tokens, *arrays))
+    key = (params, lexicon, vocab, lm_step, score_tokens, *arrays)
+    held = _shared[0]
+    if len(held) != len(key) or any(a is not b for a, b in zip(held, key)):
+        _shared[:] = key, _SearchLm(params, lexicon, vocab)
+    return _shared[1]
 
 
 class _LmFusion:

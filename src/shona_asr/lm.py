@@ -77,6 +77,11 @@ class LmConfig:
     lstm1_units: int = 128
     lstm2_units: int = 64
 
+    def __post_init__(self):
+        for name in ("embed_dim", "lstm1_units", "lstm2_units"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+
 
 def lm_layout(vocab: TokenVocab, cfg: LmConfig) -> Layout:
     """Name, shape and init fan of every LM tensor, in draw order."""
@@ -193,8 +198,7 @@ def pad_runs(runs: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
     """Ragged token runs as a zero-padded [n, L] index matrix and the [n] run lengths."""
     lengths = np.array([len(run) for run in runs], dtype=np.int64)
     tokens = np.zeros((len(runs), int(lengths.max(initial=0))), dtype=np.int64)
-    for row, run in enumerate(runs):
-        tokens[row, :len(run)] = run
+    tokens[np.arange(tokens.shape[1]) < lengths[:, None]] = [t for run in runs for t in run]
     return tokens, lengths
 
 

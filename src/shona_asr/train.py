@@ -127,6 +127,8 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.granularity not in GRANULARITIES:
             raise ValueError(f"granularity must be one of {GRANULARITIES}, got {self.granularity!r}")
+        if min(self.split_ratios) < 0:
+            raise ValueError(f"split ratios must not be negative, got {self.split_ratios}")
         if abs(sum(self.split_ratios) - 1.0) > 1e-9:
             raise ValueError(f"split ratios must sum to 1, got {self.split_ratios}")
 

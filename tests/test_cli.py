@@ -148,6 +148,21 @@ def test_train_config_value_of_wrong_type_exits_2(corpus_dir, tmp_path, capsys, 
     assert not (tmp_path / "model.ckpt").exists()
 
 
+def test_train_config_with_a_zero_width_exits_2_with_one_line(corpus_dir, tmp_path, capsys):
+    # this used to read the corpus, fork the workers and end in a ZeroDivisionError (exit 1)
+    cfg_path = tmp_path / "train.json"
+    cfg_path.write_text(json.dumps({**TINY_TRAIN, "acoustic": {"dense_units": 0}}))
+    code = main(["train", "--config", str(cfg_path),
+                 "--manifest", str(corpus_dir / "manifest.jsonl"),
+                 "--out", str(tmp_path / "model.ckpt")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    assert "config.acoustic: dense_units must be >= 1, got 0" in line
+    assert [p.name for p in tmp_path.iterdir()] == ["train.json"]
+
+
 @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
 def test_train_config_with_a_non_json_number_exits_2_naming_the_file(corpus_dir, tmp_path,
                                                                      capsys, constant):

@@ -465,13 +465,22 @@ def test_a_restored_lm_is_prepared_once_across_decodes(rng, tmp_path, monkeypatc
     grids = [rand_grid(rng, 40).astype(np.float32) for _ in range(3)]
     outs = [beam_decode(grid, lex, lm, vocab) for grid in grids]
     assert len(built) == 1 and built[0][0] is lm
+    # the last model's preparation alone is kept: A, B, A, A prepares three times
+    other = restored_model(tmp_path / "other.ckpt")
+    for model_lex, model_vocab, model in (other, (lex, vocab, lm), (lex, vocab, lm)):
+        beam_decode(grids[0], model_lex, model, model_vocab)
+    assert len(built) == 3 and built[1][0] is other[2] and built[2][0] is lm
+    # a newly built lexicon over the same words prepares again, its token runs with it
+    fresh = build_lexicon(lex.words())
+    assert beam_decode(grids[0], fresh, lm, vocab) == outs[0]
+    assert len(built) == 4 and built[3][1] is fresh
     # other LM code, as a tracer's wrapper, prepares again and sees that work
     calls = []
     score_tokens = decoder.score_tokens
     monkeypatch.setattr(decoder, "score_tokens",
                         lambda *args: calls.append(len(args[1])) or score_tokens(*args))
-    assert beam_decode(grids[0], lex, lm, vocab) == outs[0]
-    assert len(built) == 2 and calls
+    assert beam_decode(grids[0], fresh, lm, vocab) == outs[0]
+    assert len(built) == 5 and calls
 
 
 def test_a_writeable_lm_edited_in_place_decodes_as_edited(rng):

@@ -122,11 +122,26 @@ def test_config_validates_values():
     ({"decode": {"beam_width": 0}}, "config.decode: beam_width must be >= 1, got 0"),
     ({"decode": {"lm_weight": math.nan}}, "config.decode: lm_weight must be finite, got nan"),
     ({"decode": {"word_bonus": -math.inf}}, "config.decode: word_bonus must be finite, got -inf"),
+    ({"acoustic": {"dense_units": 0}}, "config.acoustic: dense_units must be >= 1, got 0"),
+    ({"acoustic": {"kernel_size": 4}}, "config.acoustic: kernel_size must be odd, got 4"),
+    ({"acoustic": {"kernel_size": 0}}, "config.acoustic: kernel_size must be >= 1, got 0"),
+    ({"acoustic": {"conv1_filters": 0}}, "config.acoustic: conv1_filters must be >= 1, got 0"),
+    ({"acoustic": {"conv2_filters": -3}}, "config.acoustic: conv2_filters must be >= 1, got -3"),
+    ({"lm": {"embed_dim": 0}}, "config.lm: embed_dim must be >= 1, got 0"),
+    ({"lm": {"lstm1_units": 0}}, "config.lm: lstm1_units must be >= 1, got 0"),
+    ({"lm": {"lstm2_units": -1}}, "config.lm: lstm2_units must be >= 1, got -1"),
+    ({"split_ratios": [1.2, -0.1, -0.1]},
+     "config: split ratios must not be negative, got (1.2, -0.1, -0.1)"),
 ], ids=["unknown_granularity", "batch_size_0", "beam_width_0", "nan_lm_weight",
-        "infinite_word_bonus"])
+        "infinite_word_bonus", "dense_units_0", "kernel_size_even", "kernel_size_0",
+        "conv1_filters_0", "negative_conv2_filters", "embed_dim_0", "lstm1_units_0",
+        "negative_lstm2_units", "negative_split_ratio"])
 def test_config_rejects_values_that_load_and_then_fail_late(obj, message):
     # each of these loaded; then decode rejected the granularity, the beam or the NaN
-    # (in the checkpoint's JSON), or batch 0 failed at the first update
+    # (in the checkpoint's JSON), batch 0 failed at the first update, a zero dense
+    # width divided by zero in the attention layer, an even or zero kernel and a
+    # negative LSTM width failed at the first forward pass, a zero width trained a
+    # degenerate model, or a negative split ratio failed in split_corpus
     with pytest.raises(DataError) as info:
         TrainConfig.from_dict(obj)
     assert str(info.value) == message
