@@ -37,7 +37,8 @@ class DecodeStats:
     The LM counts are the search's own steps. Preparing the model's search
     LM (`_SearchLm`, whose first-word table gives every one-word history
     its rows) is counted in no search, whether this search or an earlier
-    one built it or filled the rows it reads.
+    one built it or filled the rows it reads: a one-word history's steps
+    count nowhere, even when they ride in this search's `score_tokens` run.
     """
 
     frames: int = 0
@@ -90,9 +91,10 @@ class _SearchLm:
     The first-word table holds what a search holds for the history (w,)
     once it is stepped, per lexicon word w: `first_total` (float64) is
     log P(w's tokens | <s>), `first_state` the state after `<s>` and w's
-    tokens, and `first_next_logp` that state's next-token log-probs.
-    `first_rows` fills a word's row the first time a search reaches the
-    word, so a search that shares no preparation steps only the first
+    tokens, and `first_next_logp` that state's next-token log-probs;
+    `filled` marks the rows written. The first search to reach a word
+    steps it with its own new histories (`_LmFusion._score`) and writes
+    its row, so a search that shares no preparation steps only the first
     words it reaches. A row's results do not depend on the rows stepped
     beside it (`lm.lm_step`), so each row is that of a one-row run from
     `<s>`, whichever search filled it.
@@ -116,19 +118,6 @@ class _SearchLm:
         self.first_total = np.zeros(n)
         self.first_state = np.zeros((n, self.root_state.shape[1]), dtype=dtype)
         self.first_next_logp = np.zeros((n, self.root_next_logp.shape[1]), dtype=dtype)
-
-    def first_rows(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The table's total, state and next-token rows of the distinct words, filling new ones."""
-        need = words[~self.filled[words]]
-        if len(need):
-            first = self.first_token[need]
-            state, last, self.first_total[need] = score_tokens(
-                self.weights, np.repeat(self.root_state, len(need), axis=0), first,
-                self.rest_tokens[need], self.rest_length[need],
-                np.zeros(len(need)) + self.root_next_logp[0, first])
-            self.first_state[need], self.first_next_logp[need] = lm_step(self.weights, state, last)
-            self.filled[need] = True
-        return self.first_total[words], self.first_state[words], self.first_next_logp[words]
 
 
 _shared: list = [(), None]  # key objects and preparation of the last read-only model
@@ -177,11 +166,12 @@ class _LmFusion:
     `last`, the pending one. The first time a history is extended or
     finished, `_step` feeds it `last` in one batched `lm_step`: `state` then
     holds the state after it, `next_logp` the log-probs of the next token,
-    and `last` is -1. The empty history and the one-word histories start
-    stepped, copied from the prepared search LM (`_SearchLm`). A deeper new
-    word takes its first token's log-prob from its parent's row and steps
-    its other tokens from the parent's state by one `score_tokens` run;
-    `final_totals` reads `</s>` from the row. A state row is opaque here:
+    and `last` is -1. The empty history starts stepped, from the prepared
+    search LM (`_SearchLm`), and so do the one-word histories, from its
+    first-word table, which `_score` fills as the search reaches new words.
+    A new word takes its first token's log-prob from its parent's row and
+    steps its other tokens from the parent's state by one `score_tokens`
+    run; `final_totals` reads `</s>` from the row. A state row is opaque here:
     `lm` alone knows its columns, and `state` is one [n, S] matrix in the
     LM weights' dtype. The totals are float64. Without a language model the
     totals stay zero and nothing is stepped.
@@ -255,25 +245,44 @@ class _LmFusion:
         return self.child.reshape(-1)[codes]
 
     def _score(self, parents: np.ndarray, words: np.ndarray, fresh: np.ndarray) -> None:
-        """LM rows of the new histories fresh, each its ascending parent's plus its word."""
+        """LM rows of the new histories fresh, each its ascending parent's plus its word.
+
+        A one-word history whose row the search LM's table holds copies it.
+        Every other new history steps its word's tokens from its parent's
+        state in one `score_tokens` run, the one-word ones from the empty
+        history's; those then take their pending token in one `lm_step` and
+        fill the table.
+        """
         lm = self.lm
-        top = int(np.searchsorted(parents, 1))  # the empty history's words, copied from the table
-        w, f = words[:top], fresh[:top]
-        self.lm_total[f], self.state[f], self.next_logp[f] = lm.first_rows(w)
+        top = int(np.searchsorted(parents, 1))  # the empty history's words lead
+        copied = np.zeros(len(words), dtype=bool)
+        copied[:top] = lm.filled[words[:top]]
+        w, f = words[copied], fresh[copied]
+        self.lm_total[f], self.state[f], self.next_logp[f] = (lm.first_total[w], lm.first_state[w],
+                                                              lm.first_next_logp[w])
         self.last[f] = -1
-        parents, words, fresh = parents[top:], words[top:], fresh[top:]
+        parents, words, fresh = parents[~copied], words[~copied], fresh[~copied]
         if len(fresh) == 0:
             return
+        top -= int(np.count_nonzero(copied))  # the one-word histories still lead
         self._step(parents[_run_starts(parents)])
         first, rest = lm.first_token[words], lm.rest_length[words]
         state, last, inc = score_tokens(lm.weights, self.state[parents], first,
                                         lm.rest_tokens[words], rest,
                                         np.zeros(len(words)) + self.next_logp[parents, first])
-        self.stats.lm_step_calls += int(rest.max())
-        self.stats.lm_rows_stepped += int(rest.sum())
+        if top < len(words):
+            self.stats.lm_step_calls += int(rest[top:].max())
+            self.stats.lm_rows_stepped += int(rest[top:].sum())
         self.lm_total[fresh] = self.lm_total[parents] + inc
         self.last[fresh] = last
         self.state[fresh] = state
+        if top:
+            w, f = words[:top], fresh[:top]
+            self.state[f], self.next_logp[f] = lm_step(lm.weights, state[:top], last[:top])
+            self.last[f] = -1
+            lm.first_total[w], lm.first_state[w], lm.first_next_logp[w] = (
+                inc[:top], self.state[f], self.next_logp[f])
+            lm.filled[w] = True
 
     def final_totals(self, hists: list[int]) -> np.ndarray:
         """Committed-words log-prob plus the end-of-sequence transition, per history."""

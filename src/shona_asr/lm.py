@@ -74,7 +74,7 @@ def word_tokens(word: str, phones: list[str], granularity: str) -> list[str]:
 @dataclass
 class LmConfig:
     embed_dim: int = 64
-    lstm1_units: int = 128
+    lstm1_units: int = 64
     lstm2_units: int = 64
 
     def __post_init__(self):

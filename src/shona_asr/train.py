@@ -220,13 +220,16 @@ def warm_start(ckpt: Checkpoint, n_phones: int, vocab: TokenVocab,
 
     Tensors whose name and shape match are copied. Output layers may
     legitimately differ (new phone set or vocab) and stay freshly
-    initialized; any other shape mismatch is an error.
+    initialized; any other shape mismatch is an error, which names the
+    fields of the model's config that differ from the checkpoint's own.
     """
     new_acoustic = build_acoustic_model(acoustic_cfg, n_phones, seed)
     new_lm = build_lm(vocab, lm_cfg, seed + 1)
     _to_float32(new_acoustic, new_lm)
     reinitialized = []
-    for prefix, new_params in (("acoustic.", new_acoustic), ("lm.", new_lm)):
+    for section, new_params, cfg in (("acoustic", new_acoustic, acoustic_cfg),
+                                     ("lm", new_lm, lm_cfg)):
+        prefix = section + "."
         for name, tensor in new_params.items():
             old = ckpt.tensors.get(prefix + name)
             if old is None:
@@ -237,8 +240,23 @@ def warm_start(ckpt: Checkpoint, n_phones: int, vocab: TokenVocab,
                 reinitialized.append(prefix + name)
             else:
                 raise DataError(f"incompatible hidden-layer shape for {prefix}{name}: "
-                                f"checkpoint {old.shape} vs model {tensor.data.shape}")
+                                f"checkpoint {old.shape} vs model {tensor.data.shape}"
+                                + _config_differences(ckpt.config, section, cfg))
     return WarmStart(new_acoustic, new_lm, reinitialized)
+
+
+def _config_differences(saved: dict, section: str, cfg) -> str:
+    """The fields of cfg that the saved config's section sets otherwise, as a message tail."""
+    saved = saved.get(section)
+    if not isinstance(saved, dict):
+        return ""
+    differ = [f.name for f in dataclasses.fields(cfg)
+              if f.name in saved and saved[f.name] != getattr(cfg, f.name)]
+    if not differ:
+        return ""
+    return (f"; the checkpoint's {section} config has "
+            + ", ".join(f"{n}={saved[n]!r}" for n in differ) + " (this model: "
+            + ", ".join(f"{n}={getattr(cfg, n)!r}" for n in differ) + ")")
 
 
 def _to_float32(*models: ad.Parameters) -> None:

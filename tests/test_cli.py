@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import importlib
 import json
@@ -14,6 +15,7 @@ from shona_asr.cli import main
 from shona_asr.corpusgen import GenConfig, generate_corpus
 from shona_asr.errors import DataError
 from shona_asr.features import extract_features
+from shona_asr.lm import LmConfig, TokenVocab, build_lm
 from shona_asr.train import restore_models
 
 from test_audio import write_pcm
@@ -409,12 +411,34 @@ def test_seed_is_rejected_where_nothing_reads_it(tmp_path, capsys, command):
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
-def test_decode_prints_words(trained_ckpt, corpus_dir, capsys):
+# the LM widths that were LmConfig's defaults before the width sweep
+EARLIER_LM = LmConfig(embed_dim=64, lstm1_units=128, lstm2_units=64)
+
+
+@pytest.fixture(scope="module")
+def earlier_lm_ckpt(tmp_path_factory, trained_ckpt):
+    """trained_ckpt with a drawn LM of EARLIER_LM's widths, which its config names."""
+    ckpt = load_checkpoint(trained_ckpt)
+    lm = build_lm(TokenVocab(list(ckpt.vocab), "phone"), EARLIER_LM, seed=0)
+    tensors = {name: a for name, a in ckpt.tensors.items() if not name.startswith("lm.")}
+    tensors.update(("lm." + name, t.data) for name, t in lm.items())
+    config = {**ckpt.config, "lm": dataclasses.asdict(EARLIER_LM)}
+    path = tmp_path_factory.mktemp("cli_earlier_lm") / "model.ckpt"
+    save_checkpoint(Checkpoint(config, ckpt.inventory_lines, ckpt.vocab, tensors,
+                               ckpt.best_metric, ckpt.epoch), path)
+    return path
+
+
+def test_decode_prints_words(trained_ckpt, earlier_lm_ckpt, corpus_dir, capsys):
+    # the LM's widths come from the checkpoint's config, not from LmConfig()
+    assert EARLIER_LM != LmConfig()
+    cfg, *_, lm, _ = restore_models(load_checkpoint(earlier_lm_ckpt))
+    assert cfg.lm == EARLIER_LM and lm["lstm1.W_hh"].data.shape == (512, 128)
     wav = sorted((corpus_dir / "wav").glob("*.wav"))[0]
-    assert main(["decode", "--ckpt", str(trained_ckpt), "--wav", str(wav),
-                 "--beam", "4"]) == 0
-    out = capsys.readouterr().out.strip()
-    assert isinstance(out, str)  # possibly empty for an undertrained model
+    for ckpt in (trained_ckpt, earlier_lm_ckpt):
+        assert main(["decode", "--ckpt", str(ckpt), "--wav", str(wav), "--beam", "4"]) == 0
+        out = capsys.readouterr().out.strip()
+        assert isinstance(out, str)  # possibly empty for an undertrained model
 
 
 def test_decode_wav_too_short_for_any_word_exits_2(trained_ckpt, tmp_path, capsys):

@@ -403,9 +403,10 @@ def test_search_stats_of_a_fixed_decode_are_pinned():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("granularity", ["phone", "word"])
 def test_first_word_table_equals_one_row_runs_from_bos(granularity, dtype):
-    # the table fills its rows (over 400) in batches of whatever words are
-    # missing; each row must be that of the word's own one-row run, which is
-    # what a search stepped before
+    # searches fill the table's rows (over 400) in batches of whatever words
+    # they reach, stepped in one run with their deeper histories' words; each
+    # row must be that of the word's own one-row run, which is what a search
+    # stepped before
     from shona_asr.lm import (LmWeights, lm_initial_state, lm_step, pad_runs, score_tokens,
                               word_tokens)
     from shona_asr.phones import VOWELS
@@ -419,20 +420,30 @@ def test_first_word_table_equals_one_row_runs_from_bos(granularity, dtype):
     lm = params_as(build_lm(vocab, LmConfig(), seed=1), dtype)
     table = decoder._SearchLm(lm, lex, vocab)
     some = np.arange(0, len(lex), 7)
-    table.first_rows(some[::-1])
+    decoder._LmFusion(lex, table, DecodeStats()).extend(np.zeros(len(some), dtype=np.int64), some)
     assert np.flatnonzero(table.filled).tolist() == some.tolist()
-    first_total, first_state, first_next_logp = table.first_rows(np.arange(len(lex)))
+    # a second search copies three of those rows, then reaches every word
+    # in a frame that also extends its three one-word histories
+    fusion = decoder._LmFusion(lex, table, DecodeStats())
+    copied = fusion.extend(np.zeros(3, dtype=np.int64), some[:3])
+    assert fusion.stats == DecodeStats()
+    assert fusion.state[copied].tobytes() == table.first_state[some[:3]].tobytes()
+    hists = np.concatenate((np.zeros(len(lex), dtype=np.int64), np.repeat(copied, 5)))
+    deeper = np.arange(15) * 29
+    fusion.extend(hists, np.concatenate((np.arange(len(lex)), deeper)))
     assert table.filled.all()
+    # the search counts the two-word histories' rows only (see `DecodeStats`)
+    assert fusion.stats.lm_rows_stepped == table.rest_length[deeper].sum()
     weights = LmWeights.from_params(lm)
     for w, word in enumerate(lex.flat.words):
         run = [vocab.index(t) for t in word_tokens(word, lex.phone_symbols(word), granularity)]
         state, last, total = score_tokens(weights, lm_initial_state(weights),
                                           np.array([vocab.bos]), *pad_runs([run]))
         state, next_logp = lm_step(weights, state, last)
-        assert first_total[w] == total[0], word
-        assert first_state[w].tobytes() == state[0].tobytes(), word
-        assert first_next_logp[w].tobytes() == next_logp[0].tobytes(), word
-        assert first_state.dtype == first_next_logp.dtype == dtype
+        assert table.first_total[w] == total[0], word
+        assert table.first_state[w].tobytes() == state[0].tobytes(), word
+        assert table.first_next_logp[w].tobytes() == next_logp[0].tobytes(), word
+    assert table.first_state.dtype == table.first_next_logp.dtype == dtype
 
 
 def restored_model(path):

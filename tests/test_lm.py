@@ -37,8 +37,8 @@ def test_build_lm_shapes_for_58_token_vocab():
     assert len(vocab) == 58
     params = build_lm(vocab, LmConfig(), seed=0)
     assert params["out.W"].data.shape == (58, 64)
-    assert params["lstm1.W_ih"].data.shape == (512, 64)
-    assert params["lstm2.W_ih"].data.shape == (256, 128)
+    assert params["lstm1.W_ih"].data.shape == (256, 64)
+    assert params["lstm2.W_ih"].data.shape == (256, 64)
 
 
 def test_build_lm_deterministic():

@@ -476,9 +476,26 @@ def test_warm_start_mismatched_output_reinitialized(tiny_result):
 
 def test_warm_start_incompatible_hidden_shapes_rejected(tiny_result):
     _, result = tiny_result
-    with pytest.raises(DataError, match="hidden-layer"):
+    with pytest.raises(DataError, match=r"hidden-layer .*; the checkpoint's acoustic config has "
+                                        r"conv1_filters=32 \(this model: conv1_filters=16\)"):
         warm_start(result.checkpoint, 54, TokenVocab(list(result.checkpoint.vocab), "phone"),
                    AcousticConfig(conv1_filters=16), LmConfig())
+
+
+def test_warm_start_lm_widths_must_be_the_checkpoints(tiny_result):
+    _, result = tiny_result
+    ckpt = result.checkpoint
+    vocab = TokenVocab(list(ckpt.vocab), "phone")
+    saved = LmConfig(**ckpt.config["lm"])
+    wider = dataclasses.replace(saved, lstm1_units=2 * saved.lstm1_units)
+    with pytest.raises(DataError, match=rf"lm\.lstm1\.W_ih: .*; the checkpoint's lm config has "
+                                        rf"lstm1_units={saved.lstm1_units} "
+                                        rf"\(this model: lstm1_units={wider.lstm1_units}\)"):
+        warm_start(ckpt, len(default_inventory()), vocab, AcousticConfig(), wider)
+    ws = warm_start(ckpt, len(default_inventory()), vocab, AcousticConfig(), saved)
+    assert not [name for name in ws.reinitialized if name.startswith("lm.")]
+    for name, t in ws.lm.items():
+        assert t.data.tobytes() == ckpt.tensors["lm." + name].tobytes(), name
 
 
 def test_frozen_tensors_unchanged_after_optimizer_steps(tiny_result):
