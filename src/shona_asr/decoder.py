@@ -17,6 +17,7 @@ dict-of-hypotheses reference search on larger ones.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -24,8 +25,7 @@ import numpy as np
 from .autodiff import Parameters
 from .ctc import ctc_forward_logprob
 from .lexicon import Lexicon
-from .lm import (LmWeights, TokenVocab, lm_initial_state, lm_step, pad_runs, score_tokens,
-                 word_tokens)
+from .lm import WB, LmWeights, TokenVocab, lm_initial_state, lm_step, score_tokens
 
 NEG_INF = float("-inf")
 
@@ -60,8 +60,9 @@ class DecodeStats:
 class Transcript:
     words: list[str]
     score: float = NEG_INF
-    # False when no hypothesis at a word boundary survived, or when the grid
-    # is too short for any word (the empty transcript is then all that fits)
+    # False when no hypothesis at a word boundary survived to the last frame,
+    # or when the grid is too short for any word (the empty transcript is
+    # then all that fits)
     complete: bool = True
     stats: DecodeStats = field(default_factory=DecodeStats)
 
@@ -103,9 +104,7 @@ class _SearchLm:
     def __init__(self, params: Parameters, lexicon: Lexicon, vocab: TokenVocab):
         self.weights = LmWeights.from_params(params)
         self.eos = vocab.eos
-        tokens, lengths = pad_runs([
-            [vocab.index(t) for t in word_tokens(w, lexicon.phone_symbols(w), vocab.granularity)]
-            for w in lexicon.flat.words])
+        tokens, lengths = _token_runs(lexicon, vocab)
         self.first_token, self.rest_tokens, self.rest_length = (tokens[:, 0], tokens[:, 1:],
                                                                 lengths - 1)
         self.root_state, self.root_next_logp = lm_step(self.weights,
@@ -118,6 +117,27 @@ class _SearchLm:
         self.first_total = np.zeros(n)
         self.first_state = np.zeros((n, self.root_state.shape[1]), dtype=dtype)
         self.first_next_logp = np.zeros((n, self.root_next_logp.shape[1]), dtype=dtype)
+
+
+def _token_runs(lexicon: Lexicon, vocab: TokenVocab) -> tuple[np.ndarray, np.ndarray]:
+    """Every lexicon word's token run (`lm.word_tokens`), laid out as `lm.pad_runs` lays runs.
+
+    A word token is one `vocab.index` per word. A phone run maps the
+    word's phones through one phone-to-token table and ends in `<wb>`;
+    `lexicon.pronunciations` is ordered as `lexicon.flat.words` are.
+    """
+    n = len(lexicon.flat.words)
+    if vocab.granularity == "word":
+        return (np.array([vocab.index(w) for w in lexicon.flat.words], dtype=np.int64)[:, None],
+                np.ones(n, dtype=np.int64))
+    prons = lexicon.pronunciations.values()
+    lengths = np.fromiter(map(len, prons), np.int64, n)
+    phones = np.fromiter(itertools.chain.from_iterable(prons), np.int64, int(lengths.sum()))
+    table = np.array([vocab.index(s) for s in lexicon.inventory.symbols()], dtype=np.int64)
+    tokens = np.zeros((n, int(lengths.max()) + 1), dtype=np.int64)
+    tokens[np.arange(tokens.shape[1]) < lengths[:, None]] = table[phones]
+    tokens[np.arange(n), lengths] = vocab.index(WB)
+    return tokens, lengths + 1
 
 
 _shared: list = [(), None]  # key objects and preparation of the last read-only model
@@ -329,6 +349,21 @@ def _prune(score: np.ndarray, hist: np.ndarray, node: np.ndarray,
     return np.concatenate((above, tied))
 
 
+def _with_a_word_end(keep: np.ndarray, score: np.ndarray, hist: np.ndarray, node: np.ndarray,
+                     hist_words: list[tuple[str, ...]], boundary: np.ndarray) -> np.ndarray:
+    """keep, plus the best live candidate at a word boundary when keep holds none.
+
+    boundary marks the trie nodes where a hypothesis can finish: the root
+    and every node where a word ends. Ties go as in `_prune`.
+    """
+    at = boundary[node] & (score > NEG_INF)
+    if at[keep].any() or not at.any():
+        return keep
+    candidates = np.flatnonzero(at)
+    best = _prune(score[candidates], hist[candidates], node[candidates], hist_words, 1)
+    return np.concatenate((keep, candidates[best]))
+
+
 def beam_decode(log_y: np.ndarray, lexicon: Lexicon,
                 lm_params: Parameters | None = None, vocab: TokenVocab | None = None,
                 lm_weight: float = 1.0, word_bonus: float = 0.0,
@@ -339,7 +374,9 @@ def beam_decode(log_y: np.ndarray, lexicon: Lexicon,
     The beam is held as arrays (history id, trie node, p_blank, p_nonblank);
     each frame expands every hypothesis along its precomputed trie arcs
     (`Lexicon.flat`) in one gather, and the words completed in that frame
-    are scored by one batched LM run.
+    are scored by one batched LM run. When the last frame's prune keeps no
+    hypothesis at a word boundary, the best one there is kept as well, so a
+    transcript is returned whenever one survived to the last frame.
     """
     if log_y.shape[0] < 1:
         raise ValueError("posterior grid is empty")
@@ -359,6 +396,9 @@ def beam_decode(log_y: np.ndarray, lexicon: Lexicon,
     hist = np.zeros(1, dtype=np.int64)
     node = np.zeros(1, dtype=np.int64)  # the root
     pb, pnb = np.zeros(1), np.full(1, NEG_INF)
+    boundary = trie.word_start[1:] > trie.word_start[:-1]
+    boundary[0] = True
+    last_frame = log_y.shape[0] - 1
 
     for t in range(log_y.shape[0]):
         ly = log_y[t]
@@ -394,6 +434,8 @@ def beam_decode(log_y: np.ndarray, lexicon: Lexicon,
         score = (np.logaddexp(cand_pb, cand_pnb) + lm_weight * hists.lm_total[cand_hist]
                  + word_bonus * hists.length[cand_hist])
         keep = _prune(score, cand_hist, cand_node, hists.words, beam_width)
+        if t == last_frame:
+            keep = _with_a_word_end(keep, score, cand_hist, cand_node, hists.words, boundary)
         stats.candidates_generated += len(groups)
         stats.candidates_pruned += len(groups) - len(keep)
         hist, node, pb, pnb = cand_hist[keep], cand_node[keep], cand_pb[keep], cand_pnb[keep]

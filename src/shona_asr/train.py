@@ -106,7 +106,7 @@ class TrainConfig:
     epochs_max: int = 100
     patience: int = 10
     batch_size: int = 4
-    granularity: str = "phone"  # LM token granularity, one of GRANULARITIES
+    granularity: str = "word"  # LM token granularity, one of GRANULARITIES
     target_train_per: float | None = None  # optional convergence shortcut
     lexicon_words: list[str] | None = None  # default: all manifest words
     warm_start_path: str | None = None
@@ -214,29 +214,51 @@ class WarmStart:
     reinitialized: list[str]
 
 
+# the LM tensors that hold one row per vocab token
+TOKEN_ROWS = ("embed.W", "out.W", "out.b")
+
+
 def warm_start(ckpt: Checkpoint, n_phones: int, vocab: TokenVocab,
                acoustic_cfg: AcousticConfig, lm_cfg: LmConfig, seed: int = 0) -> WarmStart:
     """Initialize new float32 models, for training, from a checkpoint.
 
-    Tensors whose name and shape match are copied. Output layers may
-    legitimately differ (new phone set or vocab) and stay freshly
-    initialized; any other shape mismatch is an error, which names the
+    Tensors whose name and shape match are copied. The acoustic output
+    layer may legitimately differ (new phone set) and stays freshly
+    initialized. The LM is copied only from a checkpoint of vocab's
+    granularity, and its per-token rows (TOKEN_ROWS) token by token: the
+    rows of tokens the checkpoint's vocab lacks stay fresh. Each fresh
+    tensor is named in `reinitialized`, and each partly fresh one with its
+    fresh tokens. Any other shape mismatch is an error, which names the
     fields of the model's config that differ from the checkpoint's own.
     """
     new_acoustic = build_acoustic_model(acoustic_cfg, n_phones, seed)
     new_lm = build_lm(vocab, lm_cfg, seed + 1)
     _to_float32(new_acoustic, new_lm)
+    same_kind = ckpt.config.get("granularity", TrainConfig.granularity) == vocab.granularity
+    saved_row = {tok: i for i, tok in enumerate(ckpt.vocab)}
+    new_rows = [i for i, tok in enumerate(vocab.tokens) if tok in saved_row]
+    saved_rows = [saved_row[vocab.tokens[i]] for i in new_rows]
+    fresh = " ".join(tok for tok in vocab.tokens if tok not in saved_row)
     reinitialized = []
-    for section, new_params, cfg in (("acoustic", new_acoustic, acoustic_cfg),
-                                     ("lm", new_lm, lm_cfg)):
+    for section, new_params, cfg, source in (
+            ("acoustic", new_acoustic, acoustic_cfg, ckpt.tensors),
+            ("lm", new_lm, lm_cfg, ckpt.tensors if same_kind else {})):
         prefix = section + "."
         for name, tensor in new_params.items():
-            old = ckpt.tensors.get(prefix + name)
+            old = source.get(prefix + name)
+            by_token = section == "lm" and name in TOKEN_ROWS
             if old is None:
                 reinitialized.append(prefix + name)
-            elif old.shape == tensor.data.shape:
+            elif by_token and len(old) != len(ckpt.vocab):
+                raise DataError(f"checkpoint tensor {prefix}{name} has {len(old)} rows for "
+                                f"its vocab of {len(ckpt.vocab)} tokens")
+            elif by_token and old.shape[1:] == tensor.data.shape[1:]:
+                tensor.data[new_rows] = old[saved_rows]
+                if fresh:
+                    reinitialized.append(f"{prefix}{name} rows of {fresh}")
+            elif old.shape == tensor.data.shape and not by_token:
                 tensor.data[...] = old
-            elif name.startswith(("out.", "embed.")):
+            elif section == "acoustic" and name.startswith("out."):
                 reinitialized.append(prefix + name)
             else:
                 raise DataError(f"incompatible hidden-layer shape for {prefix}{name}: "

@@ -354,9 +354,11 @@ def reference_beam_decode(log_y: np.ndarray, lexicon, lm_params=None, vocab=None
 
     Hypotheses are keyed by (words, phone path) and walk a dict trie built
     here from lexicon.pronunciations, one candidate at a time; the beam
-    keeps the beam_width best by score, ties broken by (words, phone path).
-    Returns the best finalist's words and exact objective, or ([], -inf)
-    when none survived.
+    keeps the beam_width best by score, ties broken by (words, phone path);
+    at the last frame, when none of those is at a word boundary (the root
+    or a word's end), it also keeps the first such candidate in that order
+    whose score is finite. Returns the best finalist's words and exact
+    objective, or ([], -inf) when none survived.
     """
     neg_inf = -math.inf
     blank = log_y.shape[1] - 1
@@ -405,6 +407,11 @@ def reference_beam_decode(log_y: np.ndarray, lexicon, lm_params=None, vocab=None
         ranked = sorted(nxt.items(), key=lambda item: (-hyp_score(item[0], *item[1]),
                                                        item[0][0], item[0][1]))
         beams = dict(ranked[:beam_width])
+        if t == log_y.shape[0] - 1:
+            finishable = [item for item in ranked if (not item[0][1] or item[0][1] in ends)
+                          and _log_add(*item[1]) != neg_inf]
+            if finishable and not any(key in beams for key, _ in finishable):
+                beams.update(finishable[:1])
 
     finalists = set()
     for (words, node), (pb, pnb) in beams.items():

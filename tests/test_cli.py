@@ -15,7 +15,7 @@ from shona_asr.cli import main
 from shona_asr.corpusgen import GenConfig, generate_corpus
 from shona_asr.errors import DataError
 from shona_asr.features import extract_features
-from shona_asr.lm import LmConfig, TokenVocab, build_lm
+from shona_asr.lm import SPECIALS, LmConfig, TokenVocab, build_lm
 from shona_asr.train import restore_models
 
 from test_audio import write_pcm
@@ -37,17 +37,28 @@ def corpus_dir(tmp_path_factory):
     return out
 
 
-@pytest.fixture(scope="module")
-def trained_ckpt(tmp_path_factory, corpus_dir):
-    out = tmp_path_factory.mktemp("cli_train")
+def train_tiny(out, corpus_dir, config):
+    """Train config through `asr train` into out; returns the checkpoint path."""
     cfg_path = out / "train.json"
-    cfg_path.write_text(json.dumps(TINY_TRAIN))
+    cfg_path.write_text(json.dumps(config))
     ckpt_path = out / "model.ckpt"
     code = main(["train", "--config", str(cfg_path),
                  "--manifest", str(corpus_dir / "manifest.jsonl"),
                  "--out", str(ckpt_path), "--log", str(out / "log.json")])
     assert code == 0
     return ckpt_path
+
+
+@pytest.fixture(scope="module")
+def trained_ckpt(tmp_path_factory, corpus_dir):
+    return train_tiny(tmp_path_factory.mktemp("cli_train"), corpus_dir, TINY_TRAIN)
+
+
+@pytest.fixture(scope="module")
+def phone_lm_ckpt(tmp_path_factory, corpus_dir):
+    """trained_ckpt's run with a phone-token LM, the default before word tokens."""
+    return train_tiny(tmp_path_factory.mktemp("cli_train_phone"), corpus_dir,
+                      {**TINY_TRAIN, "granularity": "phone"})
 
 
 def test_usage_error_exits_1(capsys):
@@ -419,7 +430,7 @@ EARLIER_LM = LmConfig(embed_dim=64, lstm1_units=128, lstm2_units=64)
 def earlier_lm_ckpt(tmp_path_factory, trained_ckpt):
     """trained_ckpt with a drawn LM of EARLIER_LM's widths, which its config names."""
     ckpt = load_checkpoint(trained_ckpt)
-    lm = build_lm(TokenVocab(list(ckpt.vocab), "phone"), EARLIER_LM, seed=0)
+    lm = build_lm(TokenVocab(list(ckpt.vocab), ckpt.config["granularity"]), EARLIER_LM, seed=0)
     tensors = {name: a for name, a in ckpt.tensors.items() if not name.startswith("lm.")}
     tensors.update(("lm." + name, t.data) for name, t in lm.items())
     config = {**ckpt.config, "lm": dataclasses.asdict(EARLIER_LM)}
@@ -429,13 +440,17 @@ def earlier_lm_ckpt(tmp_path_factory, trained_ckpt):
     return path
 
 
-def test_decode_prints_words(trained_ckpt, earlier_lm_ckpt, corpus_dir, capsys):
-    # the LM's widths come from the checkpoint's config, not from LmConfig()
+def test_decode_prints_words(trained_ckpt, earlier_lm_ckpt, phone_lm_ckpt, corpus_dir, capsys):
+    # the LM's widths and token granularity come from the checkpoint's
+    # config, not from LmConfig() or TrainConfig()
     assert EARLIER_LM != LmConfig()
     cfg, *_, lm, _ = restore_models(load_checkpoint(earlier_lm_ckpt))
     assert cfg.lm == EARLIER_LM and lm["lstm1.W_hh"].data.shape == (512, 128)
+    cfg, inventory, vocab, *_ = restore_models(load_checkpoint(phone_lm_ckpt))
+    assert cfg.granularity == vocab.granularity == "phone"
+    assert vocab.tokens[len(SPECIALS):] == inventory.symbols()
     wav = sorted((corpus_dir / "wav").glob("*.wav"))[0]
-    for ckpt in (trained_ckpt, earlier_lm_ckpt):
+    for ckpt in (trained_ckpt, earlier_lm_ckpt, phone_lm_ckpt):
         assert main(["decode", "--ckpt", str(ckpt), "--wav", str(wav), "--beam", "4"]) == 0
         out = capsys.readouterr().out.strip()
         assert isinstance(out, str)  # possibly empty for an undertrained model

@@ -4,9 +4,11 @@ import pytest
 from conftest import params_as
 from oracles import exhaustive_decode, reference_beam_decode
 from shona_asr import decoder
+from shona_asr.corpusgen import gen_word
+from shona_asr.ctc import ctc_forward_logprob
 from shona_asr.decoder import DecodeStats, Transcript, beam_decode
-from shona_asr.lexicon import build_lexicon
-from shona_asr.lm import LmConfig, TokenVocab, build_lm
+from shona_asr.lexicon import Lexicon, build_lexicon
+from shona_asr.lm import LmConfig, TokenVocab, build_lm, lm_score, word_tokens
 from shona_asr.phones import default_inventory
 
 
@@ -274,6 +276,28 @@ def test_grid_too_short_for_any_word_is_incomplete():
     assert beam_decode(np.log(np.full((4, 55), 1.0 / 55)), lex, lm_weight=0.0).complete
 
 
+@pytest.mark.parametrize("granularity", ["phone", "word"])
+def test_last_frame_keeps_the_best_word_boundary_hypothesis(granularity):
+    # the grid spells b a n: at beam 1 the last frame's best hypothesis is
+    # inside "bana", which used to leave no finalist (an incomplete, empty
+    # decode); the best one at a word boundary is "ba" then, kept beside it
+    lex = build_lexicon(["ba", "bana"])
+    units = default_inventory().symbols() if granularity == "phone" else lex.words()
+    vocab = TokenVocab.build(units, granularity)
+    lm = make_lm(vocab, seed=1)
+    grid = grid_for_phones(lex.pronunciations["bana"][:3], blank_frames=False)
+    for lam in (0.0, 1.0):
+        out = beam_decode(grid, lex, lm, vocab, lm_weight=lam, beam_width=1)
+        objective = (ctc_forward_logprob(grid, [list(lex.pronunciations["ba"])])[0]
+                     + lam * lm_score(lm, word_tokens("ba", lex.phone_symbols("ba"), granularity),
+                                      vocab))
+        assert out.words == ["ba"] and out.complete
+        assert out.score == pytest.approx(objective, rel=0, abs=1e-9)
+        assert (out.words, out.score) == reference_beam_decode(grid, lex, lm, vocab,
+                                                               lm_weight=lam, beam_width=1)
+        assert beam_decode(grid, lex, lm, vocab, lm_weight=lam, beam_width=2).words == ["ba"]
+
+
 def test_batched_rescoring_decodes_like_one_recursion_per_finalist(rng, monkeypatch):
     vocab = phone_vocab()
     cases = []
@@ -375,18 +399,26 @@ def test_word_lm_matches_reference_search_on_random_grids(rng):
             assert got.score == pytest.approx(want_score, rel=0, abs=1e-9)
 
 
+def generated_lexicon(n):
+    """A lexicon of n distinct generated words of one to four syllables."""
+    inventory, rng = default_inventory(), np.random.default_rng(12345)
+    prons = {}
+    while len(prons) < n:
+        word, phones = gen_word(rng, inventory, (1, 4))
+        prons.setdefault(word, tuple(phones))
+    return Lexicon(prons, inventory)
+
+
 @pytest.mark.parametrize("granularity", ["phone", "word"])
 def test_token_table_follows_word_tokens(granularity):
-    from shona_asr.lm import word_tokens
-
-    lex = build_lexicon(REFERENCE_POOL)
-    units = default_inventory().symbols() if granularity == "phone" else REFERENCE_POOL[2:]
-    vocab = TokenVocab.build(units, granularity)
-    search_lm = decoder._SearchLm(make_lm(vocab), lex, vocab)
-    for w, word in enumerate(lex.flat.words):
-        want = [vocab.index(t) for t in word_tokens(word, lex.phone_symbols(word), granularity)]
-        rest = search_lm.rest_tokens[w, :search_lm.rest_length[w]].tolist()
-        assert [search_lm.first_token[w]] + rest == want
+    for lex in (build_lexicon(REFERENCE_POOL), generated_lexicon(2000)):
+        units = default_inventory().symbols() if granularity == "phone" else lex.words()[2::2]
+        vocab = TokenVocab.build(units, granularity)  # in word mode, some words are <unk>
+        search_lm = decoder._SearchLm(make_lm(vocab), lex, vocab)
+        for w, word in enumerate(lex.flat.words):
+            want = [vocab.index(t) for t in word_tokens(word, lex.phone_symbols(word), granularity)]
+            rest = search_lm.rest_tokens[w, :search_lm.rest_length[w]].tolist()
+            assert [search_lm.first_token[w]] + rest == want, word
 
 
 def test_search_stats_of_a_fixed_decode_are_pinned():

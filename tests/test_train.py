@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import params_as
-from oracles import im2col_conv2d, masked_max_pool2d
+from oracles import im2col_conv2d, masked_max_pool2d, reference_beam_decode
 from shona_asr import autodiff as ad
 from shona_asr.acoustic import (AcousticConfig, acoustic_forward, build_acoustic_model,
                                 output_frames)
@@ -24,14 +24,16 @@ from shona_asr.augment import AugmentPolicy, augment_audio, spec_augment
 from shona_asr.checkpoint import load_checkpoint, params_hash, save_checkpoint
 from shona_asr.corpusgen import GenConfig, generate_corpus
 from shona_asr.ctc import ctc_forward_logprob, ctc_greedy_decode, ctc_loss, min_frames
+from shona_asr.decoder import beam_decode
 from shona_asr.errors import DataError, VerificationError, WorkerError
 from shona_asr.features import extract_features
-from shona_asr.lm import LmConfig, TokenVocab, build_lm, corpus_loss, lm_train, sentence_loss
+from shona_asr.lm import (SPECIALS, LmConfig, TokenVocab, build_lm, corpus_loss, lm_train,
+                          sentence_loss)
 from shona_asr.manifest import split_corpus
 from shona_asr.metrics import normalize_text, per
 from shona_asr.optim import OptimizerConfig, OptimizerState, optimizer_step
 from shona_asr.phones import default_inventory
-from shona_asr.train import (EarlyStopper, TrainConfig, _config_from_dict, evaluate,
+from shona_asr.train import (TOKEN_ROWS, EarlyStopper, TrainConfig, _config_from_dict, evaluate,
                              restore_models, train, warm_start)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -49,6 +51,13 @@ def tiny_corpus(tmp_path_factory):
 def tiny_result(tiny_corpus):
     cfg = TrainConfig(seed=3, epochs_max=4, patience=4, batch_size=4,
                       augment=AugmentPolicy(**QUIET_AUGMENT))
+    return cfg, train(cfg, tiny_corpus)
+
+
+@pytest.fixture(scope="module")
+def tiny_phone_result(tiny_result, tiny_corpus):
+    """tiny_result's run with a phone-token LM, the default before word tokens."""
+    cfg = dataclasses.replace(tiny_result[0], granularity="phone")
     return cfg, train(cfg, tiny_corpus)
 
 
@@ -251,11 +260,16 @@ def vocab_for(inv):
     return TokenVocab.build(inv.symbols(), "phone")
 
 
+def saved_vocab(ckpt):
+    """The vocab a checkpoint's LM was trained on, as `restore_models` builds it."""
+    return TokenVocab(list(ckpt.vocab), ckpt.config["granularity"])
+
+
 def test_warm_start_identical_architecture_copies_everything(tiny_result):
     _, result = tiny_result
     ckpt = result.checkpoint
     inv = default_inventory()
-    ws = warm_start(ckpt, len(inv), TokenVocab(list(ckpt.vocab), "phone"),
+    ws = warm_start(ckpt, len(inv), saved_vocab(ckpt),
                     AcousticConfig(), LmConfig())
     assert ws.reinitialized == []
     for name, t in ws.acoustic.items():
@@ -320,7 +334,7 @@ def test_restore_models_draws_no_model(tiny_result, monkeypatch):
 def test_warm_start_and_training_run_in_float32(tiny_result, tiny_corpus, tmp_path, monkeypatch):
     cfg, result = tiny_result
     ckpt = result.checkpoint
-    ws = warm_start(ckpt, len(default_inventory()), TokenVocab(list(ckpt.vocab), "phone"),
+    ws = warm_start(ckpt, len(default_inventory()), saved_vocab(ckpt),
                     AcousticConfig(), LmConfig())
     dtypes = {t.data.dtype for params in (ws.acoustic, ws.lm) for _, t in params.items()}
     assert dtypes == {np.dtype(np.float32)}
@@ -478,14 +492,14 @@ def test_warm_start_incompatible_hidden_shapes_rejected(tiny_result):
     _, result = tiny_result
     with pytest.raises(DataError, match=r"hidden-layer .*; the checkpoint's acoustic config has "
                                         r"conv1_filters=32 \(this model: conv1_filters=16\)"):
-        warm_start(result.checkpoint, 54, TokenVocab(list(result.checkpoint.vocab), "phone"),
+        warm_start(result.checkpoint, 54, saved_vocab(result.checkpoint),
                    AcousticConfig(conv1_filters=16), LmConfig())
 
 
 def test_warm_start_lm_widths_must_be_the_checkpoints(tiny_result):
     _, result = tiny_result
     ckpt = result.checkpoint
-    vocab = TokenVocab(list(ckpt.vocab), "phone")
+    vocab = saved_vocab(ckpt)
     saved = LmConfig(**ckpt.config["lm"])
     wider = dataclasses.replace(saved, lstm1_units=2 * saved.lstm1_units)
     with pytest.raises(DataError, match=rf"lm\.lstm1\.W_ih: .*; the checkpoint's lm config has "
@@ -498,11 +512,79 @@ def test_warm_start_lm_widths_must_be_the_checkpoints(tiny_result):
         assert t.data.tobytes() == ckpt.tensors["lm." + name].tobytes(), name
 
 
+def test_warm_start_copies_no_lm_tensor_across_granularities(tiny_result, tiny_phone_result):
+    # 54 words make a word vocab of the phone vocab's 58 tokens; every LM
+    # shape then matched, and the phone LM was copied into the word LM
+    phone_ckpt = tiny_phone_result[1].checkpoint
+    words = phone_ckpt.config["lexicon_words"]
+    word_vocab = TokenVocab.build(words + [f"new{i}" for i in range(54 - len(words))], "word")
+    assert len(word_vocab) == len(phone_ckpt.vocab)
+    word_ckpt = tiny_result[1].checkpoint
+    for ckpt, vocab in ((phone_ckpt, word_vocab), (word_ckpt, vocab_for(default_inventory()))):
+        ws = warm_start(ckpt, len(default_inventory()), vocab, AcousticConfig(), LmConfig(), seed=2)
+        fresh = build_lm(vocab, LmConfig(), seed=3)
+        assert ws.reinitialized == ["lm." + name for name, _ in fresh.items()]
+        for name, t in fresh.items():
+            assert np.array_equal(ws.lm[name].data, t.data.astype(np.float32)), name
+        for name, t in ws.acoustic.items():
+            assert np.array_equal(t.data, ckpt.tensors["acoustic." + name]), name
+
+
+def test_warm_start_copies_lm_rows_by_token(tiny_result):
+    # a vocab that drops half the saved words, reorders the rest and adds two
+    ckpt = tiny_result[1].checkpoint
+    vocab = TokenVocab.build(["zzz"] + ckpt.config["lexicon_words"][::-2] + ["aaa"], "word")
+    ws = warm_start(ckpt, len(default_inventory()), vocab, AcousticConfig(), LmConfig(), seed=2)
+    assert ws.reinitialized == [f"lm.{name} rows of zzz aaa" for name in TOKEN_ROWS]
+    fresh = build_lm(vocab, LmConfig(), seed=3)
+    saved_row = {tok: i for i, tok in enumerate(ckpt.vocab)}
+    for name, t in ws.lm.items():
+        saved = ckpt.tensors["lm." + name]
+        if name not in TOKEN_ROWS:
+            assert t.data.tobytes() == saved.tobytes(), name
+            continue
+        for i, tok in enumerate(vocab.tokens):
+            want = saved[saved_row[tok]] if tok in saved_row else fresh[name].data[i]
+            assert t.data[i].tobytes() == want.astype(np.float32).tobytes(), (name, tok)
+
+
+def test_warm_start_rejects_token_rows_that_do_not_match_the_checkpoints_vocab(tiny_result):
+    ckpt = tiny_result[1].checkpoint
+    n = len(ckpt.vocab)
+    bad = dataclasses.replace(ckpt, tensors={**ckpt.tensors,
+                                             "lm.out.b": ckpt.tensors["lm.out.b"][:-1]})
+    with pytest.raises(DataError, match=rf"lm\.out\.b has {n - 1} rows for its vocab of {n} "):
+        warm_start(bad, len(default_inventory()), saved_vocab(ckpt), AcousticConfig(), LmConfig())
+
+
+def test_default_config_trains_a_word_lm(tiny_result):
+    # one LM token per word: the vocab is the four specials and the lexicon's words
+    cfg, result = tiny_result
+    assert TrainConfig().granularity == cfg.granularity == "word"
+    ckpt = result.checkpoint
+    assert ckpt.vocab == list(SPECIALS) + ckpt.config["lexicon_words"]
+    assert restore_models(ckpt)[2] == TokenVocab(list(ckpt.vocab), "word")
+
+
+def test_a_phone_lm_checkpoint_restores_its_phone_vocab_and_decodes_as_the_reference(
+        tiny_phone_result, tiny_corpus):
+    ckpt = tiny_phone_result[1].checkpoint
+    cfg, inventory, vocab, acoustic, lm, lexicon = restore_models(ckpt)
+    assert cfg.granularity == vocab.granularity == "phone"
+    assert vocab.tokens == list(SPECIALS) + inventory.symbols()
+    for rec in tiny_corpus.records[:4]:
+        grid = acoustic_forward(acoustic, extract_features(load_wav(rec.audio)), cfg.acoustic).data
+        got = beam_decode(grid, lexicon, lm, vocab, beam_width=16)
+        want_words, want_score = reference_beam_decode(grid, lexicon, lm, vocab, beam_width=16)
+        assert got.words == want_words
+        assert got.score == pytest.approx(want_score, rel=0, abs=1e-9)
+
+
 def test_frozen_tensors_unchanged_after_optimizer_steps(tiny_result):
     _, result = tiny_result
     ckpt = result.checkpoint
     inv = default_inventory()
-    ws = warm_start(ckpt, len(inv), TokenVocab(list(ckpt.vocab), "phone"),
+    ws = warm_start(ckpt, len(inv), saved_vocab(ckpt),
                     AcousticConfig(), LmConfig())
     for name, t in ws.acoustic.items():
         t.requires_grad = not name.startswith("conv1.")
@@ -575,16 +657,19 @@ def test_non_finite_losses_in_most_utterances_raise_verification_error(tiny_resu
 
 # -- the LM training process ---------------------------------------------------
 
-def test_lm_epochs_and_tensors_equal_an_in_process_replay(tiny_result, tiny_corpus):
+@pytest.mark.parametrize("granularity", ["phone", "word"])
+def test_lm_epochs_and_tensors_equal_an_in_process_replay(tiny_result, tiny_phone_result,
+                                                          tiny_corpus, granularity):
     # the forked LM process runs the same lm_train/corpus_loss calls as one process would
-    cfg, result = tiny_result
+    cfg, result = tiny_phone_result if granularity == "phone" else tiny_result
     train_mod = importlib.import_module("shona_asr.train")
     ckpt = result.checkpoint
+    assert ckpt.config["granularity"] == granularity
     lexicon = train_mod.build_lexicon(ckpt.config["lexicon_words"], default_inventory())
-    vocab = TokenVocab(list(ckpt.vocab), "phone")
+    vocab = saved_vocab(ckpt)
     train_m, val_m, _ = split_corpus(tiny_corpus, cfg.split_ratios, cfg.seed)
     sentences = [train_mod._lm_sentences(train_mod._prepare_utterances(m, lexicon)[0], lexicon,
-                                         "phone") for m in (train_m, val_m)]
+                                         vocab.granularity) for m in (train_m, val_m)]
     lm_seed = int(np.random.SeedSequence(cfg.seed).spawn(2)[1].generate_state(1)[0])
     lm = build_lm(vocab, cfg.lm, lm_seed)
     train_mod._to_float32(lm)
