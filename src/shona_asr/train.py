@@ -22,6 +22,16 @@ mapping made before the forks:
   reads through the shared mapping. A batch of one has nothing to split,
   and forks no worker.
 
+An augmenting run's front end (augmentation, features and masks) is a pure
+function of (config, utterance, epoch, position), so each acoustic process
+computes some ahead, in time it would otherwise spend waiting: the worker
+between two requests, while this process merges and steps, and this process
+while the worker's reply is pending. Each computes the share it would run
+in the next group, assuming that every utterance of the present one scores,
+and holds at most that share. A too-short or non-finite utterance shifts
+the next group, and an early stop leaves the next epoch unrun; such a miss
+wastes the front ends computed for it and changes no result.
+
 Validation, and the train-PER pass of a `target_train_per` run, read the
 acoustic model through a read-only view of the same arrays, so they build
 no graph, and score CTC with the forward recursion alone.
@@ -214,52 +224,57 @@ class WarmStart:
     reinitialized: list[str]
 
 
-# the LM tensors that hold one row per vocab token
+# the tensors that hold one row per output symbol: the acoustic model's per
+# phone and then the blank, the LM's per vocab token
+PHONE_ROWS = ("out.W", "out.b")
 TOKEN_ROWS = ("embed.W", "out.W", "out.b")
 
 
-def warm_start(ckpt: Checkpoint, n_phones: int, vocab: TokenVocab,
+def warm_start(ckpt: Checkpoint, inventory: PhoneInventory, vocab: TokenVocab,
                acoustic_cfg: AcousticConfig, lm_cfg: LmConfig, seed: int = 0) -> WarmStart:
     """Initialize new float32 models, for training, from a checkpoint.
 
-    Tensors whose name and shape match are copied. The acoustic output
-    layer may legitimately differ (new phone set) and stays freshly
-    initialized. The LM is copied only from a checkpoint of vocab's
-    granularity, and its per-token rows (TOKEN_ROWS) token by token: the
-    rows of tokens the checkpoint's vocab lacks stay fresh. Each fresh
-    tensor is named in `reinitialized`, and each partly fresh one with its
-    fresh tokens. Any other shape mismatch is an error, which names the
-    fields of the model's config that differ from the checkpoint's own.
+    Tensors whose name and shape match are copied, except the per-symbol
+    ones: the acoustic output layer's (PHONE_ROWS) and the LM's (TOKEN_ROWS)
+    are copied row by row, matched by phone symbol (the blank row to the
+    blank row) or by token, and the rows of symbols the checkpoint's
+    inventory or vocab lacks stay fresh. The LM is copied only from a
+    checkpoint of vocab's granularity. Each fresh tensor is named in
+    `reinitialized`, and each partly fresh one with its fresh symbols. Any
+    other shape mismatch is an error, which names the fields of the model's
+    config that differ from the checkpoint's own.
     """
-    new_acoustic = build_acoustic_model(acoustic_cfg, n_phones, seed)
+    new_acoustic = build_acoustic_model(acoustic_cfg, len(inventory), seed)
     new_lm = build_lm(vocab, lm_cfg, seed + 1)
     _to_float32(new_acoustic, new_lm)
     same_kind = ckpt.config.get("granularity", TrainConfig.granularity) == vocab.granularity
-    saved_row = {tok: i for i, tok in enumerate(ckpt.vocab)}
-    new_rows = [i for i, tok in enumerate(vocab.tokens) if tok in saved_row]
-    saved_rows = [saved_row[vocab.tokens[i]] for i in new_rows]
-    fresh = " ".join(tok for tok in vocab.tokens if tok not in saved_row)
+    saved_phones = PhoneInventory.from_lines(ckpt.inventory_lines).symbols()
     reinitialized = []
-    for section, new_params, cfg, source in (
-            ("acoustic", new_acoustic, acoustic_cfg, ckpt.tensors),
-            ("lm", new_lm, lm_cfg, ckpt.tensors if same_kind else {})):
+    # the blank row is named None, which no phone symbol is
+    for section, new_params, cfg, source, by_row, saved_names, names, holder in (
+            ("acoustic", new_acoustic, acoustic_cfg, ckpt.tensors, PHONE_ROWS,
+             saved_phones + [None], inventory.symbols() + [None],
+             f"inventory of {len(saved_phones)} phones and the blank"),
+            ("lm", new_lm, lm_cfg, ckpt.tensors if same_kind else {}, TOKEN_ROWS,
+             ckpt.vocab, vocab.tokens, f"vocab of {len(ckpt.vocab)} tokens")):
+        saved_row = {sym: r for r, sym in enumerate(saved_names)}
+        new_rows = [r for r, sym in enumerate(names) if sym in saved_row]
+        saved_rows = [saved_row[names[r]] for r in new_rows]
+        fresh = " ".join(sym for sym in names if sym not in saved_row)
         prefix = section + "."
         for name, tensor in new_params.items():
             old = source.get(prefix + name)
-            by_token = section == "lm" and name in TOKEN_ROWS
             if old is None:
                 reinitialized.append(prefix + name)
-            elif by_token and len(old) != len(ckpt.vocab):
+            elif name in by_row and len(old) != len(saved_names):
                 raise DataError(f"checkpoint tensor {prefix}{name} has {len(old)} rows for "
-                                f"its vocab of {len(ckpt.vocab)} tokens")
-            elif by_token and old.shape[1:] == tensor.data.shape[1:]:
+                                f"its {holder}")
+            elif name in by_row and old.shape[1:] == tensor.data.shape[1:]:
                 tensor.data[new_rows] = old[saved_rows]
                 if fresh:
                     reinitialized.append(f"{prefix}{name} rows of {fresh}")
-            elif old.shape == tensor.data.shape and not by_token:
+            elif old.shape == tensor.data.shape and name not in by_row:
                 tensor.data[...] = old
-            elif section == "acoustic" and name.startswith("out."):
-                reinitialized.append(prefix + name)
             else:
                 raise DataError(f"incompatible hidden-layer shape for {prefix}{name}: "
                                 f"checkpoint {old.shape} vs model {tensor.data.shape}"
@@ -440,13 +455,16 @@ class _Code:
         return self._bound() != self._imported
 
 
-def _serve(conn, parent_end, name: str, serve) -> None:
+def _serve(conn, parent_end, name: str, serve, idle) -> None:
     """A worker process: answers each request, a tuple of arguments, with `serve(*request)`.
 
-    An exception `serve` raises is sent as the reply, with a note that holds
-    its traceback; a reply that cannot be pickled ends the process, which
-    the caller reports. A closed pipe ends the process. Ctrl-C is left to
-    the caller, which kills the process.
+    After each reply, `idle(*request)`, a generator function unless idle is
+    None, runs while no request waits: the pipe is checked at each of its
+    yields, and a waiting request stops it there. An exception `serve`
+    raises is sent as the reply, with a note that holds its traceback; a
+    reply that cannot be pickled ends the process, which the caller
+    reports. A closed pipe ends the process. Ctrl-C is left to the caller,
+    which kills the process.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     parent_end.close()  # so that a caller that dies closes the pipe
@@ -461,25 +479,31 @@ def _serve(conn, parent_end, name: str, serve) -> None:
             exc.add_note(f"in the {name} process:\n" + traceback.format_exc().rstrip())
             reply = exc
         conn.send(reply)
+        if idle is not None:
+            for _ in idle(*request):
+                if conn.poll():
+                    break
 
 
 class _Worker:
     """Calls `serve(*request)` in a forked process, one call per `submit(*request)`.
 
-    The process inherits everything `serve` reads. `result()` waits for
-    the reply to the last request; an exception raised in the process is
-    raised again here, except a MemoryError, which is a WorkerError naming
-    the process, as is a process that exits without answering (with its
-    exit code). Leaving the `with` block ends the process: it is closed
-    after a normal exit and killed after an exception, and joined either
-    way.
+    The process inherits everything `serve` reads, and runs `idle` between
+    requests (see `_serve`). `result()` waits for the reply to the last
+    request, and `ready()` tells whether it has come. An exception raised
+    in the process is raised again here, except a MemoryError, which is a
+    WorkerError naming the process, as is a process that exits without
+    answering (with its exit code). Leaving the `with` block ends the
+    process: it is closed after a normal exit and killed after an
+    exception, and joined either way.
 
     With `fork` false, no process is forked: `result()` calls `serve`
-    here, so that what a tracer's wrappers record stays in this process.
-    The replies are the same either way.
+    here, so that what a tracer's wrappers record stays in this process,
+    `ready()` is always true and `idle` never runs. The replies are the
+    same either way.
     """
 
-    def __init__(self, name: str, serve, fork: bool = True):
+    def __init__(self, name: str, serve, fork: bool = True, idle=None):
         self.name, self._serve = name, serve
         self._process = self._request = None
         if not fork:
@@ -487,7 +511,7 @@ class _Worker:
         context = multiprocessing.get_context("fork")
         self._conn, child_end = context.Pipe()
         self._process = context.Process(target=_serve, name=name, daemon=True,
-                                        args=(child_end, self._conn, name, serve))
+                                        args=(child_end, self._conn, name, serve, idle))
         self._process.start()
         child_end.close()
 
@@ -507,6 +531,9 @@ class _Worker:
             self._request = request
         else:
             self._conn.send(request)
+
+    def ready(self) -> bool:
+        return self._process is None or self._conn.poll()
 
     def result(self):
         if self._process is None:
@@ -558,12 +585,82 @@ def _lm_epoch(params: ad.Parameters, opt: OptimizerState, vocab: TokenVocab,
 _TOO_SHORT, _NON_FINITE = "too short", "non-finite"
 
 
-def _acoustic_outcome(params: ad.Parameters, cfg: TrainConfig, utts: list[Utterance],
-                      base_feats: dict | None, kept: list, epoch: int, i: int):
-    """Augment, extract, forward, CTC and backward for training utterance `i`.
+def _front_end(cfg: TrainConfig, utt: Utterance, epoch: int, i: int) -> np.ndarray:
+    """Augmented features of `utt`, training utterance `i`, in `epoch`.
 
-    `base_feats` holds the unaugmented features, which an identity augment
-    policy trains on; None means augmenting. Returns _TOO_SHORT,
+    A pure function of its arguments: the augmentation draws from an RNG
+    seeded by (seed, augment seed, epoch, i).
+    """
+    rng = np.random.default_rng(
+        np.random.SeedSequence(cfg.seed, spawn_key=(cfg.augment.seed, epoch, i)))
+    audio = augment_audio(utt.audio, cfg.augment, rng)
+    return spec_augment(extract_features(audio), cfg.augment, rng)
+
+
+def _shares(start: int, size: int, n: int) -> tuple[range, range]:
+    """The group of `size` training utterances from `start`, cut at `n`, split in two.
+
+    This process runs the first half and the acoustic worker the second,
+    which ends where the group does.
+    """
+    group = range(start, min(start + size, n))
+    half = (len(group) + 1) // 2
+    return group[:half], group[half:]
+
+
+class _FrontEnds:
+    """An acoustic process's training front ends, some computed ahead of their utterances' runs.
+
+    Under an identity augment policy the front end is the utterance's
+    unaugmented features, from `base_feats`; otherwise it is `_front_end`'s.
+    `take` gives one when its utterance runs: computed ahead by `ahead`, or
+    else computed then.
+    """
+
+    def __init__(self, cfg: TrainConfig, utts: list[Utterance], base_feats: dict | None):
+        self._cfg, self._utts, self._base = cfg, utts, base_feats
+        self._held: dict[tuple[int, int], np.ndarray] = {}  # by (epoch, i)
+
+    def take(self, epoch: int, i: int) -> np.ndarray:
+        if self._base is not None:
+            return self._base[self._utts[i].utt_id]
+        feats = self._held.pop((epoch, i), None)
+        return _front_end(self._cfg, self._utts[i], epoch, i) if feats is None else feats
+
+    def ahead(self, half: int, epoch: int, last: range):
+        """Compute, one per step, the front ends of one share of the next group.
+
+        `last` is the worker's share of the present group in `epoch`, so it
+        ends where the group does. The next group is the one that follows
+        if every utterance of the present one scores; none follows the last
+        group of epoch `epochs_max`. `half` picks the share: 0 for this
+        process's, 1 for the worker's. A generator, which yields before
+        each front end, so that its caller can stop it between two. The
+        held front ends of other utterances are dropped first, so at most
+        one share is held. A front end that fails is not held: its
+        utterance's run computes it again and raises.
+        """
+        if self._base is not None:
+            return
+        n = len(self._utts)
+        start = last.stop
+        if start == n:
+            epoch, start = epoch + 1, 0
+        keys = [] if epoch > self._cfg.epochs_max else [
+            (epoch, i) for i in _shares(start, self._cfg.batch_size, n)[half]]
+        self._held = {key: self._held[key] for key in keys if key in self._held}
+        for key in keys:
+            yield
+            if key not in self._held:
+                with contextlib.suppress(Exception):
+                    self._held[key] = _front_end(self._cfg, self._utts[key[1]], *key)
+
+
+def _acoustic_outcome(params: ad.Parameters, cfg: TrainConfig, utts: list[Utterance],
+                      front_ends: _FrontEnds, kept: list, epoch: int, i: int):
+    """Front end, forward, CTC and backward for training utterance `i`.
+
+    Returns _TOO_SHORT,
     _NON_FINITE (no backward pass then) or the loss, a float, whose
     gradients accumulate in the parameters' `.grad`.
 
@@ -574,13 +671,7 @@ def _acoustic_outcome(params: ad.Parameters, cfg: TrainConfig, utts: list[Uttera
     raises the peak memory.
     """
     utt = utts[i]
-    if base_feats is not None:
-        feats = base_feats[utt.utt_id]
-    else:
-        rng = np.random.default_rng(
-            np.random.SeedSequence(cfg.seed, spawn_key=(cfg.augment.seed, epoch, i)))
-        audio = augment_audio(utt.audio, cfg.augment, rng)
-        feats = spec_augment(extract_features(audio), cfg.augment, rng)
+    feats = front_ends.take(epoch, i)
     if output_frames(feats.shape[0]) < min_frames(utt.phones):
         return _TOO_SHORT
     loss = ctc_loss(acoustic_forward(params, feats, cfg.acoustic), utt.phones)
@@ -676,7 +767,7 @@ def train(cfg: TrainConfig, manifest: CorpusManifest) -> TrainResult:
     seed_seq = np.random.SeedSequence(cfg.seed)
     seeds = [int(s.generate_state(1)[0]) for s in seed_seq.spawn(2)]
     if cfg.warm_start_path is not None:
-        ws = warm_start(load_checkpoint(cfg.warm_start_path), len(inventory), vocab,
+        ws = warm_start(load_checkpoint(cfg.warm_start_path), inventory, vocab,
                         cfg.acoustic, cfg.lm, seeds[0])
         acoustic_params, lm_params = ws.acoustic, ws.lm
         if ws.reinitialized:
@@ -723,8 +814,9 @@ def train(cfg: TrainConfig, manifest: CorpusManifest) -> TrainResult:
 
     _share(acoustic_params, lm_params)  # before any fork, so that the workers see each update
     acoustic_view = acoustic_params.read_only()  # reads each update, as the workers do
+    front_ends = _FrontEnds(cfg, train_utts, base_feats if identity_augment else None)
     run_utterance = functools.partial(_acoustic_outcome, acoustic_params, cfg, train_utts,
-                                      base_feats if identity_augment else None, [])
+                                      front_ends, [])
     trainable = [t for _, t in acoustic_params.items() if t.requires_grad]
     with contextlib.ExitStack() as workers:
         lm = workers.enter_context(_Worker("LM training", functools.partial(
@@ -734,7 +826,8 @@ def train(cfg: TrainConfig, manifest: CorpusManifest) -> TrainResult:
         if cfg.batch_size > 1:
             slots = _gradient_slots(trainable, cfg.batch_size // 2)
             acoustic = workers.enter_context(_Worker("acoustic training", functools.partial(
-                _worker_outcomes, run_utterance, trainable, slots)))
+                _worker_outcomes, run_utterance, trainable, slots),
+                idle=functools.partial(front_ends.ahead, 1)))
         for epoch in range(1, cfg.epochs_max + 1):
             lm.submit()  # the LM's pass and validation run beside the acoustic ones
             # -- acoustic pass -------------------------------------------------
@@ -744,18 +837,21 @@ def train(cfg: TrainConfig, manifest: CorpusManifest) -> TrainResult:
             # utterance order gives the serial loop's counts, sums and updates:
             # a backward pass adds to each trainable tensor once, so adding a
             # worker utterance's gradients here keeps each sum ((G1+G2)+G3)+G4.
+            # While the worker's reply is pending, this process computes its
+            # next share's front ends, as the worker does between requests.
             tally = _AcousticTally()
             start = 0
             while start < len(train_utts):
-                group = range(start, min(start + cfg.batch_size - tally.pending, len(train_utts)))
-                start = group.stop
-                half = (len(group) + 1) // 2
-                mine, theirs = group[:half], group[half:]
+                mine, theirs = _shares(start, cfg.batch_size - tally.pending, len(train_utts))
+                start = theirs.stop
                 if theirs:
                     acoustic.submit(epoch, theirs)
                 for i in mine:
                     tally.add(run_utterance(epoch, i))
                 if theirs:
+                    for _ in front_ends.ahead(0, epoch, theirs):
+                        if acoustic.ready():
+                            break
                     for outcome, slot in zip(acoustic.result(), slots):
                         tally.add(outcome)
                         if isinstance(outcome, float):

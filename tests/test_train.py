@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 import types
 import wave
 from pathlib import Path
@@ -32,7 +33,7 @@ from shona_asr.lm import (SPECIALS, LmConfig, TokenVocab, build_lm, corpus_loss,
 from shona_asr.manifest import split_corpus
 from shona_asr.metrics import normalize_text, per
 from shona_asr.optim import OptimizerConfig, OptimizerState, optimizer_step
-from shona_asr.phones import default_inventory
+from shona_asr.phones import Phone, PhoneInventory, default_inventory
 from shona_asr.train import (TOKEN_ROWS, EarlyStopper, TrainConfig, _config_from_dict, evaluate,
                              restore_models, train, warm_start)
 
@@ -269,7 +270,7 @@ def test_warm_start_identical_architecture_copies_everything(tiny_result):
     _, result = tiny_result
     ckpt = result.checkpoint
     inv = default_inventory()
-    ws = warm_start(ckpt, len(inv), saved_vocab(ckpt),
+    ws = warm_start(ckpt, inv, saved_vocab(ckpt),
                     AcousticConfig(), LmConfig())
     assert ws.reinitialized == []
     for name, t in ws.acoustic.items():
@@ -334,7 +335,7 @@ def test_restore_models_draws_no_model(tiny_result, monkeypatch):
 def test_warm_start_and_training_run_in_float32(tiny_result, tiny_corpus, tmp_path, monkeypatch):
     cfg, result = tiny_result
     ckpt = result.checkpoint
-    ws = warm_start(ckpt, len(default_inventory()), saved_vocab(ckpt),
+    ws = warm_start(ckpt, default_inventory(), saved_vocab(ckpt),
                     AcousticConfig(), LmConfig())
     dtypes = {t.data.dtype for params in (ws.acoustic, ws.lm) for _, t in params.items()}
     assert dtypes == {np.dtype(np.float32)}
@@ -476,23 +477,49 @@ def test_restored_models_build_no_graph(tiny_result, tiny_corpus):
     assert out._parents == () and out._backward is None
 
 
+def relabelled_inventory(keep: list[int], new: dict[int, str]) -> PhoneInventory:
+    """The default inventory's phones at `keep`, in that order, each at `new`'s keys renamed."""
+    phones = default_inventory().phones
+    return PhoneInventory([Phone(k, new.get(k, phones[i].symbol), phones[i].spellings)
+                           for k, i in enumerate(keep)])
+
+
 def test_warm_start_mismatched_output_reinitialized(tiny_result):
     _, result = tiny_result
     ckpt = result.checkpoint
     small_vocab = TokenVocab.build(["a", "b", "c"], "phone")  # smaller LM vocab
-    ws = warm_start(ckpt, 40, small_vocab, AcousticConfig(), LmConfig())
-    assert "acoustic.out.W" in ws.reinitialized
+    inventory = relabelled_inventory(list(range(40)), {38: "xa", 39: "xb"})
+    ws = warm_start(ckpt, inventory, small_vocab, AcousticConfig(), LmConfig())
+    assert "acoustic.out.W rows of xa xb" in ws.reinitialized
     assert "lm.out.W" in ws.reinitialized
     for name, t in ws.acoustic.items():
         if not name.startswith("out."):
             assert np.allclose(t.data, ckpt.tensors["acoustic." + name], atol=1e-7)
 
 
+def test_warm_start_copies_output_rows_by_phone_symbol(tiny_result):
+    # the same number of phones, in reverse order, one renamed: the output layer's
+    # shape matches, so only the symbols tell which row is which
+    ckpt = tiny_result[1].checkpoint
+    n = len(default_inventory())
+    inventory = relabelled_inventory(list(range(n))[::-1], {5: "xx"})
+    ws = warm_start(ckpt, inventory, saved_vocab(ckpt), AcousticConfig(), LmConfig(), seed=2)
+    assert ws.reinitialized == ["acoustic.out.W rows of xx", "acoustic.out.b rows of xx"]
+    fresh = build_acoustic_model(AcousticConfig(), n, seed=2)
+    saved_row = {sym: i for i, sym in enumerate(default_inventory().symbols())}
+    for name in ("out.W", "out.b"):
+        saved, warm = ckpt.tensors["acoustic." + name], ws.acoustic[name].data
+        for row, sym in enumerate(inventory.symbols()):
+            want = saved[saved_row[sym]] if sym in saved_row else fresh[name].data[row]
+            assert warm[row].tobytes() == want.astype(np.float32).tobytes(), (name, sym)
+        assert warm[n].tobytes() == saved[n].tobytes()  # the blank
+
+
 def test_warm_start_incompatible_hidden_shapes_rejected(tiny_result):
     _, result = tiny_result
     with pytest.raises(DataError, match=r"hidden-layer .*; the checkpoint's acoustic config has "
                                         r"conv1_filters=32 \(this model: conv1_filters=16\)"):
-        warm_start(result.checkpoint, 54, saved_vocab(result.checkpoint),
+        warm_start(result.checkpoint, default_inventory(), saved_vocab(result.checkpoint),
                    AcousticConfig(conv1_filters=16), LmConfig())
 
 
@@ -505,8 +532,8 @@ def test_warm_start_lm_widths_must_be_the_checkpoints(tiny_result):
     with pytest.raises(DataError, match=rf"lm\.lstm1\.W_ih: .*; the checkpoint's lm config has "
                                         rf"lstm1_units={saved.lstm1_units} "
                                         rf"\(this model: lstm1_units={wider.lstm1_units}\)"):
-        warm_start(ckpt, len(default_inventory()), vocab, AcousticConfig(), wider)
-    ws = warm_start(ckpt, len(default_inventory()), vocab, AcousticConfig(), saved)
+        warm_start(ckpt, default_inventory(), vocab, AcousticConfig(), wider)
+    ws = warm_start(ckpt, default_inventory(), vocab, AcousticConfig(), saved)
     assert not [name for name in ws.reinitialized if name.startswith("lm.")]
     for name, t in ws.lm.items():
         assert t.data.tobytes() == ckpt.tensors["lm." + name].tobytes(), name
@@ -521,7 +548,7 @@ def test_warm_start_copies_no_lm_tensor_across_granularities(tiny_result, tiny_p
     assert len(word_vocab) == len(phone_ckpt.vocab)
     word_ckpt = tiny_result[1].checkpoint
     for ckpt, vocab in ((phone_ckpt, word_vocab), (word_ckpt, vocab_for(default_inventory()))):
-        ws = warm_start(ckpt, len(default_inventory()), vocab, AcousticConfig(), LmConfig(), seed=2)
+        ws = warm_start(ckpt, default_inventory(), vocab, AcousticConfig(), LmConfig(), seed=2)
         fresh = build_lm(vocab, LmConfig(), seed=3)
         assert ws.reinitialized == ["lm." + name for name, _ in fresh.items()]
         for name, t in fresh.items():
@@ -534,7 +561,7 @@ def test_warm_start_copies_lm_rows_by_token(tiny_result):
     # a vocab that drops half the saved words, reorders the rest and adds two
     ckpt = tiny_result[1].checkpoint
     vocab = TokenVocab.build(["zzz"] + ckpt.config["lexicon_words"][::-2] + ["aaa"], "word")
-    ws = warm_start(ckpt, len(default_inventory()), vocab, AcousticConfig(), LmConfig(), seed=2)
+    ws = warm_start(ckpt, default_inventory(), vocab, AcousticConfig(), LmConfig(), seed=2)
     assert ws.reinitialized == [f"lm.{name} rows of zzz aaa" for name in TOKEN_ROWS]
     fresh = build_lm(vocab, LmConfig(), seed=3)
     saved_row = {tok: i for i, tok in enumerate(ckpt.vocab)}
@@ -554,7 +581,7 @@ def test_warm_start_rejects_token_rows_that_do_not_match_the_checkpoints_vocab(t
     bad = dataclasses.replace(ckpt, tensors={**ckpt.tensors,
                                              "lm.out.b": ckpt.tensors["lm.out.b"][:-1]})
     with pytest.raises(DataError, match=rf"lm\.out\.b has {n - 1} rows for its vocab of {n} "):
-        warm_start(bad, len(default_inventory()), saved_vocab(ckpt), AcousticConfig(), LmConfig())
+        warm_start(bad, default_inventory(), saved_vocab(ckpt), AcousticConfig(), LmConfig())
 
 
 def test_default_config_trains_a_word_lm(tiny_result):
@@ -584,7 +611,7 @@ def test_frozen_tensors_unchanged_after_optimizer_steps(tiny_result):
     _, result = tiny_result
     ckpt = result.checkpoint
     inv = default_inventory()
-    ws = warm_start(ckpt, len(inv), saved_vocab(ckpt),
+    ws = warm_start(ckpt, inv, saved_vocab(ckpt),
                     AcousticConfig(), LmConfig())
     for name, t in ws.acoustic.items():
         t.requires_grad = not name.startswith("conv1.")
@@ -745,8 +772,8 @@ def workers(monkeypatch):
     seen = types.SimpleNamespace(forked=[], requests=[])
 
     class Recording(train_mod._Worker):
-        def __init__(self, name, serve, fork=True):
-            super().__init__(name, serve, fork)
+        def __init__(self, name, serve, fork=True, idle=None):
+            super().__init__(name, serve, fork, idle)
             self.fork = fork
             if fork:
                 seen.forked.append(name)
@@ -819,8 +846,8 @@ def test_parallel_and_serial_schedules_give_the_same_bytes(tmp_path, monkeypatch
     train_mod = importlib.import_module("shona_asr.train")
 
     class AcousticInThisProcess(train_mod._Worker):  # the workers fixture's recording class
-        def __init__(self, name, serve, fork=True):
-            super().__init__(name, serve, fork and name != "acoustic training")
+        def __init__(self, name, serve, fork=True, idle=None):
+            super().__init__(name, serve, fork and name != "acoustic training", idle)
 
         def result(self):
             if self.fork:
@@ -907,6 +934,35 @@ def test_a_replaced_acoustic_function_leaves_the_worker_forked_and_the_bytes_equ
     assert (tmp_path / "replaced.ckpt").read_bytes() == (tmp_path / "plain.ckpt").read_bytes()
 
 
+def test_each_acoustic_process_computes_front_ends_ahead(tiny_result, tiny_corpus, monkeypatch,
+                                                         workers):
+    # front ends taken from the look-ahead, by process, as count_calls_by_process counts;
+    # the worker's replies are held back, so that this process waits for each
+    train_mod = importlib.import_module("shona_asr.train")
+    cfg = dataclasses.replace(tiny_result[0], epochs_max=2, patience=2, augment=AugmentPolicy())
+    assert cfg.batch_size == 4
+    plain = train(cfg, tiny_corpus)
+    ahead = train_mod._shared_arrays([np.zeros(2, np.int64)])[0]
+    owner = os.getpid()
+    take, outcomes = train_mod._FrontEnds.take, train_mod._worker_outcomes
+
+    def counting(self, epoch, i):
+        ahead[int(os.getpid() != owner)] += (epoch, i) in self._held
+        return take(self, epoch, i)
+
+    def late(*args):
+        reply = outcomes(*args)
+        time.sleep(0.05)
+        return reply
+
+    monkeypatch.setattr(train_mod._FrontEnds, "take", counting)
+    monkeypatch.setattr(train_mod, "_worker_outcomes", late)
+    counted = train(cfg, tiny_corpus)
+    assert workers.forked == ["LM training", "acoustic training"] * 2
+    assert ahead[0] > 0 and ahead[1] > 0
+    assert counted.epoch_log == plain.epoch_log and counted.best_hash == plain.best_hash
+
+
 def test_a_batch_of_one_forks_no_acoustic_worker(tiny_corpus, workers):
     train(TrainConfig(seed=3, epochs_max=1, patience=1, batch_size=1,
                       augment=AugmentPolicy(**QUIET_AUGMENT)), tiny_corpus)
@@ -925,6 +981,18 @@ def test_an_error_in_the_acoustic_worker_is_raised_by_train(tmp_path, workers):
     assert multiprocessing.active_children() == []
 
 
+def test_a_front_end_that_fails_ahead_raises_in_its_utterances_run(tmp_path, workers):
+    # the worker computes training position 6, of the second batch, while this process
+    # merges the first; the failure there must wait for position 6's own run
+    cfg = TrainConfig(seed=3, epochs_max=1, patience=1, batch_size=4)
+    corpus = corpus_with_replaced_audio(tmp_path, cfg, [6], lambda audio: audio.samples[:100])
+    with pytest.raises(DataError, match="shorter than one frame") as caught:
+        train(cfg, corpus)
+    assert workers.requests.count("acoustic training") == 2  # the second batch raised
+    assert "in the acoustic training process" in "\n".join(caught.value.__notes__)
+    assert multiprocessing.active_children() == []
+
+
 def test_a_worker_exception_is_raised_with_its_type_message_and_traceback():
     train_mod = importlib.import_module("shona_asr.train")
 
@@ -938,6 +1006,43 @@ def test_a_worker_exception_is_raised_with_its_type_message_and_traceback():
     note = "\n".join(caught.value.__notes__)
     assert note.startswith("in the probe process:") and "in failing" in note
     assert multiprocessing.active_children() == []
+
+
+def test_a_worker_idles_between_requests_only_while_none_waits():
+    train_mod = importlib.import_module("shona_asr.train")
+    steps = train_mod._shared_arrays([np.zeros(5, np.int64)])[0]  # idle steps after request n
+    gate = multiprocessing.get_context("fork").Event()
+
+    def serve(n):
+        if n == 0:
+            gate.wait()  # until requests 1 and 2 wait in the pipe
+        return [n] * n
+
+    def idle(n):
+        for _ in range(1000):
+            yield
+            steps[n] += 1
+            time.sleep(0.001)
+
+    with train_mod._Worker("probe", serve, idle=idle) as worker:
+        for n in range(3):
+            worker.submit(n)
+        assert not worker.ready()
+        gate.set()
+        assert [worker.result() for _ in range(3)] == [[], [1], [2, 2]]
+        deadline = time.monotonic() + 30
+        while steps[2] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        worker.submit(3)  # stops the idle step of request 2
+        assert worker.result() == [3, 3, 3]
+    assert steps[0] == steps[1] == 0 and 0 < steps[2] < 1000
+    assert multiprocessing.active_children() == []
+
+    with train_mod._Worker("probe", serve, fork=False, idle=idle) as worker:
+        worker.submit(4)
+        assert worker.ready()
+        assert worker.result() == [4] * 4
+    assert steps[4] == 0
 
 
 def test_a_worker_that_exits_without_answering_is_an_error():
